@@ -42,6 +42,16 @@ EXIT_COST = 4
 EXIT_TABLE = 5
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obscon",
@@ -79,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="merge multi-latent districts first (valid but possibly incomplete)")
     p_derive.add_argument("--max-ci-size", type=int, default=None)
     p_derive.add_argument("--column-limit", type=int, default=10_000_000)
-    p_derive.add_argument("--jobs", type=int, default=1)
+    p_derive.add_argument("--jobs", type=_positive_int, default=1)
     p_derive.add_argument("--timings", action="store_true")
     p_derive.add_argument("--seed", type=int, default=None,
                           help="recorded in output metadata")
@@ -90,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--merge", action="store_true")
     p_check.add_argument("--max-ci-size", type=int, default=None)
     p_check.add_argument("--column-limit", type=int, default=10_000_000)
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--jobs", type=_positive_int, default=1)
     p_check.add_argument("--tolerance", default=None,
                          help="slack for (in)equality checks, e.g. 1/1000000 or 1e-9")
     p_check.add_argument("--json", dest="json_path", default=None,

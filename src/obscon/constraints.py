@@ -14,6 +14,7 @@ Testing them anyway is sound, since trivial rows restrict nothing.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -277,10 +278,11 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
             records.append(None)
             tasks.append((len(records) - 1, district))
 
-    if options.jobs > 1 and len(tasks) > 1:
+    workers = min(options.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(
                 _derive_district_task,
                 [(working, district, options.column_limit) for _, district in tasks],

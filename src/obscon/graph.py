@@ -355,7 +355,8 @@ def parse_graph(text: str) -> HiddenDag:
                 if len(fields) != 3:
                     raise GraphParseError("expected 'var <name> <cardinality>'", lineno)
                 name, card = fields[1], fields[2]
-                if not card.isdigit() or int(card) < 2:
+                # isdigit alone admits digits such as '²' that int() rejects
+                if not (card.isascii() and card.isdigit()) or int(card) < 2:
                     raise GraphParseError(
                         f"observed variable {name!r} needs an integer cardinality >= 2",
                         lineno,

@@ -4,6 +4,16 @@ Everything is exact: points and rows are rationals (``fractions.Fraction``),
 the double description inner loop works on integers after denominators are
 cleared, and no floating point appears anywhere.
 
+The vertex-to-facet conversion is double description (``extreme_rays``). Its
+combinatorial work runs on Python-int bitsets: every ray keeps the mask of
+constraint rows it is tight at, and every insertion step transposes those
+masks into one bitset per row marking the rays tight at it (the tight sets
+of Terzer & Stelling, "Large-scale computation of elementary flux modes
+with bit pattern trees", Bioinformatics 24, 2008). The adjacency test of a
+plus/minus pair is then an AND of row bitsets, and a bit-sliced counter over
+the same bitsets picks each plus ray's candidate partners without looking
+at pairs one by one.
+
 Canonical form of an H-representation: every row is scaled to integer entries
 with gcd 1 (positive scaling only, so inequality orientation is intrinsic),
 equality rows additionally have their first nonzero coefficient negative,
@@ -235,10 +245,23 @@ def _invert(mat: Sequence[Row]) -> list[list[Fraction]]:
 def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     """Extreme rays of the pointed cone {y : row . y <= 0 for every row}.
 
-    Double description with dynamic insertion order (each step inserts the
-    hyperplane cutting off the fewest current rays) and the combinatorial
-    adjacency test on tight-set bitmasks. Requires the rows to have full
-    column rank (a pointed cone); raises ``UnboundedPolytopeError`` otherwise.
+    Double description with dynamic insertion order: each step inserts the
+    row that cuts off the fewest current rays, the first such row on ties.
+    Requires the rows to have full column rank (a pointed cone); raises
+    ``UnboundedPolytopeError`` otherwise.
+
+    Each step splits the rays into plus (cut off), zero and minus rays and
+    builds, for every row, the bitset of the current rays tight at it
+    (bit j is ray j of the current list). A plus ray p and a minus ray n
+    are adjacent iff no third ray is tight at every row where both are;
+    that is, iff ANDing the row bitsets over the rows in
+    ``mask_p & mask_n`` leaves only the bits of p and n. The AND stops as
+    soon as only those two remain. Adjacency also needs at least
+    ``dim - 2`` common rows, so n may miss at most
+    ``slack = popcount(mask_p) - (dim - 2)`` of p's rows. A bit-sliced
+    counter over the minus rays' "missed" bitsets, walking p's rows, finds
+    all such n at once, and only they are tested, in list order. New rays
+    come out plus-major, minus-minor, after the zero and minus rays.
 
     ``progress(done, total, n_rays, n_cut)`` is invoked once per insertion
     for long-running conversions.
@@ -280,35 +303,50 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
         k = remaining.pop(best_pos)
         bit = 1 << k
 
+        products = [ray[2].pop(best_pos) for ray in rays]
         plus, zero, minus = [], [], []
-        for ray in rays:
-            s = ray[2].pop(best_pos)
+        minus_set = 0
+        for index, (ray, s) in enumerate(zip(rays, products)):
             if s > 0:
-                plus.append((ray, s))
+                plus.append((index, ray, s))
             elif s < 0:
-                minus.append((ray, s))
+                minus.append(ray)
+                minus_set |= 1 << index
             else:
                 ray[1] |= bit
                 zero.append(ray)
         if not plus:
-            rays = zero + [ray for ray, _ in minus]
+            rays = zero + minus
             continue
 
-        masks = [ray[1] for ray in rays]
+        tight = _tight_sets(rays, total)
+        all_rays = (1 << len(rays)) - 1
+        missed = [minus_set & ~t for t in tight]
         new_rays = []
-        for p_ray, sp in plus:
+        for p_index, p_ray, sp in plus:
             mask_p = p_ray[1]
-            for n_ray, sn in minus:
-                common = mask_p & n_ray[1]
-                if common.bit_count() < dim - 2:
+            p_rows = _bit_indices(mask_p)
+            slack = len(p_rows) - (dim - 2)
+            if slack < 0:
+                continue
+            p_tight = [(1 << i, tight[i]) for i in p_rows]
+            candidates = _within_slack([missed[i] for i in p_rows], minus_set, slack)
+            while candidates:
+                n_bit = candidates & -candidates
+                candidates ^= n_bit
+                n_index = n_bit.bit_length() - 1
+                n_ray, sn = rays[n_index], products[n_index]
+                mask_n = n_ray[1]
+                pair = (1 << p_index) | n_bit
+                survivors = all_rays
+                for row_bit, t in p_tight:
+                    if mask_n & row_bit:
+                        survivors &= t
+                        if survivors == pair:
+                            break
+                if survivors != pair:
                     continue
-                adjacent = True
-                for m in masks:
-                    if m is not mask_p and common & ~m == 0 and m != mask_p and m != n_ray[1]:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
+                common = mask_p & mask_n
                 vec = tuple(
                     sp * nv - sn * pv for pv, nv in zip(p_ray[0], n_ray[0])
                 )
@@ -324,13 +362,64 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
                     for pd, nd in zip(p_ray[2], n_ray[2])
                 ]
                 new_rays.append([vec, common | bit, dots])
-        rays = zero + [ray for ray, _ in minus] + new_rays
+        rays = zero + minus + new_rays
 
     return [tuple(ray[0]) for ray in rays]
 
 
 def _dot(a: Row, b: Row) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _tight_sets(rays, n_rows: int) -> list[int]:
+    """Per constraint row, the bitset of the rays (by list index) tight at it.
+
+    Transposes the rays' row masks: each mask is written as a fixed-width
+    binary string, the strings are zipped column by column, and each column
+    is read back as an integer, all at C speed. The rays go in reversed so
+    that ray 0 lands on bit 0, and the columns come out highest row first.
+    """
+    width = f"0{n_rows}b"
+    columns = zip(*[format(ray[1], width) for ray in reversed(rays)])
+    return [int("".join(column), 2) for column in columns][::-1]
+
+
+def _within_slack(missed_rows: Sequence[int], candidates: int, slack: int) -> int:
+    """The rays of ``candidates`` set in at most ``slack`` of ``missed_rows``.
+
+    A bit-sliced counter: ``planes[j]`` holds bit j of every ray's count,
+    so adding one row is a ripple-carry addition over whole bitsets, and a
+    carry out of the top plane marks the ray as over. The counts left are
+    then compared with ``slack`` plane by plane, highest first.
+    """
+    planes = [0] * slack.bit_length()
+    over = 0
+    for missed in missed_rows:
+        carry = missed
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        over |= carry
+    equal = candidates & ~over
+    for j in reversed(range(len(planes))):
+        if slack >> j & 1:
+            equal &= planes[j]
+        else:
+            over |= equal & planes[j]
+            equal &= ~planes[j]
+    return candidates & ~over
 
 
 # -- conversions -----------------------------------------------------------

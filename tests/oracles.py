@@ -1,9 +1,10 @@
 """Independent oracle implementations used by the test suite.
 
 Everything here is deliberately written from first principles, not by calling
-the code under test: a dictionary simplex over exact rationals, a
-path-enumeration d-separation checker, and a structural-model sampler that
-marginalizes finite latent variables directly.
+the code under test: a dictionary simplex over exact rationals, double
+description with the full-scan adjacency test, a path-enumeration
+d-separation checker, and a structural-model sampler that marginalizes finite
+latent variables directly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from obscon.graph import HiddenDag, Variable
 
@@ -178,6 +180,125 @@ def facet_witness_beyond(h, index, vertices):
     if epsilon is None or epsilon == 0:
         epsilon = Fraction(1)
     return tuple(x + epsilon * d for x, d in zip(center, direction))
+
+
+# -- double description with the full-scan adjacency test --------------------
+
+
+def _primitive(vec):
+    """Scale a rational vector by a positive rational to coprime integers."""
+    fracs = [Fraction(v) for v in vec]
+    lcm = 1
+    for f in fracs:
+        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
+    ints = [int(f * lcm) for f in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def _rank(rows):
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            factor = mat[i][col] / mat[rank][col]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _inverse(mat):
+    n = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col][col]
+        aug[col] = [v / lead for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def extreme_rays_full_scan(rows, progress=None):
+    """Double description as ``obscon.polyhedra.extreme_rays`` specifies it.
+
+    Same initial cone (the first full-rank set of rows), insertion order,
+    hook calls and output order, but every plus/minus pair that shares at
+    least dim - 2 tight rows is tested against every current ray's tight
+    mask: the pair is adjacent iff no third ray is tight wherever both are.
+    O(|plus| |minus| |rays|) per step. Returns None when the rows do not
+    span.
+    """
+    rows = [tuple(r) for r in rows]
+    dim = len(rows[0])
+    basis_idx = []
+    for idx in range(len(rows)):
+        if _rank([rows[i] for i in basis_idx + [idx]]) > len(basis_idx):
+            basis_idx.append(idx)
+            if len(basis_idx) == dim:
+                break
+    if len(basis_idx) < dim:
+        return None
+    basis_inv = _inverse([rows[i] for i in basis_idx])
+
+    remaining = [i for i in range(len(rows)) if i not in basis_idx]
+    basis_mask = sum(1 << i for i in basis_idx)
+    rays = []  # [vector, tight-mask, dots-by-remaining]
+    for j in range(dim):
+        vec = _primitive([-basis_inv[i][j] for i in range(dim)])
+        dots = [sum(a * b for a, b in zip(rows[k], vec)) for k in remaining]
+        rays.append([vec, basis_mask & ~(1 << basis_idx[j]), dots])
+
+    total = len(rows)
+    while remaining:
+        counts = [sum(1 for ray in rays if ray[2][pos] > 0)
+                  for pos in range(len(remaining))]
+        best_pos = counts.index(min(counts))
+        if progress is not None:
+            progress(total - len(remaining), total, len(rays), counts[best_pos])
+        bit = 1 << remaining.pop(best_pos)
+
+        plus, zero, minus = [], [], []
+        for ray in rays:
+            s = ray[2].pop(best_pos)
+            if s > 0:
+                plus.append((ray, s))
+            elif s < 0:
+                minus.append((ray, s))
+            else:
+                ray[1] |= bit
+                zero.append(ray)
+
+        masks = [ray[1] for ray in rays]
+        new_rays = []
+        for p_ray, sp in plus:
+            for n_ray, sn in minus:
+                common = p_ray[1] & n_ray[1]
+                if common.bit_count() < dim - 2:
+                    continue
+                if any(common & ~m == 0 and m != p_ray[1] and m != n_ray[1]
+                       for m in masks):
+                    continue
+                vec = tuple(sp * nv - sn * pv for pv, nv in zip(p_ray[0], n_ray[0]))
+                g = 0
+                for v in vec:
+                    g = gcd(g, v)
+                g = max(g, 1)
+                vec = tuple(v // g for v in vec)
+                dots = [(sp * nd - sn * pd) // g for pd, nd in zip(p_ray[2], n_ray[2])]
+                new_rays.append([vec, common | bit, dots])
+        rays = zero + [ray for ray, _ in minus] + new_rays
+    return [ray[0] for ray in rays]
 
 
 # -- d-separation by path enumeration ---------------------------------------

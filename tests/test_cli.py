@@ -56,6 +56,29 @@ def test_info_malformed_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_superscript_cardinality_exits_2(tmp_path, capsys):
+    # '²'.isdigit() is true, but int('²') raises
+    path = tmp_path / "bad.graph"
+    path.write_text("var X ²\n", encoding="utf-8")
+    for command in (["info", str(path)], ["derive", str(path)]):
+        code = main(command)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 1" in err and "cardinality" in err
+
+
+@pytest.mark.parametrize("command", ["derive", "check"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "-3", "two"])
+def test_jobs_below_one_exits_2(examples, capsys, command, jobs):
+    args = [command, path_of(examples, "iv.graph")]
+    if command == "check":
+        args.append(path_of(examples, "iv_model.csv"))
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_info_condition_violation_exits_3(tmp_path, capsys):
     path = tmp_path / "c1.graph"
     path.write_text(

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -63,9 +64,6 @@ def test_flag_block_sum_rows_unflagged():
 def test_flag_never_marks_axiom_shaped_rows(graphs):
     # single +/-1 coefficient with rhs 0, and block-sum rows, are probability
     # axioms; across all bundled fixtures they must come back unflagged
-    for name in ("iv", "iv_sequential", "frontdoor", "nested_pair_left",
-                 "nested_pair_right", "mixed_cdegree", "triangle"):
-        dag = parse_graph(FIXTURE_GRAPHS := __import__("obscon.fixtures", fromlist=["FIXTURE_GRAPHS"]).FIXTURE_GRAPHS[name]) if False else None
     from obscon.fixtures import FIXTURE_GRAPHS
 
     for name in ("iv", "iv_sequential", "frontdoor", "nested_pair_left",
@@ -176,6 +174,34 @@ def test_derive_jobs_parallel_matches_serial(graphs):
     parallel = derive_all(graphs["iv_sequential"], DeriveOptions(jobs=2))
     assert serial.districts == parallel.districts
     assert serial.ci_statements == parallel.ci_statements
+
+
+@pytest.mark.parametrize("jobs, cpus, pools", [(64, 8, [2]), (2, 1, [])])
+def test_derive_jobs_pool_capped(graphs, monkeypatch, jobs, cpus, pools):
+    # iv_sequential has two nontrivial districts; a serial stand-in for the
+    # pool records its size, so no worker process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    result = derive_all(graphs["iv_sequential"], DeriveOptions(jobs=jobs))
+    assert sizes == pools
+    assert result.districts == derive_all(graphs["iv_sequential"]).districts
 
 
 def test_render_star_iv(graphs):

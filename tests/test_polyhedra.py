@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,31 @@ from obscon import (
     HRep,
     UnboundedPolytopeError,
     VRep,
+    derive_all,
     h_to_v,
+    parse_graph,
     simplex_product_extreme_points,
     v_to_h,
 )
+from obscon import polyhedra
 
-from oracles import facet_witness_beyond, in_hull
+from oracles import extreme_rays_full_scan, facet_witness_beyond, in_hull
+
+# Bell scenarios: two parties with inputs X, Y and outcomes A, B sharing one
+# latent; CHSH has binary inputs, I3322 ternary ones
+BELL_CHSH = """\
+var X 2
+var Y 2
+var A 2
+var B 2
+latent U
+edge X A
+edge Y B
+edge U A
+edge U B
+"""
+
+BELL_I3322 = BELL_CHSH.replace("var X 2", "var X 3").replace("var Y 2", "var Y 3")
 
 
 def rational_points(rng, n, dim, denom=12, spread=6):
@@ -224,3 +244,96 @@ def test_cdd_format_smoke():
     h = v_to_h(VRep.make([(0,), (1,)]))
     text = h.to_cdd()
     assert "H-representation" in text and "begin" in text and "end" in text
+
+
+def degenerate_cone_rows(rng):
+    """Homogenized integer points with many on each facet, some repeated.
+
+    Points come from the grid {0, 2, 4}^d, so many share each facet; the
+    origin and 4 e_i make the hull full-dimensional, so the cone is pointed.
+    Midpoints of point pairs add points on faces and in the interior, and
+    a few points appear twice.
+    """
+    dim = rng.randint(1, 5)
+    points = [(0,) * dim] + [tuple(4 * (j == i) for j in range(dim)) for i in range(dim)]
+    grid = list(product((0, 2, 4), repeat=dim))
+    points += rng.sample(grid, min(len(grid), rng.randint(1, 20)))
+    for _ in range(3):
+        a, b = rng.sample(points, 2)
+        points.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+    points += rng.choices(points, k=2)
+    rng.shuffle(points)
+    return [(1,) + p for p in points]
+
+
+def test_extreme_rays_matches_full_scan_reference():
+    rng = random.Random(7321)
+    for rep in range(150):
+        rows = degenerate_cone_rows(rng)
+        got_calls, want_calls = [], []
+        got = polyhedra.extreme_rays(rows, progress=lambda *a: got_calls.append(a))
+        want = extreme_rays_full_scan(rows, progress=lambda *a: want_calls.append(a))
+        assert got == want, (rep, rows)
+        assert got_calls == want_calls, (rep, rows)
+
+
+def test_within_slack_matches_counting():
+    # the candidate filter is exact: it keeps a ray iff the ray is set in
+    # at most `slack` of the rows, the count overflowing the planes included
+    rng = random.Random(88)
+    for _ in range(300):
+        n_rays = rng.randint(1, 40)
+        missed = [rng.getrandbits(n_rays) for _ in range(rng.randint(0, 20))]
+        candidates = rng.getrandbits(n_rays)
+        slack = rng.randint(0, 12)
+        want = sum(
+            1 << j for j in range(n_rays)
+            if candidates >> j & 1 and sum(m >> j & 1 for m in missed) <= slack
+        )
+        assert polyhedra._within_slack(missed, candidates, slack) == want
+
+
+def cross_polytope(dim):
+    return [tuple(sign * (j == i) for j in range(dim)) for i in range(dim) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("points, facets", [
+    (list(product((0, 1), repeat=4)), 8),
+    (cross_polytope(3), 8),
+    (cross_polytope(4), 16),
+    (cross_polytope(5), 32),
+    ([(t, t ** 2, t ** 3, t ** 4) for t in range(1, 8)], 14),
+], ids=["4-cube", "3-cross", "4-cross", "5-cross", "cyclic-7-4"])
+def test_known_facet_counts(points, facets):
+    h = v_to_h(VRep.make(points))
+    assert h.eq == ()
+    assert len(h.ineq) == facets
+
+
+def bell_derivation(monkeypatch, text):
+    """Derive a Bell graph, recording every DD step through the progress hook."""
+    steps = []
+    finals = []
+    original = polyhedra.extreme_rays
+
+    def recording(rows, progress=None):
+        rays = original(rows, progress=lambda *args: steps.append(args))
+        finals.append(len(rays))
+        return rays
+
+    monkeypatch.setattr(polyhedra, "extreme_rays", recording)
+    (record,) = [r for r in derive_all(parse_graph(text)).districts if not r.skipped]
+    return record.hrep, steps, finals
+
+
+def test_bell_chsh_facets(monkeypatch):
+    hrep, _, _ = bell_derivation(monkeypatch, BELL_CHSH)
+    assert len(hrep.ineq) == 24
+
+
+def test_bell_i3322_facets_and_dd_counts(monkeypatch):
+    # 684 facets: Collins & Gisin, J. Phys. A 37, 1775 (2004)
+    hrep, steps, finals = bell_derivation(monkeypatch, BELL_I3322)
+    assert (len(hrep.ineq), len(hrep.eq)) == (684, 21)
+    assert len(steps) == 48
+    assert max([n_rays for _, _, n_rays, _ in steps] + finals) == 3679
