@@ -42,14 +42,23 @@ EXIT_COST = 4
 EXIT_TABLE = 5
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type accepting integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("info", help="print variables, conditions, districts and CIs")
     p_info.add_argument("graph")
-    p_info.add_argument("--max-ci-size", type=int, default=None)
+    p_info.add_argument("--max-ci-size", type=_nonnegative_int, default=None)
 
     p_rewrite = sub.add_parser("rewrite", help="apply a graph rewrite and print the result")
     p_rewrite.add_argument("graph")
@@ -87,19 +96,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                "polyhedral text format for cross-checking")
     p_derive.add_argument("--merge", action="store_true",
                           help="merge multi-latent districts first (valid but possibly incomplete)")
-    p_derive.add_argument("--max-ci-size", type=int, default=None)
-    p_derive.add_argument("--column-limit", type=int, default=10_000_000)
+    p_derive.add_argument("--max-ci-size", type=_nonnegative_int, default=None)
+    p_derive.add_argument("--column-limit", type=_positive_int, default=10_000_000)
     p_derive.add_argument("--jobs", type=_positive_int, default=1)
     p_derive.add_argument("--timings", action="store_true")
-    p_derive.add_argument("--seed", type=int, default=None,
-                          help="recorded in output metadata")
 
     p_check = sub.add_parser("check", help="evaluate a distribution against the constraints")
     p_check.add_argument("graph")
     p_check.add_argument("table")
     p_check.add_argument("--merge", action="store_true")
-    p_check.add_argument("--max-ci-size", type=int, default=None)
-    p_check.add_argument("--column-limit", type=int, default=10_000_000)
+    p_check.add_argument("--max-ci-size", type=_nonnegative_int, default=None)
+    p_check.add_argument("--column-limit", type=_positive_int, default=10_000_000)
     p_check.add_argument("--jobs", type=_positive_int, default=1)
     p_check.add_argument("--tolerance", default=None,
                          help="slack for (in)equality checks, e.g. 1/1000000 or 1e-9")
@@ -183,7 +190,6 @@ def _derive(args):
         column_limit=args.column_limit,
         jobs=args.jobs,
         timings=getattr(args, "timings", False),
-        seed=getattr(args, "seed", None),
     )
     try:
         result = derive_all(dag, options)

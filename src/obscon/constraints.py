@@ -125,7 +125,6 @@ class DeriveOptions:
     column_limit: int | None = 10_000_000
     jobs: int = 1
     timings: bool = False
-    seed: int | None = None  # recorded in metadata; derivation is deterministic
 
 
 def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
@@ -303,7 +302,6 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
             "max_ci_size": options.max_ci_size,
             "column_limit": options.column_limit,
         },
-        "seed": options.seed,
         "ci_policy": "minimal-Z, merged, greedy-cover",
         "complete": not merged,
         "caveat": FLAG_CAVEAT,

@@ -1,8 +1,12 @@
 """Exact polyhedral computation: V/H representations and their conversion.
 
-Everything is exact: points and rows are rationals (``fractions.Fraction``),
-the double description inner loop works on integers after denominators are
-cleared, and no floating point appears anywhere.
+Everything is exact and no floating point appears anywhere. Points may be
+rational (``fractions.Fraction``) or integer; each row is scaled to coprime
+integers as it enters the linear algebra, which then runs on Python ints
+only. One fraction-free Gauss-Jordan kernel (``_echelon``) does all of the
+elimination: it finds the affine hull's pivot columns and equality rows,
+the independent rows and the inverse that start double description, and
+the particular solution and null space of an equality system.
 
 The vertex-to-facet conversion is double description (``extreme_rays``). Its
 combinatorial work runs on Python-int bitsets: every ray keeps the mask of
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -39,9 +43,12 @@ Row = tuple[int, ...]
 
 @dataclass(frozen=True)
 class VRep:
-    """Convex-hull generators (points only; rays are out of scope)."""
+    """Convex-hull generators (points only; rays are out of scope).
 
-    points: tuple[tuple[Fraction, ...], ...]
+    Coordinates are ``int`` or ``Fraction``.
+    """
+
+    points: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         if not self.points:
@@ -104,19 +111,17 @@ class HRep:
 # -- exact linear algebra helpers ---------------------------------------
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def _integerize(vec) -> Row:
     """Scale a rational vector by a positive rational to integers with gcd 1."""
-    fracs = [Fraction(x) for x in vec]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    vec = [x if isinstance(x, int) else Fraction(x) for x in vec]
+    denom = lcm(*(x.denominator for x in vec))
+    return tuple(_primitive([x.numerator * (denom // x.denominator) for x in vec]))
 
 
 def _canon_ineq(coeffs, rhs) -> tuple[Row, int]:
@@ -132,114 +137,78 @@ def _canon_eq(coeffs, rhs) -> tuple[Row, int]:
     return row[:-1], row[-1]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with leftmost pivots; returns (rows, pivot cols)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns (rows, pivot columns): the reduced row echelon form with
+    leftmost pivots, each row scaled to integers with gcd 1 and a positive
+    pivot, and zero in every other row's pivot column. Row i is a positive
+    multiple of row i of the rational reduced form, so the pivots are the
+    greedy-first independent columns. Rows are combined by cross
+    multiplication and divided by their gcd at every step, so no fraction
+    appears and the entries stay small (fraction-free elimination; compare
+    Bareiss, Math. Comp. 22, 1968, who divides by the previous pivot).
+    """
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if k is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        prow = _primitive(mat[k])
+        if prow[c] < 0:
+            prow = [-v for v in prow]
+        mat[k] = mat[r]
+        mat[r] = prow
+        pv = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = _primitive([pv * a - f * b for a, b in zip(row, prow)])
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        if len(pivots) == len(mat):
             break
-    return mat[:r], pivots
+    return mat[:len(pivots)], pivots
 
 
-def affine_hull(points: Sequence[tuple[Fraction, ...]]):
-    """Pivot/free coordinate split of the points' affine hull.
+def _null_basis(reduced: list[list[int]], pivots: list[int], ncols: int) -> list[list[int]]:
+    """Integer basis of {x : reduced x = 0} over the first ``ncols`` columns.
 
-    Returns (pivot_cols, free_cols, eq_rows) where eq_rows are the
-    canonicalized equality constraints satisfied by every point.
+    One primitive vector per free column f, positive at f and zero at the
+    other free columns.
+    """
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        scale = lcm(*(row[p] for row, p in zip(reduced, pivots) if row[f]))
+        vec = [0] * ncols
+        vec[f] = scale
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f] * (scale // row[p])
+        basis.append(_primitive(vec))
+    return basis
+
+
+def affine_hull(points: Sequence[tuple]):
+    """Pivot columns and equality rows of the points' affine hull.
+
+    Returns (pivot_cols, eq_rows): the pivot columns of the differences to
+    the first point, and the canonicalized equality constraints satisfied
+    by every point, one per non-pivot column.
     """
     base = points[0]
-    diffs = [[p[j] - base[j] for j in range(len(base))] for p in points[1:]]
-    reduced, pivots = rref(diffs)
-    ncols = len(base)
-    free = [c for c in range(ncols) if c not in pivots]
-    eqs = []
-    for f in free:
-        coeffs = [Fraction(0)] * ncols
-        coeffs[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            coeffs[p] = -reduced[i][f] if i < len(reduced) else Fraction(0)
-        rhs = sum(c * x for c, x in zip(coeffs, base))
-        eqs.append(_canon_eq(coeffs, rhs))
-    return pivots, free, sorted(set(eqs))
-
-
-def _solve_affine(eq_rows: Sequence[tuple[Row, int]], dim: int):
-    """Particular solution and null-space basis of a canonical equality system.
-
-    Returns (x0, basis_columns) or None when the system is inconsistent.
-    """
-    if not eq_rows:
-        identity = [
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim))
-            for i in range(dim)
-        ]
-        return tuple([Fraction(0)] * dim), identity
-    augmented = [[Fraction(v) for v in coeffs] + [Fraction(rhs)] for coeffs, rhs in eq_rows]
-    reduced, pivots = rref(augmented)
-    if dim in pivots:  # pivot in the rhs column: inconsistent
-        return None
-    x0 = [Fraction(0)] * dim
-    for i, p in enumerate(pivots):
-        x0[p] = reduced[i][dim]
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * dim
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i][f]
-        basis.append(tuple(vec))
-    return tuple(x0), basis
+    diffs = [_integerize([x - b for x, b in zip(p, base)]) for p in points[1:]]
+    reduced, pivots = _echelon(diffs)
+    eqs = [
+        _canon_eq(vec, sum(c * x for c, x in zip(vec, base)))
+        for vec in _null_basis(reduced, pivots, len(base))
+    ]
+    return pivots, sorted(set(eqs))
 
 
 # -- double description ---------------------------------------------------
-
-
-def _independent_rows(rows: Sequence[Row], want: int) -> list[int] | None:
-    """Indices of the first ``want`` linearly independent rows, or None."""
-    chosen: list[int] = []
-    reduced: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
-        for red in reduced:
-            lead = next((j for j, v in enumerate(red) if v != 0), None)
-            if lead is not None and vec[lead] != 0:
-                factor = vec[lead] / red[lead]
-                vec = [a - factor * b for a, b in zip(vec, red)]
-        if any(v != 0 for v in vec):
-            reduced.append(vec)
-            chosen.append(idx)
-            if len(chosen) == want:
-                return chosen
-    return None
-
-
-def _invert(mat: Sequence[Row]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    reduced, pivots = rref(aug)
-    assert pivots == list(range(n)), "matrix is singular"
-    return [row[n:] for row in reduced]
 
 
 def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
@@ -270,20 +239,26 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     if not rows:
         raise ValueError("no constraint rows")
     dim = len(rows[0])
-    basis_idx = _independent_rows(rows, dim)
-    if basis_idx is None:
+    # eliminating [rows^T | I] puts the first independent rows' indices in
+    # the pivot columns and, in the right half, the inverse of their
+    # transpose up to positive row scaling
+    n = len(rows)
+    reduced, basis_idx = _echelon([
+        [row[i] for row in rows] + [int(i == j) for j in range(dim)]
+        for i in range(dim)
+    ])
+    if not basis_idx or basis_idx[-1] >= n:
         raise UnboundedPolytopeError("constraint rows do not span; cone is not pointed")
-    basis_inv = _invert([rows[i] for i in basis_idx])
 
-    # rays of the initial simplicial cone: the negated inverse's columns;
-    # ray j is tight at every basis row except the j-th
+    # rays of the initial simplicial cone: the negated columns of the basis
+    # rows' inverse; ray j is tight at every basis row except the j-th
     rays = []  # each entry: [vector, tight-mask, dots-by-remaining]
-    remaining = [i for i in range(len(rows)) if i not in basis_idx]
+    remaining = [i for i in range(n) if i not in basis_idx]
     full_basis_mask = 0
     for i in basis_idx:
         full_basis_mask |= 1 << i
-    for j in range(dim):
-        vec = _integerize([-basis_inv[i][j] for i in range(dim)])
+    for j, red in enumerate(reduced):
+        vec = _integerize([-v for v in red[n:]])
         mask = full_basis_mask & ~(1 << basis_idx[j])
         dots = [_dot(rows[k], vec) for k in remaining]
         rays.append([vec, mask, dots])
@@ -434,14 +409,7 @@ def v_to_h(v: VRep) -> HRep:
             seen.add(p)
             points.append(p)
     dim = v.dim
-    if len(points) == 1:
-        eqs = [
-            _canon_eq([Fraction(1 if j == i else 0) for j in range(dim)], points[0][i])
-            for i in range(dim)
-        ]
-        return HRep(ineq=(), eq=tuple(sorted(eqs)))
-
-    pivots, _, eq_rows = affine_hull(points)
+    pivots, eq_rows = affine_hull(points)
     chart = [tuple(p[j] for j in pivots) for p in points]
     cone_rows = [_integerize((1,) + q) for q in chart]
     ineqs = []
@@ -463,10 +431,13 @@ def h_to_v(h: HRep) -> VRep:
     ``ValueError`` when the polytope is empty.
     """
     dim = h.dim
-    solved = _solve_affine(h.eq, dim)
-    if solved is None:
+    reduced, pivots = _echelon([(*coeffs, rhs) for coeffs, rhs in h.eq])
+    if dim in pivots:  # a pivot in the rhs column: 0 = 1
         raise ValueError("equality system is inconsistent; empty polytope")
-    x0, basis = solved
+    x0 = [Fraction(0)] * dim
+    for row, p in zip(reduced, pivots):
+        x0[p] = Fraction(row[dim], row[p])
+    basis = _null_basis(reduced, pivots, dim)
     t = len(basis)
 
     reduced_rows = []
@@ -479,7 +450,7 @@ def h_to_v(h: HRep) -> VRep:
             continue
         reduced_rows.append((proj, shift))
     if t == 0:
-        return VRep((x0,))
+        return VRep((tuple(x0),))
 
     cone_rows = [_integerize([-shift] + proj) for proj, shift in reduced_rows]
     cone_rows.append(tuple([-1] + [0] * t))

@@ -169,12 +169,9 @@ class FunctionalSystem:
     def n_cols(self) -> int:
         return len(self.col_labels)
 
-    def columns_as_points(self) -> list[tuple[Fraction, ...]]:
-        """Columns of B as rational vectors; the V-representation generators."""
-        return [
-            tuple(Fraction(self.matrix[r][c]) for r in range(self.n_rows))
-            for c in range(self.n_cols)
-        ]
+    def columns_as_points(self) -> list[tuple[int, ...]]:
+        """Columns of B as 0/1 vectors; the V-representation generators."""
+        return list(zip(*self.matrix))
 
     def multiply(self, r: Sequence[Fraction]) -> list[Fraction]:
         if len(r) != self.n_cols:

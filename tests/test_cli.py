@@ -79,6 +79,32 @@ def test_jobs_below_one_exits_2(examples, capsys, command, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("info", "--max-ci-size", "-1"),
+    ("derive", "--max-ci-size", "-1"),
+    ("check", "--max-ci-size", "-1"),
+    ("derive", "--column-limit", "-1"),
+    ("derive", "--column-limit", "0"),
+    ("check", "--column-limit", "-1"),
+    ("check", "--column-limit", "0"),
+])
+def test_size_flags_out_of_range_exit_2(examples, capsys, command, flag, value):
+    args = [command, path_of(examples, "iv_sequential.graph")]
+    if command == "check":
+        args.append(path_of(examples, "iv_model.csv"))
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_max_ci_size_zero_keeps_marginal_independences(tmp_path, capsys):
+    path = tmp_path / "pair.graph"
+    path.write_text("var A 2\nvar B 2\n")
+    assert main(["info", str(path), "--max-ci-size", "0"]) == 0
+    assert "A _||_ B" in capsys.readouterr().out
+
+
 def test_info_condition_violation_exits_3(tmp_path, capsys):
     path = tmp_path / "c1.graph"
     path.write_text(
@@ -137,15 +163,6 @@ def test_derive_cdd_format(examples, tmp_path):
     text = out_path.read_text()
     assert "* district {X,Y}" in text
     assert "H-representation" in text and "linearity 2 1 2" in text
-
-
-def test_derive_seed_recorded(examples, tmp_path):
-    out_path = tmp_path / "iv.json"
-    code = main([
-        "derive", path_of(examples, "iv.graph"), "--seed", "7", "-o", str(out_path)
-    ])
-    assert code == 0
-    assert json.loads(out_path.read_text())["meta"]["seed"] == 7
 
 
 def test_derive_json_byte_identical(examples, tmp_path):

@@ -85,12 +85,10 @@ def test_flag_never_marks_axiom_shaped_rows(graphs):
                 nonzero = [v for v in vec if v != 0]
                 if c.relation == "<=" and c.rhs == 0 and nonzero == [-1]:
                     assert not c.flagged
-                if c.relation == "=" and len(nonzero) == sum(
-                    1 for lo, hi in offsets
-                    if all(vec[i] == vec[lo] for i in range(lo, hi))
-                    and vec[lo] != 0
-                ) * blocks[0]:
-                    pass  # block-pure equalities handled below
+                if c.relation == "=" and all(
+                    len(set(vec[lo:hi])) == 1 for lo, hi in offsets
+                ):
+                    assert not c.flagged
 
 
 def test_flag_block_pure_equalities_unflagged(graphs):

@@ -17,7 +17,7 @@ from obscon import (
 )
 from obscon import polyhedra
 
-from oracles import extreme_rays_full_scan, facet_witness_beyond, in_hull
+from oracles import _rank, extreme_rays_full_scan, facet_witness_beyond, in_hull
 
 # Bell scenarios: two parties with inputs X, Y and outcomes A, B sharing one
 # latent; CHSH has binary inputs, I3322 ternary ones
@@ -186,6 +186,29 @@ def test_round_trip_small():
         h = v_to_h(v)
         back = sorted(h_to_v(h).points)
         assert back == extreme_points_oracle(v.points)
+
+
+def test_embedded_lower_dimensional_hulls():
+    # points base + A z with A of width k < dim, and more points than dim:
+    # the affine hull is deficient although the points could span
+    rng = random.Random(4242)
+    for _ in range(30):
+        dim = rng.randint(2, 5)
+        k = rng.randint(1, dim - 1)
+        (base,) = rational_points(rng, 1, dim)
+        a = rational_points(rng, dim, k, denom=5, spread=2)
+        zs = rational_points(rng, rng.randint(dim + 1, dim + 6), k, denom=4, spread=2)
+        points = [
+            tuple(b + sum(x * y for x, y in zip(row, z)) for b, row in zip(base, a))
+            for z in zs
+        ]
+        h = v_to_h(VRep(tuple(points)))
+        rank = _rank([[x - b for x, b in zip(p, base)] for p in points])
+        assert len(h.eq) == dim - rank
+        for p in points:
+            for coeffs, rhs in h.eq:
+                assert sum(c * x for c, x in zip(coeffs, p)) == rhs
+        assert sorted(h_to_v(h).points) == extreme_points_oracle(points)
 
 
 def test_irredundancy_small():
