@@ -24,7 +24,6 @@ from .polyhedra import (
     UnboundedPolytopeError,
     VRep,
     h_to_v,
-    simplex_product_extreme_points,
     v_to_h,
 )
 from .response import (
@@ -108,7 +107,6 @@ __all__ = [
     "render",
     "replace_latent_with_edges",
     "response_levels",
-    "simplex_product_extreme_points",
     "star_probability",
     "strong_face_split",
     "v_to_h",

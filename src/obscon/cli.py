@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success (check: no violation), 1 check
 found a violation, 2 graph parse error, 3 structural-condition or c-degree
-error, 4 cost guard tripped, 5 distribution error.
+error, 4 cost guard tripped, 5 distribution or tolerance error, 70 internal
+error (a bug: one ``error:`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_PARSE = 2
 EXIT_CONDITIONS = 3
 EXIT_COST = 4
 EXIT_TABLE = 5
+EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 
 def _int_at_least(minimum: int):
@@ -109,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--column-limit", type=_positive_int, default=10_000_000)
     p_check.add_argument("--jobs", type=_positive_int, default=1)
     p_check.add_argument("--tolerance", default=None,
-                         help="slack for (in)equality checks, e.g. 1/1000000 or 1e-9")
+                         help="nonnegative slack for (in)equality checks, "
+                              "e.g. 1/1000000 or 1e-9")
     p_check.add_argument("--json", dest="json_path", default=None,
                          help="also write the machine-readable report here")
     return parser
@@ -226,7 +229,23 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str | None) -> Fraction | None:
+    """The ``--tolerance`` value: a nonnegative rational, or None if absent."""
+    if text is None:
+        return None
+    try:
+        tolerance = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        print(f"error: cannot parse tolerance {text!r}", file=sys.stderr)
+        raise SystemExit(EXIT_TABLE)
+    if tolerance < 0:
+        print(f"error: tolerance must be nonnegative, got {text!r}", file=sys.stderr)
+        raise SystemExit(EXIT_TABLE)
+    return tolerance
+
+
 def cmd_check(args) -> int:
+    tolerance = _tolerance(args.tolerance)
     dag, result = _derive(args)
     try:
         table = load_table(args.table, dag)
@@ -236,13 +255,6 @@ def cmd_check(args) -> int:
     except TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TABLE
-    tolerance = None
-    if args.tolerance is not None:
-        try:
-            tolerance = Fraction(args.tolerance)
-        except ValueError:
-            print(f"error: cannot parse tolerance {args.tolerance!r}", file=sys.stderr)
-            return EXIT_TABLE
     report = evaluate(result, dag, table, tolerance)
     for line in report.lines():
         print(line)
@@ -252,26 +264,35 @@ def cmd_check(args) -> int:
     return EXIT_VIOLATED if report.falsified else EXIT_OK
 
 
+def cmd_emit_examples(args) -> int:
+    for path in write_examples(args.emit_examples):
+        print(path)
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.emit_examples:
-        for path in write_examples(args.emit_examples):
-            print(path)
-        return EXIT_OK
-    if not args.command:
+        handler = cmd_emit_examples
+    elif not args.command:
         parser.print_help()
         return EXIT_PARSE
-    handler = {
-        "info": cmd_info,
-        "rewrite": cmd_rewrite,
-        "derive": cmd_derive,
-        "check": cmd_check,
-    }[args.command]
+    else:
+        handler = {
+            "info": cmd_info,
+            "rewrite": cmd_rewrite,
+            "derive": cmd_derive,
+            "check": cmd_check,
+        }[args.command]
     try:
         return handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    except Exception as exc:  # a bug, not an input error: never exit 1
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

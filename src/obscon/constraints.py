@@ -17,6 +17,8 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from ._version import __version__ as _version
@@ -29,7 +31,8 @@ from .response import (
     FunctionalSystem,
     build_functional_system,
     star_factors,
-    star_probability,
+    star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
+    star_vector,
 )
 from .tables import JointTable
 from .transform import merge_district_latents
@@ -77,6 +80,11 @@ class DistrictResult:
     hrep: HRep | None
     block_sizes: tuple[int, ...]
     constraints: tuple[Constraint, ...]
+
+    @cached_property
+    def star_texts(self) -> tuple[str, ...]:
+        """Each constraint rendered over star terms, once per derivation."""
+        return tuple(render(c, self.system, None, "star") for c in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -376,6 +384,9 @@ def render(constraint: Constraint, system: FunctionalSystem,
 # -- evaluation ------------------------------------------------------------
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class ConstraintStatus:
     district_index: int
@@ -416,20 +427,47 @@ class ViolationReport:
         return out
 
 
-def _star_vector(table, dag, system):
-    return [
-        star_probability(table, dag, system.district, w1, w2)
-        for w1, w2 in system.row_labels
-    ]
+def _ci_margin(table: JointTable, stmt: CIStatement) -> Fraction:
+    """Largest |P(l,r,g) P(g) - P(l,g) P(r,g)| over the values of a statement.
+
+    The term vanishes unless P(l,g) > 0 and P(r,g) > 0, so only the lhs and
+    rhs values that occur with each conditioning value are visited.
+    """
+    lhs, rhs, given = stmt.lhs, stmt.rhs, stmt.given
+    mass_g = table.marginal(given)
+    mass_lg = table.marginal(lhs + given)
+    mass_rg = table.marginal(rhs + given)
+    mass_all = table.marginal(lhs + rhs + given)
+    sides: dict[tuple[int, ...], tuple[list, list]] = {g: ([], []) for g in mass_g}
+    for key in mass_lg:
+        sides[key[len(lhs):]][0].append(key[:len(lhs)])
+    for key in mass_rg:
+        sides[key[len(rhs):]][1].append(key[:len(rhs)])
+    best = 0
+    for g, (l_values, r_values) in sides.items():
+        n_g = mass_g[g]
+        for l in l_values:
+            n_lg = mass_lg[l + g]
+            for r in r_values:
+                gap = abs(mass_all.get(l + r + g, 0) * n_g - n_lg * mass_rg[r + g])
+                if gap > best:
+                    best = gap
+    return Fraction(best, table.denominator ** 2)
 
 
 def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
              tolerance: Fraction | None = None) -> ViolationReport:
-    """Check every derived constraint and CI statement against a joint table."""
+    """Check every derived constraint and CI statement against a joint table.
+
+    Star terms come from the table's cached marginals; each district's terms
+    are put over a common denominator, so a row is summed and compared with
+    the tolerance in integers, and only its reported margin is a Fraction.
+    """
     if table.variables != dag.observed_names():
         raise ValueError("table variables do not match the graph")
     if tolerance is None:
         tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
+    tol_num, tol_den = tolerance.numerator, tolerance.denominator
     working = (
         dag if result.derived_graph_text == dag.to_text()
         else parse_graph(result.derived_graph_text)
@@ -439,45 +477,35 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
     for record in result.districts:
         if record.skipped or record.system is None:
             continue
-        stars = _star_vector(table, working, record.system)
-        for constraint in record.constraints:
-            text = render(constraint, record.system, working, "star")
-            if any(stars[row] is None for row, _ in constraint.terms):
+        stars = star_vector(
+            table, working, record.system.district, record.system.row_labels
+        )
+        scale = lcm(*(s.denominator for s in stars if s is not None))
+        scaled = [
+            None if s is None else s.numerator * (scale // s.denominator)
+            for s in stars
+        ]
+        missing = {row for row, s in enumerate(stars) if s is None}
+        for constraint, text in zip(record.constraints, record.star_texts):
+            terms = constraint.terms
+            if missing and any(row in missing for row, _ in terms):
                 statuses.append(ConstraintStatus(
                     constraint.district_index, constraint, text, "not_evaluable", None
                 ))
                 continue
-            value = sum(
-                (Fraction(coeff) * stars[row] for row, coeff in constraint.terms),
-                Fraction(0),
-            )
-            if constraint.relation == "<=":
-                margin = value - constraint.rhs
-                status = "violated" if margin > tolerance else "satisfied"
-                margin = max(margin, Fraction(0))
-            else:
-                margin = abs(value - constraint.rhs)
-                status = "violated" if margin > tolerance else "satisfied"
+            # the row's value minus its rhs, times scale
+            gap = sum(coeff * scaled[row] for row, coeff in terms) - constraint.rhs * scale
+            if constraint.relation == "=":
+                gap = abs(gap)
+            status = "violated" if gap * tol_den > tol_num * scale else "satisfied"
+            margin = Fraction(gap, scale) if gap > 0 else _ZERO  # most rows are slack
             statuses.append(ConstraintStatus(
                 constraint.district_index, constraint, text, status, margin
             ))
 
     ci_statuses = []
-    from .response import enumerate_configs
-
     for stmt in result.ci_statements:
-        names = list(stmt.lhs) + list(stmt.rhs) + list(stmt.given)
-        margin = Fraction(0)
-        for config in enumerate_configs(names, [dag.cardinality(n) for n in names]):
-            values = config.as_dict()
-            lhs = {n: values[n] for n in stmt.lhs}
-            rhs = {n: values[n] for n in stmt.rhs}
-            given = {n: values[n] for n in stmt.given}
-            p_all = table.prob({**lhs, **rhs, **given})
-            p_g = table.prob(given)
-            p_lg = table.prob({**lhs, **given})
-            p_rg = table.prob({**rhs, **given})
-            margin = max(margin, abs(p_all * p_g - p_lg * p_rg))
+        margin = _ci_margin(table, stmt)
         status = "violated" if margin > tolerance else "satisfied"
         ci_statuses.append(CIStatus(stmt, status, margin))
 
@@ -492,7 +520,7 @@ def _frac_str(value: Fraction) -> str:
 
 
 def constraint_to_json(constraint: Constraint, system: FunctionalSystem,
-                       dag: HiddenDag) -> dict:
+                       dag: HiddenDag, text_star: str) -> dict:
     terms = []
     for row, coeff in constraint.terms:
         w1, w2 = system.row_labels[row]
@@ -503,7 +531,7 @@ def constraint_to_json(constraint: Constraint, system: FunctionalSystem,
         "rhs": constraint.rhs,
         "flagged": constraint.flagged,
         "witness": constraint.witness,
-        "text_star": render(constraint, system, dag, "star"),
+        "text_star": text_star,
         "text_observable": render(constraint, system, dag, "observable"),
     }
 
@@ -527,8 +555,8 @@ def result_to_json(result: DerivationResult, dag: HiddenDag) -> dict:
             entry["hrep"] = record.hrep.to_json()
             entry["block_sizes"] = list(record.block_sizes)
             entry["constraints"] = [
-                constraint_to_json(c, record.system, working)
-                for c in record.constraints
+                constraint_to_json(c, record.system, working, text)
+                for c, text in zip(record.constraints, record.star_texts)
             ]
         else:
             entry["system"] = None

@@ -477,27 +477,3 @@ def h_to_v(h: HRep) -> VRep:
     if not vertices:
         raise ValueError("empty polytope")
     return VRep(tuple(sorted(vertices)))
-
-
-def simplex_product_extreme_points(block_sizes: Sequence[int]) -> list[tuple[Fraction, ...]]:
-    """Vertices of a product of probability simplices, first block fastest."""
-    if any(size < 1 for size in block_sizes):
-        raise ValueError("block sizes must be positive")
-    total = 1
-    for size in block_sizes:
-        total *= size
-    dim = sum(block_sizes)
-    points = []
-    for index in range(total):
-        choices = []
-        rem = index
-        for size in block_sizes:
-            choices.append(rem % size)
-            rem //= size
-        vec = [Fraction(0)] * dim
-        offset = 0
-        for choice, size in zip(choices, block_sizes):
-            vec[offset + choice] = Fraction(1)
-            offset += size
-        points.append(tuple(vec))
-    return points

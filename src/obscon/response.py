@@ -321,6 +321,39 @@ def star_factors(dag: HiddenDag, district: District) -> list[tuple[str, tuple[st
     return factors
 
 
+def star_vector(table: JointTable, dag: HiddenDag, district: District,
+                labels: Sequence[tuple[Configuration, Configuration]],
+                ) -> list[Fraction | None]:
+    """Interventional probabilities of many (w1 | w2) rows of one district.
+
+    Each entry is the product of the identifying conditionals, or ``None``
+    when some conditioning event has probability zero (not evaluable). The
+    factors are found once, and each conditional is read from the table's
+    cached marginals, so the table is scanned once per conditioning set.
+    """
+    factors = [
+        (member, cond, table.marginal(cond), table.marginal(cond + (member,)))
+        for member, cond in star_factors(dag, district)
+    ]
+    out: list[Fraction | None] = []
+    for w1, w2 in labels:
+        values = dict(w1.items)
+        values.update(w2.items)
+        num = den = 1
+        for member, cond, given_mass, joint_mass in factors:
+            given = tuple([values[name] for name in cond])
+            mass = given_mass.get(given, 0)
+            if not mass:
+                out.append(None)
+                break
+            # both masses share the table's denominator, which cancels
+            num *= joint_mass.get(given + (values[member],), 0)
+            den *= mass
+        else:
+            out.append(Fraction(num, den))
+    return out
+
+
 def star_probability(table: JointTable, dag: HiddenDag, district: District,
                      w1: Configuration, w2: Configuration) -> Fraction | None:
     """Interventional probability of (w1 | w2) from an empirical table.
@@ -328,14 +361,4 @@ def star_probability(table: JointTable, dag: HiddenDag, district: District,
     Returns the product of identifying conditionals, or ``None`` when some
     conditioning event has probability zero (not evaluable).
     """
-    values = dict(w1.items)
-    values.update(w2.items)
-    result = Fraction(1)
-    for member, cond in star_factors(dag, district):
-        target = {member: values[member]}
-        given = {name: values[name] for name in cond}
-        factor = table.conditional(target, given)
-        if factor is None:
-            return None
-        result *= factor
-    return result
+    return star_vector(table, dag, district, [(w1, w2)])[0]

@@ -3,15 +3,20 @@
 Probabilities are exact rationals. The CSV format has one column per observed
 variable in canonical order plus a final ``prob`` column holding ``a/b`` or a
 decimal literal; omitted rows mean probability zero.
+
+A table keeps its masses as integer numerators over one common denominator
+and caches every marginal it is asked for, so a query over a variable tuple
+costs one pass over the table the first time and a dictionary lookup after.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from typing import Mapping, Sequence
 
 from .graph import HiddenDag
 
@@ -26,9 +31,13 @@ class JointTable:
     cardinalities: tuple[int, ...]
     probs: Mapping[tuple[int, ...], Fraction]
     decimal_source: bool = False
+    # derived state: equality and hashing see only the fields above
+    denominator: int = field(init=False, repr=False, compare=False)
+    _scaled: tuple = field(init=False, repr=False, compare=False)
+    _marginals: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
-        total = Fraction(0)
         for config, p in self.probs.items():
             if len(config) != len(self.variables):
                 raise TableError("configuration arity mismatch")
@@ -37,9 +46,19 @@ class JointTable:
                     raise TableError(f"value {value} out of range in {config}")
             if p < 0:
                 raise TableError(f"negative probability for {config}")
-            total += p
-        if total != 1:
-            raise TableError(f"probabilities sum to {total}, expected 1")
+        exact = [(config, Fraction(p)) for config, p in self.probs.items() if p]
+        denominator = lcm(*(p.denominator for _, p in exact))
+        scaled = tuple(
+            (config, p.numerator * (denominator // p.denominator))
+            for config, p in exact
+        )
+        total = sum(n for _, n in scaled)
+        if total != denominator:
+            raise TableError(
+                f"probabilities sum to {Fraction(total, denominator)}, expected 1"
+            )
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_scaled", scaled)
 
     @classmethod
     def from_dict(cls, dag: HiddenDag, probs: Mapping[tuple[int, ...], Fraction],
@@ -49,17 +68,35 @@ class JointTable:
         cleaned = {tuple(k): Fraction(v) for k, v in probs.items() if v != 0}
         return cls(names, cards, cleaned, decimal_source)
 
+    def _column(self, name: str) -> int:
+        try:
+            return self.variables.index(name)
+        except ValueError:
+            raise TableError(f"unknown variable {name!r}") from None
+
+    def marginal(self, names: Sequence[str]) -> dict[tuple[int, ...], int]:
+        """Masses of the values of ``names``, keyed in the order given.
+
+        Masses are integer numerators over ``denominator``; values of zero
+        mass are absent. Each variable tuple costs one pass over the table,
+        the first time it is asked for.
+        """
+        key = tuple(names)
+        masses = self._marginals.get(key)
+        if masses is None:
+            cols = [self._column(name) for name in key]
+            masses = {}
+            for config, n in self._scaled:
+                values = tuple([config[i] for i in cols])
+                masses[values] = masses.get(values, 0) + n
+            self._marginals[key] = masses
+        return masses
+
     def prob(self, assignment: Mapping[str, int]) -> Fraction:
         """Marginal probability of a partial assignment."""
-        idx = {name: i for i, name in enumerate(self.variables)}
-        for name in assignment:
-            if name not in idx:
-                raise TableError(f"unknown variable {name!r}")
-        total = Fraction(0)
-        for config, p in self.probs.items():
-            if all(config[idx[name]] == value for name, value in assignment.items()):
-                total += p
-        return total
+        names = sorted(assignment, key=self._column)
+        mass = self.marginal(names).get(tuple(assignment[n] for n in names), 0)
+        return Fraction(mass, self.denominator)
 
     def conditional(self, target: Mapping[str, int], given: Mapping[str, int]):
         """P(target | given), or None when the conditioning event has mass 0."""

@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles, not by calling
 the code under test: a dictionary simplex over exact rationals, double
 description with the full-scan adjacency test, a path-enumeration
-d-separation checker, and a structural-model sampler that marginalizes finite
-latent variables directly.
+d-separation checker, a structural-model sampler that marginalizes finite
+latent variables directly, the vertices of a product of simplices, and an
+evaluation that scans the whole table for every probability it needs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,16 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from obscon.graph import HiddenDag, Variable
+from obscon.constraints import (
+    CIStatus,
+    ConstraintStatus,
+    DerivationResult,
+    ViolationReport,
+    render,
+)
+from obscon.graph import HiddenDag, Variable, parse_graph
+from obscon.response import star_factors
+from obscon.tables import JointTable
 
 
 # -- exact simplex ----------------------------------------------------------
@@ -442,3 +452,92 @@ def structural_model_table(dag: HiddenDag, rng: random.Random,
             if weight:
                 joint[obs_combo] = joint.get(obs_combo, Fraction(0)) + weight
     return joint
+
+
+# -- products of simplices ----------------------------------------------------
+
+
+def simplex_product_extreme_points(block_sizes) -> list[tuple[Fraction, ...]]:
+    """Vertices of a product of probability simplices, first block fastest."""
+    if any(size < 1 for size in block_sizes):
+        raise ValueError("block sizes must be positive")
+    points = []
+    for reversed_choices in product(*(range(size) for size in reversed(block_sizes))):
+        vec = []
+        for choice, size in zip(reversed(reversed_choices), block_sizes):
+            vec += [Fraction(int(k == choice)) for k in range(size)]
+        points.append(tuple(vec))
+    return points
+
+
+# -- evaluation by scanning ---------------------------------------------------
+
+
+def scan_prob(table: JointTable, assignment: dict) -> Fraction:
+    """Marginal probability of a partial assignment, by a scan of every row."""
+    index = {name: i for i, name in enumerate(table.variables)}
+    return sum(
+        (p for config, p in table.probs.items()
+         if all(config[index[n]] == v for n, v in assignment.items())),
+        Fraction(0),
+    )
+
+
+def _scan_star(table, dag, district, w1, w2):
+    values = dict(w1.items)
+    values.update(w2.items)
+    result = Fraction(1)
+    for member, cond in star_factors(dag, district):
+        given = {name: values[name] for name in cond}
+        denom = scan_prob(table, given)
+        if denom == 0:
+            return None
+        result *= scan_prob(table, {**given, member: values[member]}) / denom
+    return result
+
+
+def evaluate_by_scan(result: DerivationResult, dag: HiddenDag, table: JointTable,
+                     tolerance: Fraction | None = None) -> ViolationReport:
+    """Reference ``evaluate``: every probability is a scan of the whole table,
+    every row is a sum of Fractions, and every CI statement visits all the
+    configurations of its variables."""
+    if tolerance is None:
+        tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
+    working = parse_graph(result.derived_graph_text)
+    statuses = []
+    for record in result.districts:
+        if record.system is None:
+            continue
+        stars = [
+            _scan_star(table, working, record.system.district, w1, w2)
+            for w1, w2 in record.system.row_labels
+        ]
+        for c in record.constraints:
+            text = render(c, record.system, working, "star")
+            if any(stars[row] is None for row, _ in c.terms):
+                statuses.append(ConstraintStatus(
+                    c.district_index, c, text, "not_evaluable", None))
+                continue
+            value = sum((coeff * stars[row] for row, coeff in c.terms), Fraction(0))
+            if c.relation == "<=":
+                status = "violated" if value - c.rhs > tolerance else "satisfied"
+                margin = max(value - c.rhs, Fraction(0))
+            else:
+                margin = abs(value - c.rhs)
+                status = "violated" if margin > tolerance else "satisfied"
+            statuses.append(ConstraintStatus(c.district_index, c, text, status, margin))
+    ci_statuses = []
+    for stmt in result.ci_statements:
+        names = stmt.lhs + stmt.rhs + stmt.given
+        margin = Fraction(0)
+        for values in product(*(range(dag.cardinality(n)) for n in names)):
+            v = dict(zip(names, values))
+            lhs = {n: v[n] for n in stmt.lhs}
+            rhs = {n: v[n] for n in stmt.rhs}
+            given = {n: v[n] for n in stmt.given}
+            gap = (scan_prob(table, v) * scan_prob(table, given)
+                   - scan_prob(table, {**lhs, **given}) * scan_prob(table, {**rhs, **given}))
+            margin = max(margin, abs(gap))
+        status = "violated" if margin > tolerance else "satisfied"
+        ci_statuses.append(CIStatus(stmt, status, margin))
+    return ViolationReport(tuple(statuses), tuple(ci_statuses), tolerance)

@@ -283,3 +283,42 @@ def test_no_command_prints_help(capsys):
     code = main([])
     assert code == 2
     assert "usage" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("tolerance", ["1/0", "-1", "-1/1000", "nan"])
+def test_check_bad_tolerance_exits_5(examples, capsys, tolerance):
+    # a model table: a negative tolerance would report it falsified (exit 1)
+    code = main([
+        "check", path_of(examples, "iv.graph"), path_of(examples, "iv_model.csv"),
+        f"--tolerance={tolerance}",
+    ])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert "tolerance" in captured.err
+    assert "Traceback" not in captured.err
+    assert "model" not in captured.out
+
+
+def test_check_zero_tolerance_accepted(examples, capsys):
+    code = main([
+        "check", path_of(examples, "iv.graph"), path_of(examples, "iv_model.csv"),
+        "--tolerance", "0",
+    ])
+    assert code == 0
+    assert "model consistent" in capsys.readouterr().out
+
+
+def test_internal_error_has_its_own_exit_code(examples, capsys, monkeypatch):
+    import obscon.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated\nfailure")
+
+    monkeypatch.setattr(obscon.cli, "evaluate", broken)
+    code = main([
+        "check", path_of(examples, "iv.graph"), path_of(examples, "iv_model.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == obscon.cli.EXIT_INTERNAL
+    assert code not in (0, 1, 2, 3, 4, 5)
+    assert err.splitlines() == ["error: internal error: RuntimeError: simulated failure"]

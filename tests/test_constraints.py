@@ -2,6 +2,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,14 @@ from obscon.constraints import report_to_json, result_to_json
 from obscon.response import Configuration, star_probability
 from obscon.tables import TableError, parse_table
 
-from oracles import positive_simplex_point, structural_model_table
+from obscon.fixtures import FIXTURE_GRAPHS
+
+from oracles import (
+    evaluate_by_scan,
+    positive_simplex_point,
+    simplex_product_extreme_points,
+    structural_model_table,
+)
 
 
 IV_VIOLATOR = """\
@@ -113,8 +121,6 @@ def test_flag_dimension_mismatch(graphs):
 
 
 def test_flag_witness_violates(graphs):
-    from obscon import simplex_product_extreme_points
-
     result = iv_result(graphs)
     record = result.districts[1]
     points = simplex_product_extreme_points(record.block_sizes)
@@ -313,6 +319,69 @@ def test_evaluate_tolerance(graphs):
     table = parse_table(IV_VIOLATOR, dag)
     loose = evaluate(result, dag, table, tolerance=Fraction(2))
     assert not loose.falsified
+
+
+# two roots feeding one child: the CI statement A _||_ B has an empty given
+TWO_ROOTS = "var A 2\nvar B 3\nvar Y 2\nedge A Y\nedge B Y\n"
+
+
+def _decimal_csv(dag, probs, places=12):
+    """``probs`` rounded to ``places`` decimals (the largest entry absorbs the
+    rounding) and written as a decimal CSV table."""
+    unit = Fraction(1, 10 ** places)
+    rounded = {k: round(p / unit) * unit for k, p in probs.items()}
+    top = max(rounded, key=rounded.get)
+    rounded[top] += 1 - sum(rounded.values())
+    lines = [",".join(dag.observed_names()) + ",prob"]
+    for config, p in sorted(rounded.items()):
+        if p:
+            digits = f"{p.numerator * 10 ** places // p.denominator:0{places + 1}d}"
+            lines.append(",".join(map(str, config))
+                         + f",{digits[:-places]}.{digits[-places:]}")
+    return "\n".join(lines) + "\n"
+
+
+def _random_tables(dag, rng):
+    """(kind, table) pairs: a model table, dense and sparse random tables,
+    and a rounded model table read from decimals."""
+    configs = list(product(*(range(dag.cardinality(n)) for n in dag.observed_names())))
+    model = structural_model_table(dag, rng)
+    dense_w = {c: rng.randint(1, 997) for c in configs}
+    support = rng.sample(configs, rng.randint(2, 3))
+    sparse_w = {c: rng.randint(1, 9) for c in support}
+    yield "structural", JointTable.from_dict(dag, model)
+    for kind, weights in (("dense", dense_w), ("sparse", sparse_w)):
+        total = sum(weights.values())
+        yield kind, JointTable.from_dict(
+            dag, {c: Fraction(w, total) for c, w in weights.items()})
+    yield "decimal", parse_table(_decimal_csv(dag, model), dag)
+
+
+@pytest.mark.parametrize("name", sorted(set(FIXTURE_GRAPHS) - {"bell_tripartite"}) + ["two_roots"])
+def test_evaluate_matches_scan_reference(name):
+    # bell_tripartite is left out: its derivation alone takes over a minute
+    dag = parse_graph(TWO_ROOTS if name == "two_roots" else FIXTURE_GRAPHS[name])
+    merge = any(d.c_degree > 1 for d in dag.districts())
+    result = derive_all(dag, DeriveOptions(merge=merge))
+    rng = random.Random(f"scan-{name}")
+    statuses = {}
+    for _ in range(2):
+        for kind, table in _random_tables(dag, rng):
+            for tolerance in (Fraction(1, 50), None):
+                fast = evaluate(result, dag, table, tolerance)
+                slow = evaluate_by_scan(result, dag, table, tolerance)
+                assert fast == slow, (name, kind, tolerance)
+                assert json.dumps(report_to_json(fast)) == json.dumps(report_to_json(slow))
+            statuses.setdefault(kind, set()).update(
+                s.status for s in fast.constraint_statuses)
+            if kind == "decimal":
+                assert fast.tolerance == Fraction(1, 10 ** 9)
+    assert set(statuses) == {"structural", "dense", "sparse", "decimal"}
+    assert statuses["structural"] == {"satisfied"}
+    if name != "triangle":  # its star terms are unconditional marginals
+        assert "not_evaluable" in statuses["sparse"]
+    if name == "two_roots":
+        assert [s.statement.given for s in fast.ci_statuses] == [()]
 
 
 def test_table_parse_and_errors(graphs):

@@ -12,12 +12,17 @@ from obscon import (
     derive_all,
     h_to_v,
     parse_graph,
-    simplex_product_extreme_points,
     v_to_h,
 )
 from obscon import polyhedra
 
-from oracles import _rank, extreme_rays_full_scan, facet_witness_beyond, in_hull
+from oracles import (
+    _rank,
+    extreme_rays_full_scan,
+    facet_witness_beyond,
+    in_hull,
+    simplex_product_extreme_points,
+)
 
 # Bell scenarios: two parties with inputs X, Y and outcomes A, B sharing one
 # latent; CHSH has binary inputs, I3322 ternary ones
