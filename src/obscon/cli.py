@@ -3,7 +3,9 @@
 Exit codes are a stable contract: 0 success (check: no violation), 1 check
 found a violation, 2 graph parse error, 3 structural-condition or c-degree
 error, 4 cost guard tripped, 5 distribution or tolerance error, 70 internal
-error (a bug: one ``error:`` line, no traceback).
+error (a bug: one ``error:`` line, no traceback), 74 output error (``derive
+-o``, ``check --json`` or ``--emit-examples`` could not write: one ``error:``
+line naming the path).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .constraints import (
     ConditionsError,
@@ -25,7 +28,7 @@ from .fixtures import write_examples
 from .graph import GraphParseError, load_graph, validate_conditions
 from .independence import enumerate_ci
 from .response import ColumnLimitError
-from .tables import TableError, load_table
+from .tables import TableError, load_table, parse_fraction
 from .transform import (
     RewriteError,
     hlp_add_edge,
@@ -42,6 +45,7 @@ EXIT_CONDITIONS = 3
 EXIT_COST = 4
 EXIT_TABLE = 5
 EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
+EXIT_IO = 74  # sysexits EX_IOERR
 
 
 def _int_at_least(minimum: int):
@@ -116,6 +120,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", dest="json_path", default=None,
                          help="also write the machine-readable report here")
     return parser
+
+
+def _write_failed(path: str, exc: OSError) -> NoReturn:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    raise SystemExit(EXIT_IO)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a failure exits ``EXIT_IO``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _write_failed(path, exc)
 
 
 def _load(path: str):
@@ -221,8 +239,7 @@ def cmd_derive(args) -> int:
         print(result.summary(), file=sys.stderr)
         sys.stdout.write(payload)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_text(args.output, payload)
         print(result.summary())
     ci = len(result.ci_statements)
     print(f"ci statements: {ci}", file=sys.stderr if args.output == "-" else sys.stdout)
@@ -234,9 +251,9 @@ def _tolerance(text: str | None) -> Fraction | None:
     if text is None:
         return None
     try:
-        tolerance = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        print(f"error: cannot parse tolerance {text!r}", file=sys.stderr)
+        tolerance = parse_fraction(text)
+    except ValueError as exc:
+        print(f"error: cannot parse tolerance {text!r}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_TABLE)
     if tolerance < 0:
         print(f"error: tolerance must be nonnegative, got {text!r}", file=sys.stderr)
@@ -259,13 +276,16 @@ def cmd_check(args) -> int:
     for line in report.lines():
         print(line)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report_to_json(report), indent=2) + "\n")
+        _write_text(args.json_path, json.dumps(report_to_json(report), indent=2) + "\n")
     return EXIT_VIOLATED if report.falsified else EXIT_OK
 
 
 def cmd_emit_examples(args) -> int:
-    for path in write_examples(args.emit_examples):
+    try:
+        written = write_examples(args.emit_examples)
+    except OSError as exc:
+        _write_failed(exc.filename or args.emit_examples, exc)
+    for path in written:
         print(path)
     return EXIT_OK
 

@@ -4,6 +4,16 @@
 (latents included); ``enumerate_ci`` lists the pairwise separations with
 minimal conditioning sets, merges them into maximal set-valued statements and
 drops statements whose pairwise content another statement already covers.
+
+The separator search works per observed pair (a, b) inside A = An({a, b}),
+the ancestor closure through latents as well. Every inclusion-minimal
+d-separator of a and b lies in A (Tian, Paz & Pearl, "Finding minimal
+d-separators", 1998): if Z separates them, so does Z ∩ A, because the moral
+graph of A is a subgraph of the moral graph of any ancestral superset. The
+proof does not care whether the nodes are observed. So the candidates are
+the observed members of A, and for each of them An({a, b} ∪ Z) = A: one moral
+graph of A is built per pair and every candidate is a reachability test in
+it. When a and b are adjacent in that graph, no candidate can separate them.
 """
 
 from __future__ import annotations
@@ -64,19 +74,29 @@ def d_separated(dag: HiddenDag, a: Iterable[str], b: Iterable[str], z: Iterable[
         raise ValueError("argument sets must be disjoint")
     if not a or not b:
         return True
+    return _separated(_moral_graph(dag, dag.ancestors(a | b | z)), a, b, z)
 
-    relevant = dag.ancestors(a | b | z)
-    # moral graph on the ancestral set: skeleton edges plus married co-parents
-    adjacency: dict[str, set[str]] = {v: set() for v in relevant}
-    for child in relevant:
-        parents = [p for p in dag.parents(child) if p in relevant]
+
+def _moral_graph(dag: HiddenDag, ancestral: frozenset[str]) -> dict[str, set[str]]:
+    """Moral graph of an ancestral set: skeleton edges plus married co-parents.
+
+    ``ancestral`` must be closed under taking parents, so every parent of a
+    member is a member.
+    """
+    adjacency: dict[str, set[str]] = {v: set() for v in ancestral}
+    for child in ancestral:
+        parents = dag.parents(child)
         for p in parents:
             adjacency[p].add(child)
             adjacency[child].add(p)
         for p, q in combinations(parents, 2):
             adjacency[p].add(q)
             adjacency[q].add(p)
+    return adjacency
 
+
+def _separated(adjacency: dict[str, set[str]], a, b, z) -> bool:
+    """True iff removing ``z`` leaves no path from ``a`` to ``b``."""
     frontier = list(a)
     seen = set(a)
     while frontier:
@@ -91,15 +111,24 @@ def d_separated(dag: HiddenDag, a: Iterable[str], b: Iterable[str], z: Iterable[
     return True
 
 
-def _minimal_separators(dag, wi, wj, others, cap):
-    """Inclusion-minimal Z with wi _||_ wj | Z, enumerated by size."""
+def _minimal_separators(dag, wi, wj, cap):
+    """Inclusion-minimal Z with wi _||_ wj | Z and |Z| <= cap, by size.
+
+    Every candidate lies inside An({wi, wj}), so An({wi, wj} | Z) is that
+    same set and one moral graph answers every test.
+    """
+    relevant = dag.ancestors((wi, wj))
+    moral = _moral_graph(dag, relevant)
+    if wj in moral[wi]:
+        return []
+    pool = [w for w in dag.observed_names() if w in relevant and w not in (wi, wj)]
     found: list[frozenset[str]] = []
-    for size in range(0, cap + 1):
-        for z in combinations(others, size):
+    for size in range(0, min(cap, len(pool)) + 1):
+        for z in combinations(pool, size):
             zset = frozenset(z)
             if any(prev <= zset for prev in found):
                 continue
-            if d_separated(dag, {wi}, {wj}, zset):
+            if _separated(moral, (wi,), (wj,), zset):
                 found.append(zset)
         # all supersets of a found separator are non-minimal, but other
         # separators of a larger size may still exist, so keep scanning
@@ -118,9 +147,7 @@ def enumerate_ci(dag: HiddenDag, max_condition_size: int | None = None) -> list[
         max_condition_size = max(0, len(observed) - 2)
     facts: dict[frozenset[str], set[tuple[str, str]]] = {}
     for wi, wj in combinations(observed, 2):
-        others = [w for w in observed if w not in (wi, wj)]
-        cap = min(max_condition_size, len(others))
-        for z in _minimal_separators(dag, wi, wj, others, cap):
+        for z in _minimal_separators(dag, wi, wj, max_condition_size):
             facts.setdefault(z, set()).add((min(wi, wj), max(wi, wj)))
 
     statements: list[CIStatement] = []

@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm, log10
 from typing import Mapping, Sequence
 
 from .graph import HiddenDag
@@ -23,6 +23,56 @@ from .graph import HiddenDag
 
 class TableError(ValueError):
     """Malformed or inconsistent distribution input."""
+
+
+# Fraction("1e-N") builds 10**N, which takes seconds for N in the millions, so
+# a decimal literal may have at most this many digits and this large an
+# exponent; 1e-1000 is far below any probability a table can mean.
+MAX_DECIMAL_DIGITS = 1000
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``a/b`` or a decimal literal as an exact rational.
+
+    Raises ValueError for any other text, a zero denominator, or a decimal
+    literal with more than ``MAX_DECIMAL_DIGITS`` digits or an exponent
+    beyond that in size; the size check reads only the text.
+    """
+    if "/" not in text:
+        mantissa, _, exponent = text.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if (sum(ch.isdigit() for ch in mantissa) > MAX_DECIMAL_DIGITS
+                or len(exponent) > len(str(MAX_DECIMAL_DIGITS))
+                or (exponent.isdigit() and int(exponent) > MAX_DECIMAL_DIGITS)):
+            raise ValueError(
+                f"decimal literal longer than {MAX_DECIMAL_DIGITS} digits "
+                f"or with an exponent beyond {MAX_DECIMAL_DIGITS}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("not a ratio a/b or a decimal literal") from None
+
+
+def _approximate(numerator: int, denominator: int) -> str:
+    """A nonnegative ratio as exact text when short, else to six digits.
+
+    Never writes out an unbounded integer, whose decimal text would be slow
+    and over Python's int-to-str limit.
+    """
+    if numerator.bit_length() <= 64 and denominator.bit_length() <= 64:
+        return str(Fraction(numerator, denominator))
+    # numerator/denominator = q * 2**-shift with q of about 60 bits
+    shift = 60 - numerator.bit_length() + denominator.bit_length()
+    if shift >= 0:
+        q = (numerator << shift) // denominator
+    else:
+        q = numerator // (denominator << -shift)
+    exponent = log10(q) - shift * log10(2)
+    power = floor(exponent)
+    mantissa = round(10 ** (exponent - power), 5)
+    if mantissa >= 10:
+        mantissa, power = mantissa / 10, power + 1
+    return f"about {mantissa:.5f}e{power}"
 
 
 @dataclass(frozen=True)
@@ -55,7 +105,7 @@ class JointTable:
         total = sum(n for _, n in scaled)
         if total != denominator:
             raise TableError(
-                f"probabilities sum to {Fraction(total, denominator)}, expected 1"
+                f"probabilities sum to {_approximate(total, denominator)}, expected 1"
             )
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "_scaled", scaled)
@@ -120,12 +170,10 @@ class JointTable:
 def _parse_prob(text: str) -> tuple[Fraction, bool]:
     text = text.strip()
     try:
-        if "/" in text:
-            return Fraction(text), False
-        value = Fraction(text)  # exact for decimal literals
-        return value, ("." in text or "e" in text.lower())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise TableError(f"cannot parse probability {text!r}") from exc
+        value = parse_fraction(text)  # exact for decimal literals
+    except ValueError as exc:
+        raise TableError(f"cannot parse probability {text!r}: {exc}") from None
+    return value, "/" not in text and ("." in text or "e" in text.lower())
 
 
 def parse_table(text: str, dag: HiddenDag) -> JointTable:

@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 
 import pytest
@@ -7,6 +8,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from obscon import parse_graph
 from obscon.fixtures import FIXTURE_GRAPHS
+
+from oracles import sparse_dag
 
 # the worked seven-variable district example: three districts with
 # c-degrees 1, 1 and 2
@@ -124,3 +127,9 @@ def graphs():
     parsed["iv_family_center"] = parse_graph(IV_FAMILY_CENTER)
     parsed["face_split_example"] = parse_graph(FACE_SPLIT_EXAMPLE)
     return parsed
+
+
+@pytest.fixture(scope="session")
+def sparse18():
+    """An 18-variable sparse DAG that an all-subsets CI search cannot finish."""
+    return sparse_dag(random.Random(2))

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles, not by calling
 the code under test: a dictionary simplex over exact rationals, double
 description with the full-scan adjacency test, a path-enumeration
-d-separation checker, a structural-model sampler that marginalizes finite
+d-separation checker, a CI enumeration that tries every subset of the other
+observed variables, a structural-model sampler that marginalizes finite
 latent variables directly, the vertices of a product of simplices, and an
 evaluation that scans the whole table for every probability it needs.
 """
@@ -23,6 +24,7 @@ from obscon.constraints import (
     render,
 )
 from obscon.graph import HiddenDag, Variable, parse_graph
+from obscon.independence import d_separated, make_statement
 from obscon.response import star_factors
 from obscon.tables import JointTable
 
@@ -359,6 +361,52 @@ def path_d_separated(dag: HiddenDag, a: set, b: set, z: set) -> bool:
     return True
 
 
+# -- CI enumeration over all subsets ------------------------------------------
+
+
+def enumerate_ci_exhaustive(dag: HiddenDag, max_condition_size=None) -> list:
+    """``enumerate_ci`` by brute force: every subset of the other observed
+    variables is a candidate conditioning set, tested with ``d_separated``.
+
+    Per pair, the separators found are those with no smaller separator inside
+    them; per conditioning set, a variable's partners become the right-hand
+    side shared by every variable with the same partners; a greedy cover,
+    largest statements first, then drops those that add no pair.
+    """
+    observed = dag.observed_names()
+    if max_condition_size is None:
+        max_condition_size = len(observed)
+    pairs_by_given: dict = {}
+    for a, b in combinations(observed, 2):
+        rest = [w for w in observed if w not in (a, b)]
+        minimal: list = []
+        for size in range(min(max_condition_size, len(rest)) + 1):
+            for z in map(frozenset, combinations(rest, size)):
+                if not any(m <= z for m in minimal) and d_separated(dag, {a}, {b}, z):
+                    minimal.append(z)
+        for z in minimal:
+            pairs_by_given.setdefault(z, set()).add((a, b))
+
+    candidates = set()
+    for z, pairs in pairs_by_given.items():
+        partners: dict = {}
+        for a, b in pairs:
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+        for rhs in partners.values():
+            lhs = [v for v in partners if partners[v] == rhs]
+            candidates.add(make_statement(dag, lhs, rhs, z))
+
+    ordered = sorted(candidates, key=lambda s: (-len(s.pairs()), s.given, s.lhs, s.rhs))
+    covered: set = set()
+    kept = []
+    for stmt in ordered:
+        if not stmt.pairs() <= covered:
+            kept.append(stmt)
+            covered |= stmt.pairs()
+    return sorted(kept, key=lambda s: (s.given, s.lhs, s.rhs))
+
+
 # -- random structures -------------------------------------------------------
 
 
@@ -378,6 +426,24 @@ def random_dag(rng: random.Random, max_nodes: int = 7, latents: bool = True,
             continue
         if rng.random() < 0.4:
             edges.append((variables[a].name, variables[b].name))
+    return HiddenDag(variables, edges)
+
+
+def sparse_dag(rng: random.Random, n_observed: int = 18, n_latent: int = 3) -> HiddenDag:
+    """Sparse binary DAG: each variable has one or two parents among the four
+    before it, and each latent confounds two variables at most four apart."""
+    names = [f"V{i:02d}" for i in range(1, n_observed + 1)]
+    variables = [Variable(name, "observed", 2) for name in names]
+    edges = []
+    for i in range(1, n_observed):
+        window = range(max(0, i - 4), i)
+        for p in sorted(rng.sample(window, min(len(window), rng.choice((1, 2))))):
+            edges.append((names[p], names[i]))
+    for k in range(n_latent):
+        latent = f"U{k + 1}"
+        variables.append(Variable(latent, "latent"))
+        first = rng.randrange(n_observed - 4)
+        edges += [(latent, names[first]), (latent, names[first + rng.randint(1, 4)])]
     return HiddenDag(variables, edges)
 
 

@@ -105,6 +105,22 @@ def test_max_ci_size_zero_keeps_marginal_independences(tmp_path, capsys):
     assert "A _||_ B" in capsys.readouterr().out
 
 
+def test_info_sparse_18_variables(tmp_path, capsys, sparse18):
+    from obscon import enumerate_ci
+
+    path = tmp_path / "sparse18.graph"
+    path.write_text(sparse18.to_text())
+    for extra, cap in (([], None), (["--max-ci-size", "0"], 0)):
+        assert main(["info", str(path), *extra]) == 0
+        out = capsys.readouterr().out.splitlines()
+        listed = out[out.index("ci:") + 1:] if "ci:" in out else []
+        assert listed == [f"  {s.render()}" for s in enumerate_ci(sparse18, cap)]
+        # every statement of this graph needs a conditioning set, so the
+        # default run lists some and --max-ci-size 0 lists none
+        assert all(" | " in line for line in listed)
+        assert bool(listed) == (cap is None)
+
+
 def test_info_condition_violation_exits_3(tmp_path, capsys):
     path = tmp_path / "c1.graph"
     path.write_text(
@@ -285,7 +301,7 @@ def test_no_command_prints_help(capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
-@pytest.mark.parametrize("tolerance", ["1/0", "-1", "-1/1000", "nan"])
+@pytest.mark.parametrize("tolerance", ["1/0", "-1", "-1/1000", "nan", "1e-3000000"])
 def test_check_bad_tolerance_exits_5(examples, capsys, tolerance):
     # a model table: a negative tolerance would report it falsified (exit 1)
     code = main([
@@ -306,6 +322,37 @@ def test_check_zero_tolerance_accepted(examples, capsys):
     ])
     assert code == 0
     assert "model consistent" in capsys.readouterr().out
+
+
+def test_check_oversized_decimal_cell_exits_5(examples, tmp_path, capsys):
+    table = tmp_path / "tiny.csv"
+    table.write_text("Z,X,Y,prob\n0,0,0,1e-300000\n1,1,1,1\n")
+    code = main(["check", path_of(examples, "iv.graph"), str(table)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.splitlines() == [
+        "error: cannot parse probability '1e-300000': decimal literal longer "
+        "than 1000 digits or with an exponent beyond 1000"
+    ]
+
+
+@pytest.mark.parametrize("case", ["derive", "check", "emit"])
+def test_unwritable_output_exits_74(examples, tmp_path, capsys, case):
+    import obscon.cli
+
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    target = str(blocker / "out.json")  # a path under a regular file
+    graph = path_of(examples, "iv.graph")
+    argv = {
+        "derive": ["derive", graph, "-o", target],
+        "check": ["check", graph, path_of(examples, "iv_model.csv"), "--json", target],
+        "emit": ["--emit-examples", target],
+    }[case]
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == obscon.cli.EXIT_IO == 74
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {target}: ")
 
 
 def test_internal_error_has_its_own_exit_code(examples, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from obscon import d_separated, enumerate_ci, parse_graph
 
-from oracles import path_d_separated, random_dag
+from oracles import enumerate_ci_exhaustive, path_d_separated, random_dag
 
 
 def all_subsets(pool, cap=None):
@@ -133,3 +133,32 @@ def test_ci_canonical_form(graphs):
         dag = graphs["bell_tripartite"]
         assert dag.index(stmt.lhs[0]) <= dag.index(stmt.rhs[0])
         assert list(stmt.lhs) == list(dag.sort_observed(stmt.lhs))
+
+
+@pytest.mark.parametrize("exogenous_latents", [False, True])
+def test_enumerate_ci_matches_exhaustive_search(exogenous_latents):
+    # latents with parents (exogenous_latents=False) put observed ancestors
+    # behind latents, which a search over observed ancestors alone would miss
+    rng = random.Random(5150 + exogenous_latents)
+    for _ in range(200):
+        dag = random_dag(rng, max_nodes=8, exogenous_latents=exogenous_latents)
+        for cap in (None, 0, 1):
+            assert enumerate_ci(dag, cap) == enumerate_ci_exhaustive(dag, cap), (
+                dag.to_text(), cap)
+
+
+def test_enumerate_ci_sparse_18_variables(sparse18):
+    statements = enumerate_ci(sparse18)
+    assert statements
+    for stmt in statements:
+        assert d_separated(sparse18, set(stmt.lhs), set(stmt.rhs), set(stmt.given))
+    # a pair is separable at all iff the other observed variables in the
+    # ancestor closure of the pair separate it; each such pair is covered
+    observed = sparse18.observed_names()
+    separable = set()
+    for a, b in combinations(observed, 2):
+        closure = sparse18.ancestors({a, b})
+        rest = {w for w in observed if w in closure and w not in (a, b)}
+        if d_separated(sparse18, {a}, {b}, rest):
+            separable.add((min(a, b), max(a, b)))
+    assert set().union(*(s.pairs() for s in statements)) == separable

@@ -1,11 +1,13 @@
 import random
+import time
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from obscon import JointTable, TableError
+from obscon import JointTable, TableError, parse_graph, parse_table
+from obscon.tables import MAX_DECIMAL_DIGITS
 
 from oracles import scan_prob
 
@@ -101,3 +103,51 @@ def test_cache_leaves_equality_and_hash_alone(probs_type):
         assert a != JointTable(a.variables, a.cardinalities, a.probs, not a.decimal_source)
         if hashes is not None:
             assert hash(a) == hash(b) == hashes[0] == hashes[1]
+
+
+PAIR = parse_graph("var A 2\nvar B 2\n")
+
+
+def pair_table(*cells):
+    rows = ["A,B,prob"] + [f"{i // 2},{i % 2},{cell}" for i, cell in enumerate(cells)]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("cell", [
+    "1e-300000", "1e-3000000", "1E+3000000", "0.5e-1001", "1e1001",
+    "0." + "0" * MAX_DECIMAL_DIGITS + "1",
+])
+def test_oversized_decimal_refused_before_expansion(cell):
+    start = time.process_time()
+    with pytest.raises(TableError, match="exponent beyond 1000") as exc:
+        parse_table(pair_table(cell, "1"), PAIR)
+    assert time.process_time() - start < 1.0
+    assert len(str(exc.value)) < 200 + len(cell)
+
+
+def test_decimal_literals_at_the_bound_parse():
+    # 1000 digits in all, then an exponent of 1000
+    table = parse_table(pair_table("1e-999", "0." + "9" * 999), PAIR)
+    assert table.probs[(0, 1)] == 1 - Fraction(1, 10 ** 999)
+    table = parse_table(pair_table("1e-1000", f"{10 ** 1000 - 1}/{10 ** 1000}"), PAIR)
+    assert table.decimal_source
+    assert table.probs[(0, 0)] == Fraction(1, 10 ** 1000)
+
+
+def test_twelve_decimal_tables_parse():
+    cells = ["0.123456789012", "0.376543210988", "0.25", "0.250000000000"]
+    table = parse_table(pair_table(*cells), PAIR)
+    assert table.decimal_source
+    assert table.probs[(0, 0)] == Fraction(123456789012, 10 ** 12)
+    assert sum(table.probs.values()) == 1
+
+
+def test_wrong_sum_message_stays_short():
+    # four pairwise coprime 4000-digit denominators: the exact sum has about
+    # 16,000 digits, past Python's int-to-str limit
+    cells = [f"1/{10 ** 4000 + k}" for k in (1, 3, 7, 9)]
+    with pytest.raises(TableError, match=r"sum to about 4\.00000e-4000, expected 1") as exc:
+        parse_table(pair_table(*cells), PAIR)
+    assert len(str(exc.value)) < 100
+    with pytest.raises(TableError, match="sum to 3/4, expected 1"):
+        parse_table(pair_table("1/4", "1/2"), PAIR)
