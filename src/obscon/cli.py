@@ -106,6 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("--column-limit", type=_positive_int, default=10_000_000)
     p_derive.add_argument("--jobs", type=_positive_int, default=1)
     p_derive.add_argument("--timings", action="store_true")
+    p_derive.add_argument("--texts", action="store_true",
+                          help="also write each constraint as text over star "
+                               "and observable terms (JSON format)")
 
     p_check = sub.add_parser("check", help="evaluate a distribution against the constraints")
     p_check.add_argument("graph")
@@ -234,7 +237,7 @@ def cmd_derive(args) -> int:
             chunks.append(record.hrep.to_cdd().rstrip("\n"))
         payload = "\n".join(chunks) + "\n"
     else:
-        payload = json.dumps(result_to_json(result, dag), indent=2) + "\n"
+        payload = json.dumps(result_to_json(result, dag, args.texts), indent=2) + "\n"
     if args.output == "-":
         print(result.summary(), file=sys.stderr)
         sys.stdout.write(payload)

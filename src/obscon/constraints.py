@@ -34,7 +34,7 @@ from .response import (
     star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
     star_vector,
 )
-from .tables import JointTable
+from .tables import JointTable, _approximate
 from .transform import merge_district_latents
 
 FLAG_CAVEAT = (
@@ -63,12 +63,6 @@ class Constraint:
     flagged: bool
     witness: int | None
 
-    def coeff_vector(self, n_rows: int) -> list[int]:
-        vec = [0] * n_rows
-        for row, coeff in self.terms:
-            vec[row] = coeff
-        return vec
-
 
 @dataclass(frozen=True)
 class DistrictResult:
@@ -84,7 +78,12 @@ class DistrictResult:
     @cached_property
     def star_texts(self) -> tuple[str, ...]:
         """Each constraint rendered over star terms, once per derivation."""
-        return tuple(render(c, self.system, None, "star") for c in self.constraints)
+        return self.texts(None, "star")
+
+    def texts(self, dag: HiddenDag | None, mode: str) -> tuple[str, ...]:
+        """Each constraint rendered as ``render`` does, labelling each row once."""
+        labels = _row_labels(self.system, dag, mode, range(self.system.n_rows))
+        return tuple(_join_terms(c, labels) for c in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,12 @@ def _derive_district(dag: HiddenDag, district, column_limit):
 def _assemble(district_index, system, hrep, block_sizes, ineq_flags, eq_flags,
               merged):
     constraints = []
-    for (coeffs, rhs), (flagged, witness) in zip(hrep.ineq, ineq_flags):
-        terms = tuple(
-            (row, coeff) for row, coeff in enumerate(coeffs) if coeff != 0
-        )
-        constraints.append(Constraint(district_index, terms, "<=", rhs, flagged, witness))
-    for (coeffs, rhs), (flagged, witness) in zip(hrep.eq, eq_flags):
-        terms = tuple(
-            (row, coeff) for row, coeff in enumerate(coeffs) if coeff != 0
-        )
-        constraints.append(Constraint(district_index, terms, "=", rhs, flagged, witness))
+    for relation, rows, flags in (("<=", hrep.ineq, ineq_flags), ("=", hrep.eq, eq_flags)):
+        for (coeffs, rhs), (flagged, witness) in zip(rows, flags):
+            terms = tuple((row, coeff) for row, coeff in enumerate(coeffs) if coeff != 0)
+            constraints.append(
+                Constraint(district_index, terms, relation, rhs, flagged, witness)
+            )
     return DistrictResult(
         members=system.district.members,
         c_degree=system.district.c_degree,
@@ -330,42 +325,36 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
 # -- rendering -------------------------------------------------------------
 
 
-def _term_label(system: FunctionalSystem, row: int) -> str:
-    w1, w2 = system.row_labels[row]
-    if system.w2_order:
-        return f"P*({w1.render()}|{w2.render()})"
-    return f"P*({w1.render()})"
-
-
-def _observable_label(dag: HiddenDag, system: FunctionalSystem, row: int) -> str:
-    w1, w2 = system.row_labels[row]
-    values = dict(w1.items)
-    values.update(w2.items)
-    factors = []
-    for member, cond in star_factors(dag, system.district):
-        head = f"{member}={values[member]}"
-        if cond:
-            tail = ",".join(f"{name}={values[name]}" for name in cond)
-            factors.append(f"P({head}|{tail})")
-        else:
-            factors.append(f"P({head})")
-    return "*".join(factors)
-
-
-def render(constraint: Constraint, system: FunctionalSystem,
-           dag: HiddenDag | None = None, mode: str = "star") -> str:
-    """Pretty-print a constraint over star or observable probability terms."""
+def _row_labels(system: FunctionalSystem, dag: HiddenDag | None, mode: str,
+                rows) -> dict[int, str]:
+    """The labels of ``rows`` over star or observable probability terms."""
     if mode not in ("star", "observable"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "observable" and dag is None:
         raise ValueError("observable mode needs the graph")
+    factors = star_factors(dag, system.district) if mode == "observable" else []
+    labels = {}
+    for row in rows:
+        w1, w2 = system.row_labels[row]
+        if mode == "star":
+            given = f"|{w2.render()}" if system.w2_order else ""
+            labels[row] = f"P*({w1.render()}{given})"
+            continue
+        values = dict(w1.items)
+        values.update(w2.items)
+        parts = []
+        for member, cond in factors:
+            given = "|" + ",".join(f"{name}={values[name]}" for name in cond) if cond else ""
+            parts.append(f"P({member}={values[member]}{given})")
+        labels[row] = "*".join(parts)
+    return labels
+
+
+def _join_terms(constraint: Constraint, labels) -> str:
+    """The constraint as text, with ``labels[row]`` naming each row."""
     parts = []
     for row, coeff in constraint.terms:
-        label = (
-            _term_label(system, row)
-            if mode == "star"
-            else _observable_label(dag, system, row)
-        )
+        label = labels[row]
         if not parts:
             if coeff == 1:
                 parts.append(label)
@@ -381,7 +370,21 @@ def render(constraint: Constraint, system: FunctionalSystem,
     return f"{lhs} {constraint.relation} {constraint.rhs}"
 
 
+def render(constraint: Constraint, system: FunctionalSystem,
+           dag: HiddenDag | None = None, mode: str = "star") -> str:
+    """Pretty-print a constraint over star or observable probability terms."""
+    rows = [row for row, _ in constraint.terms]
+    return _join_terms(constraint, _row_labels(system, dag, mode, rows))
+
+
 # -- evaluation ------------------------------------------------------------
+
+
+def _working_graph(result: DerivationResult, dag: HiddenDag) -> HiddenDag:
+    """The graph the derivation ran on: ``dag`` or its merged rewrite."""
+    if result.derived_graph_text == dag.to_text():
+        return dag
+    return parse_graph(result.derived_graph_text)
 
 
 _ZERO = Fraction(0)
@@ -418,9 +421,10 @@ class ViolationReport:
     def lines(self) -> list[str]:
         out = []
         for s in self.ci_statuses:
-            out.append(f"[{s.status}] CI {s.statement.render()} (margin {s.margin})")
+            margin = _margin_str(s.margin, str)
+            out.append(f"[{s.status}] CI {s.statement.render()} (margin {margin})")
         for s in self.constraint_statuses:
-            margin = "" if s.margin is None else f" (margin {s.margin})"
+            margin = "" if s.margin is None else f" (margin {_margin_str(s.margin, str)})"
             out.append(f"[{s.status}] {s.text}{margin}")
         verdict = "falsified" if self.falsified else "consistent"
         out.append(f"model {verdict}")
@@ -468,10 +472,7 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
     if tolerance is None:
         tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
-    working = (
-        dag if result.derived_graph_text == dag.to_text()
-        else parse_graph(result.derived_graph_text)
-    )
+    working = _working_graph(result, dag)
 
     statuses = []
     for record in result.districts:
@@ -519,28 +520,37 @@ def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def constraint_to_json(constraint: Constraint, system: FunctionalSystem,
-                       dag: HiddenDag, text_star: str) -> dict:
-    terms = []
-    for row, coeff in constraint.terms:
-        w1, w2 = system.row_labels[row]
-        terms.append({"w1": w1.as_dict(), "w2": w2.as_dict(), "coeff": coeff})
+def _margin_str(value: Fraction, exact) -> str:
+    """``exact(value)``, or six digits of it when over the int-to-str limit."""
+    try:
+        return exact(value)
+    except ValueError:
+        return _approximate(value.numerator, value.denominator)
+
+
+def constraint_to_json(constraint: Constraint) -> dict:
     return {
-        "terms": terms,
+        "rows": [row for row, _ in constraint.terms],
+        "coeffs": [coeff for _, coeff in constraint.terms],
         "relation": constraint.relation,
         "rhs": constraint.rhs,
         "flagged": constraint.flagged,
         "witness": constraint.witness,
-        "text_star": text_star,
-        "text_observable": render(constraint, system, dag, "observable"),
     }
 
 
-def result_to_json(result: DerivationResult, dag: HiddenDag) -> dict:
-    working = (
-        dag if result.derived_graph_text == dag.to_text()
-        else parse_graph(result.derived_graph_text)
-    )
+def result_to_json(result: DerivationResult, dag: HiddenDag, texts: bool = False) -> dict:
+    """The derivation record as a JSON document, schema 2.
+
+    Each district's ``system`` gives ``row_labels`` (the (w1, w2) of each row
+    of B) and ``col_outcomes``: each column's w1-row index in each w2 block,
+    so B has a 1 in row ``block * block_size + outcome``. A constraint reads
+    ``sum(coeffs[k] * p[rows[k]]) relation rhs``, with ``flagged`` and
+    ``witness``; ``texts`` adds its ``text_star`` and ``text_observable``, as
+    ``render`` writes them. A skipped district has a null ``system`` and no
+    constraints. ``derive --format cdd`` gives the dense H-representation.
+    """
+    working = _working_graph(result, dag) if texts else None
     report = validate_conditions(dag)
     districts_json = []
     for record in result.districts:
@@ -549,22 +559,17 @@ def result_to_json(result: DerivationResult, dag: HiddenDag) -> dict:
             "c_degree": record.c_degree,
             "merged": record.merged,
             "skipped": record.skipped,
+            "system": None if record.system is None else record.system.to_json(),
+            "block_sizes": list(record.block_sizes),
+            "constraints": [constraint_to_json(c) for c in record.constraints],
         }
-        if record.system is not None and record.hrep is not None:
-            entry["system"] = record.system.to_json()
-            entry["hrep"] = record.hrep.to_json()
-            entry["block_sizes"] = list(record.block_sizes)
-            entry["constraints"] = [
-                constraint_to_json(c, record.system, working, text)
-                for c, text in zip(record.constraints, record.star_texts)
-            ]
-        else:
-            entry["system"] = None
-            entry["hrep"] = None
-            entry["block_sizes"] = []
-            entry["constraints"] = []
+        if texts and record.system is not None:
+            observable = record.texts(working, "observable")
+            for doc, star, obs in zip(entry["constraints"], record.star_texts, observable):
+                doc.update(text_star=star, text_observable=obs)
         districts_json.append(entry)
     return {
+        "schema": 2,
         "graph": result.graph_text,
         "derived_graph": result.derived_graph_text,
         "fingerprint": result.fingerprint,
@@ -589,7 +594,7 @@ def report_to_json(report: ViolationReport) -> dict:
             {
                 "statement": s.statement.render(),
                 "status": s.status,
-                "margin": _frac_str(s.margin),
+                "margin": _margin_str(s.margin, _frac_str),
             }
             for s in report.ci_statuses
         ],
@@ -598,7 +603,7 @@ def report_to_json(report: ViolationReport) -> dict:
                 "district": s.district_index,
                 "text": s.text,
                 "status": s.status,
-                "margin": None if s.margin is None else _frac_str(s.margin),
+                "margin": None if s.margin is None else _margin_str(s.margin, _frac_str),
             }
             for s in report.constraint_statuses
         ],

@@ -87,12 +87,6 @@ class HRep:
         canon_eq = sorted({_canon_eq(c, r) for c, r in eq})
         return cls(tuple(canon_ineq), tuple(canon_eq))
 
-    def to_json(self) -> dict:
-        return {
-            "ineq": [{"coeffs": list(c), "rhs": r} for c, r in self.ineq],
-            "eq": [{"coeffs": list(c), "rhs": r} for c, r in self.eq],
-        }
-
     def to_cdd(self) -> str:
         """Conventional polyhedral text format: rows are (b, -H), eq rows first."""
         rows = list(self.eq) + list(self.ineq)

@@ -137,28 +137,20 @@ def eval_response(spec: ResponseSpec, level: int,
     return (level // power) % spec.cardinality
 
 
-def encode_response(spec: ResponseSpec, outputs: Sequence[int]) -> int:
-    """Inverse of ``eval_response``: outputs listed per parent-config rank."""
-    if len(outputs) != spec.parent_domain_size:
-        raise ValueError("need one output per parent configuration")
-    level = 0
-    for value in outputs:
-        if not 0 <= value < spec.cardinality:
-            raise ValueError(f"output {value} out of range for {spec.variable}")
-        level = level * spec.cardinality + value
-    return level
-
-
 @dataclass(frozen=True)
 class FunctionalSystem:
-    """The labeled 0/1 system p = B r for one district."""
+    """The labeled 0/1 system p = B r for one district, stored sparsely.
+
+    Column c of B has a single 1 in each w2 block, in the block's row
+    ``col_outcomes[c][block]`` (an index into the block's w1 configurations).
+    """
 
     district: District
     w1_order: tuple[str, ...]
     w2_order: tuple[str, ...]
     row_labels: tuple[tuple[Configuration, Configuration], ...]
     col_labels: tuple[tuple[int, ...], ...]  # one response level per member
-    matrix: tuple[tuple[int, ...], ...]
+    col_outcomes: tuple[tuple[int, ...], ...]  # one w1-row index per w2 block
     row_blocks: tuple[tuple[int, ...], ...]  # row indices grouped by w2 config
 
     @property
@@ -171,15 +163,19 @@ class FunctionalSystem:
 
     def columns_as_points(self) -> list[tuple[int, ...]]:
         """Columns of B as 0/1 vectors; the V-representation generators."""
-        return list(zip(*self.matrix))
+        n1 = len(self.row_blocks[0])
+        points = []
+        for outcomes in self.col_outcomes:
+            point = [0] * self.n_rows
+            for block, outcome in enumerate(outcomes):
+                point[block * n1 + outcome] = 1
+            points.append(tuple(point))
+        return points
 
-    def multiply(self, r: Sequence[Fraction]) -> list[Fraction]:
-        if len(r) != self.n_cols:
-            raise ValueError("response vector has wrong length")
-        return [
-            sum((value * coeff for value, coeff in zip(row, r)), Fraction(0))
-            for row in self.matrix
-        ]
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """B as dense 0/1 rows."""
+        return tuple(zip(*self.columns_as_points()))
 
     def to_json(self) -> dict:
         return {
@@ -189,7 +185,7 @@ class FunctionalSystem:
                 {"w1": a.as_dict(), "w2": b.as_dict()} for a, b in self.row_labels
             ],
             "col_labels": [list(levels) for levels in self.col_labels],
-            "matrix": [list(row) for row in self.matrix],
+            "col_outcomes": [list(outcomes) for outcomes in self.col_outcomes],
         }
 
 
@@ -202,29 +198,31 @@ def _member_specs(dag: HiddenDag, district: District) -> dict[str, ResponseSpec]
     return {w: response_levels(dag, w) for w in district.members}
 
 
-def _outcome_index(dag, district, specs, levels, w2_config, w1_configs_index):
-    """w1-row realized by the joint response ``levels`` under ``w2_config``."""
+def _outcome_index(steps, members, levels, w2_config, w1_configs_index):
+    """w1-row realized by the joint response ``levels`` under ``w2_config``.
+
+    ``steps`` lists (member, position in ``members``, spec) in topological
+    order, so each member's parents are set before it is evaluated.
+    """
     values: dict[str, int] = dict(w2_config.items)
-    order = [w for w in dag.topological_order() if w in set(district.members)]
-    for member in order:
-        spec = specs[member]
-        level = levels[district.members.index(member)]
-        values[member] = eval_response(spec, level, values)
-    key = tuple(values[m] for m in district.members)
+    for member, position, spec in steps:
+        values[member] = eval_response(spec, levels[position], values)
+    key = tuple(values[m] for m in members)
     return w1_configs_index[key]
 
 
 def _column_order(dag: HiddenDag, district: District):
     """Canonical column labels plus each column's outcome per w2 block."""
     specs = _member_specs(dag, district)
+    members = district.members
+    position = {m: i for i, m in enumerate(members)}
+    steps = [(m, position[m], specs[m]) for m in dag.topological_order() if m in position]
     w2 = external_parents(dag, district)
-    w1_configs = enumerate_configs(
-        district.members, [dag.cardinality(m) for m in district.members]
-    )
+    w1_configs = enumerate_configs(members, [dag.cardinality(m) for m in members])
     w2_configs = enumerate_configs(w2, [dag.cardinality(p) for p in w2])
     w1_index = {cfg.values(): i for i, cfg in enumerate(w1_configs)}
 
-    level_counts = [specs[m].level_count for m in district.members]
+    level_counts = [specs[m].level_count for m in members]
     n_cols = 1
     for c in level_counts:
         n_cols *= c
@@ -237,7 +235,7 @@ def _column_order(dag: HiddenDag, district: District):
             rem //= count
         levels = tuple(levels)
         outcomes = tuple(
-            _outcome_index(dag, district, specs, levels, w2c, w1_index)
+            _outcome_index(steps, members, levels, w2c, w1_index)
             for w2c in w2_configs
         )
         raw.append((outcomes[0], rank, levels, outcomes))
@@ -287,10 +285,6 @@ def build_functional_system(dag: HiddenDag, district: District,
     row_labels = tuple(
         (w1c, w2c) for w2c in w2_configs for w1c in w1_configs
     )
-    matrix = [[0] * len(col_labels) for _ in row_labels]
-    for c, outcomes in enumerate(col_outcomes):
-        for block, outcome in enumerate(outcomes):
-            matrix[block * n1 + outcome][c] = 1
     row_blocks = tuple(
         tuple(range(b * n1, (b + 1) * n1)) for b in range(len(w2_configs))
     )
@@ -300,7 +294,7 @@ def build_functional_system(dag: HiddenDag, district: District,
         w2_order=external_parents(dag, district),
         row_labels=row_labels,
         col_labels=tuple(col_labels),
-        matrix=tuple(tuple(row) for row in matrix),
+        col_outcomes=tuple(col_outcomes),
         row_blocks=row_blocks,
     )
 

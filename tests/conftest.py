@@ -96,6 +96,23 @@ edge U2 V5
 """
 
 
+# Bell scenarios: two parties with inputs X, Y and outcomes A, B sharing one
+# latent; CHSH has binary inputs, I3322 ternary ones
+BELL_CHSH = """\
+var X 2
+var Y 2
+var A 2
+var B 2
+latent U
+edge X A
+edge Y B
+edge U A
+edge U B
+"""
+
+BELL_I3322 = BELL_CHSH.replace("var X 2", "var X 3").replace("var Y 2", "var Y 3")
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--run-long",

@@ -5,8 +5,9 @@ the code under test: a dictionary simplex over exact rationals, double
 description with the full-scan adjacency test, a path-enumeration
 d-separation checker, a CI enumeration that tries every subset of the other
 observed variables, a structural-model sampler that marginalizes finite
-latent variables directly, the vertices of a product of simplices, and an
-evaluation that scans the whole table for every probability it needs.
+latent variables directly, the vertices of a product of simplices, dense
+views of a district system (B r, coefficient rows, response encoding), and
+an evaluation that scans the whole table for every probability it needs.
 """
 
 from __future__ import annotations
@@ -534,6 +535,39 @@ def simplex_product_extreme_points(block_sizes) -> list[tuple[Fraction, ...]]:
             vec += [Fraction(int(k == choice)) for k in range(size)]
         points.append(tuple(vec))
     return points
+
+
+# -- dense views of a district system -----------------------------------------
+
+
+def encode_response(spec, outputs) -> int:
+    """Inverse of ``eval_response``: outputs listed per parent-config rank."""
+    if len(outputs) != spec.parent_domain_size:
+        raise ValueError("need one output per parent configuration")
+    level = 0
+    for value in outputs:
+        if not 0 <= value < spec.cardinality:
+            raise ValueError(f"output {value} out of range for {spec.variable}")
+        level = level * spec.cardinality + value
+    return level
+
+
+def multiply(system, r) -> list[Fraction]:
+    """B r for a district system, over its dense 0/1 rows."""
+    if len(r) != system.n_cols:
+        raise ValueError("response vector has wrong length")
+    return [
+        sum((value * coeff for value, coeff in zip(row, r)), Fraction(0))
+        for row in system.matrix
+    ]
+
+
+def coeff_vector(constraint, n_rows: int) -> list[int]:
+    """A constraint's dense coefficient row."""
+    vec = [0] * n_rows
+    for row, coeff in constraint.terms:
+        vec[row] = coeff
+    return vec
 
 
 # -- evaluation by scanning ---------------------------------------------------

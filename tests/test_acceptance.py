@@ -33,6 +33,7 @@ from obscon import (
 from obscon.fixtures import FIXTURE_GRAPHS
 
 from oracles import (
+    coeff_vector,
     facet_witness_beyond,
     feasible_nonneg,
     in_hull,
@@ -115,7 +116,7 @@ def constraint_rows(record, relation, flagged_only=False):
             continue
         if flagged_only and not c.flagged:
             continue
-        out.append((tuple(c.coeff_vector(n)), c.rhs))
+        out.append((tuple(coeff_vector(c, n)), c.rhs))
     return out
 
 
@@ -329,7 +330,7 @@ def test_criterion_06_merged_two_district(graphs):
     assert len(flagged_eq) == 4 and len(flagged_ineq) == 4
     verma, ineq = mixed_cdegree_district1_rows()
     unflagged_eq = [
-        (tuple(c.coeff_vector(record.system.n_rows)), c.rhs)
+        (tuple(coeff_vector(c, record.system.n_rows)), c.rhs)
         for c in record.constraints
         if c.relation == "=" and not c.flagged
     ]

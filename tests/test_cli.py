@@ -369,3 +369,56 @@ def test_internal_error_has_its_own_exit_code(examples, capsys, monkeypatch):
     assert code == obscon.cli.EXIT_INTERNAL
     assert code not in (0, 1, 2, 3, 4, 5)
     assert err.splitlines() == ["error: internal error: RuntimeError: simulated failure"]
+
+
+@pytest.mark.parametrize("name", ["iv", "frontdoor", "mixed_cdegree", "triangle"])
+def test_derive_texts_match_render(examples, tmp_path, name):
+    from obscon import DeriveOptions, derive_all, load_graph, parse_graph, render
+
+    graph = path_of(examples, f"{name}.graph")
+    merge = ["--merge"] if name in ("mixed_cdegree", "triangle") else []
+    with_texts, plain = tmp_path / "texts.json", tmp_path / "plain.json"
+    assert main(["derive", graph, *merge, "--texts", "-o", str(with_texts)]) == 0
+    assert main(["derive", graph, *merge, "-o", str(plain)]) == 0
+
+    dag = load_graph(graph)
+    result = derive_all(dag, DeriveOptions(merge=bool(merge)))
+    working = parse_graph(result.derived_graph_text)
+    payload = json.loads(with_texts.read_text())
+    for record, entry in zip(result.districts, payload["districts"], strict=True):
+        for c, doc in zip(record.constraints, entry["constraints"], strict=True):
+            assert doc["text_star"] == render(c, record.system, working, "star")
+            assert doc["text_observable"] == render(c, record.system, working, "observable")
+    slim = json.loads(plain.read_text())
+    assert not any(
+        key.startswith("text_")
+        for entry in slim["districts"] for doc in entry["constraints"] for key in doc
+    )
+    for entry in payload["districts"]:
+        for doc in entry["constraints"]:
+            del doc["text_star"], doc["text_observable"]
+    assert payload == slim
+
+
+def test_check_huge_margins_are_written(examples, tmp_path, capsys):
+    # the IV violator, perturbed by two coprime denominators of 2,151 digits:
+    # every cell parses, but a violated row's margin has a denominator of
+    # over 4,300 digits, Python's int-to-str limit
+    p, q = 10 ** 2150 + 1, 10 ** 2150 + 3
+    table = tmp_path / "huge.csv"
+    table.write_text(
+        "Z,X,Y,prob\n"
+        f"0,0,1,{p - 2}/{2 * p}\n0,1,1,1/{p}\n"
+        f"1,0,0,{q - 2}/{2 * q}\n1,1,0,1/{q}\n"
+    )
+    report_path = tmp_path / "report.json"
+    code = main([
+        "check", path_of(examples, "iv.graph"), str(table), "--json", str(report_path),
+    ])
+    out, err = capsys.readouterr()
+    assert code in (0, 1), err
+    assert "[violated] P*(X=0,Y=1|Z=0) + P*(X=0,Y=0|Z=1) <= 1 (margin about 1.00000e0)" in out
+    assert all(len(line) < 500 for line in out.splitlines())
+    payload = json.loads(report_path.read_text())
+    margins = [entry["margin"] for entry in payload["constraints"]]
+    assert any(m.startswith("about ") for m in margins if m)

@@ -23,8 +23,11 @@ from obscon.tables import TableError, parse_table
 
 from obscon.fixtures import FIXTURE_GRAPHS
 
+from conftest import BELL_CHSH, BELL_I3322
 from oracles import (
+    coeff_vector,
     evaluate_by_scan,
+    multiply,
     positive_simplex_point,
     simplex_product_extreme_points,
     structural_model_table,
@@ -89,7 +92,7 @@ def test_flag_never_marks_axiom_shaped_rows(graphs):
                 offsets.append((start, start + size))
                 start += size
             for c in record.constraints:
-                vec = c.coeff_vector(record.system.n_rows)
+                vec = coeff_vector(c, record.system.n_rows)
                 nonzero = [v for v in vec if v != 0]
                 if c.relation == "<=" and c.rhs == 0 and nonzero == [-1]:
                     assert not c.flagged
@@ -105,7 +108,7 @@ def test_flag_block_pure_equalities_unflagged(graphs):
     for c in record.constraints:
         if c.relation != "=":
             continue
-        vec = c.coeff_vector(record.system.n_rows)
+        vec = coeff_vector(c, record.system.n_rows)
         lo, hi = (0, 4) if any(vec[:4]) else (4, 8)
         if all(vec[i] == vec[lo] for i in range(lo, hi)) and not any(
             vec[i] for i in range(len(vec)) if not lo <= i < hi
@@ -417,7 +420,61 @@ def test_json_outputs_are_stable(graphs):
     assert first == second
     payload = json.loads(first)
     assert payload["summary"]["total"] == 14
-    assert payload["districts"][1]["system"]["matrix"][0][:4] == [1, 1, 1, 1]
+    # the first four columns of B realize row 0 of block 0
+    outcomes = payload["districts"][1]["system"]["col_outcomes"]
+    assert [column[0] for column in outcomes[:4]] == [0, 0, 0, 0]
+
+
+def dense_from_json(entry):
+    """A district's dense HRep and B, rebuilt from its schema-2 JSON entry."""
+    system = entry["system"]
+    n_rows, n_cols = len(system["row_labels"]), len(system["col_outcomes"])
+    ineq, eq = [], []
+    for c in entry["constraints"]:
+        vec = [0] * n_rows
+        for row, coeff in zip(c["rows"], c["coeffs"], strict=True):
+            vec[row] = coeff
+        (ineq if c["relation"] == "<=" else eq).append((tuple(vec), c["rhs"]))
+    n1 = n_rows // len(system["col_outcomes"][0])
+    matrix = [[0] * n_cols for _ in range(n_rows)]
+    for col, outcomes in enumerate(system["col_outcomes"]):
+        for block, outcome in enumerate(outcomes):
+            matrix[block * n1 + outcome][col] = 1
+    return HRep(tuple(ineq), tuple(eq)), tuple(tuple(row) for row in matrix)
+
+
+SCHEMA2_GRAPHS = {
+    **{name: text for name, text in FIXTURE_GRAPHS.items() if name != "bell_tripartite"},
+    "chsh": BELL_CHSH,
+    "i3322": BELL_I3322,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA2_GRAPHS))
+def test_schema2_json_loses_nothing(name):
+    dag = parse_graph(SCHEMA2_GRAPHS[name])
+    merge = any(d.c_degree > 1 for d in dag.districts())
+    result = derive_all(dag, DeriveOptions(merge=merge))
+    payload = json.loads(json.dumps(result_to_json(result, dag), indent=2))
+    assert payload["schema"] == 2
+    assert len(payload["districts"]) == len(result.districts)
+    for record, entry in zip(result.districts, payload["districts"]):
+        assert "hrep" not in entry
+        if record.skipped:
+            assert entry["system"] is None and entry["constraints"] == []
+            continue
+        fs = record.system
+        assert "matrix" not in entry["system"]
+        assert entry["system"]["row_labels"] == [
+            {"w1": w1.as_dict(), "w2": w2.as_dict()} for w1, w2 in fs.row_labels
+        ]
+        assert entry["system"]["col_labels"] == [list(c) for c in fs.col_labels]
+        assert all(not key.startswith("text_") for c in entry["constraints"] for key in c)
+        hrep, matrix = dense_from_json(entry)
+        assert hrep == record.hrep
+        assert matrix == fs.matrix
+        flags = [(c.flagged, c.witness) for c in record.constraints]
+        assert [(c["flagged"], c["witness"]) for c in entry["constraints"]] == flags
 
 
 def test_report_json(graphs):
@@ -438,7 +495,7 @@ def test_star_vector_matches_push_through(graphs):
     fs = record.system
     rng = random.Random(7)
     r = positive_simplex_point(rng, fs.n_cols)
-    pushed = fs.multiply(r)
+    pushed = multiply(fs, r)
     pz = positive_simplex_point(rng, 2)
     probs = {}
     for row, (w1, w2) in enumerate(fs.row_labels):

@@ -12,10 +12,10 @@ from obscon import (
     response_levels,
     star_probability,
 )
-from obscon.response import Configuration, encode_response, enumerate_configs
+from obscon.response import Configuration, enumerate_configs
 from obscon.tables import JointTable
 
-from oracles import positive_simplex_point
+from oracles import encode_response, multiply, positive_simplex_point
 
 # the published 8x16 system for the binary instrumental-variable district
 IV_B_MATRIX = [
@@ -277,7 +277,7 @@ def test_push_through_matches_star(graphs):
             fs.district.members: positive_simplex_point(rng, fs.n_cols)
             for fs in systems
         }
-        pushed = {fs.district.members: fs.multiply(rs[fs.district.members]) for fs in systems}
+        pushed = {fs.district.members: multiply(fs, rs[fs.district.members]) for fs in systems}
 
         observed = dag.observed_names()
         probs = {}
