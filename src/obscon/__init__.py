@@ -32,7 +32,6 @@ from .response import (
     FunctionalSystem,
     ResponseSpec,
     build_functional_system,
-    compatible_responses,
     eval_response,
     response_levels,
     star_probability,
@@ -88,7 +87,6 @@ __all__ = [
     "ViolationReport",
     "absorb_nested_latents",
     "build_functional_system",
-    "compatible_responses",
     "d_separated",
     "derive_all",
     "enumerate_ci",

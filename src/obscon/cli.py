@@ -1,8 +1,9 @@
 """Command-line interface: info, rewrite, derive and check workflows.
 
 Exit codes are a stable contract: 0 success (check: no violation), 1 check
-found a violation, 2 graph parse error, 3 structural-condition or c-degree
-error, 4 cost guard tripped, 5 distribution or tolerance error, 70 internal
+found a violation, 2 graph parse or read error, 3 structural-condition or
+c-degree error, 4 cost guard tripped, 5 distribution (parse or read) or
+tolerance error, 70 internal
 error (a bug: one ``error:`` line, no traceback), 74 output error (``derive
 -o``, ``check --json`` or ``--emit-examples`` could not write: one ``error:``
 line naming the path).
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import NoReturn
+from typing import Callable, NoReturn, TextIO
 
 from .constraints import (
     ConditionsError,
@@ -104,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="merge multi-latent districts first (valid but possibly incomplete)")
     p_derive.add_argument("--max-ci-size", type=_nonnegative_int, default=None)
     p_derive.add_argument("--column-limit", type=_positive_int, default=10_000_000)
-    p_derive.add_argument("--jobs", type=_positive_int, default=1)
     p_derive.add_argument("--timings", action="store_true")
     p_derive.add_argument("--texts", action="store_true",
                           help="also write each constraint as text over star "
@@ -116,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--merge", action="store_true")
     p_check.add_argument("--max-ci-size", type=_nonnegative_int, default=None)
     p_check.add_argument("--column-limit", type=_positive_int, default=10_000_000)
-    p_check.add_argument("--jobs", type=_positive_int, default=1)
     p_check.add_argument("--tolerance", default=None,
                          help="nonnegative slack for (in)equality checks, "
                               "e.g. 1/1000000 or 1e-9")
@@ -130,22 +129,25 @@ def _write_failed(path: str, exc: OSError) -> NoReturn:
     raise SystemExit(EXIT_IO)
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``; a failure exits ``EXIT_IO``."""
+def _write(path: str, emit: Callable[[TextIO], object]) -> None:
+    """Open ``path`` and let ``emit`` write to it; a failure exits ``EXIT_IO``."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit(fh)
     except OSError as exc:
         _write_failed(path, exc)
+
+
+def _dump_json(doc, fh: TextIO) -> None:
+    """Stream ``doc`` to ``fh`` as indented JSON, without building the string."""
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")
 
 
 def _load(path: str):
     try:
         return load_graph(path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    except GraphParseError as exc:
+    except (OSError, UnicodeDecodeError, GraphParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
@@ -212,7 +214,6 @@ def _derive(args):
         merge=args.merge,
         max_ci_size=args.max_ci_size,
         column_limit=args.column_limit,
-        jobs=args.jobs,
         timings=getattr(args, "timings", False),
     )
     try:
@@ -226,23 +227,27 @@ def _derive(args):
     return dag, result
 
 
+def _write_derivation(fh: TextIO, args, dag, result) -> None:
+    """Write the derivation to ``fh`` in the ``--format`` that ``args`` asks for."""
+    if args.format == "json":
+        _dump_json(result_to_json(result, dag, args.texts), fh)
+        return
+    chunks = []
+    for record in result.districts:
+        if record.hrep is None:
+            continue
+        chunks.append("* district {%s}" % ",".join(record.members))
+        chunks.append(record.hrep.to_cdd().rstrip("\n"))
+    fh.write("\n".join(chunks) + "\n")
+
+
 def cmd_derive(args) -> int:
     dag, result = _derive(args)
-    if args.format == "cdd":
-        chunks = []
-        for record in result.districts:
-            if record.hrep is None:
-                continue
-            chunks.append("* district {%s}" % ",".join(record.members))
-            chunks.append(record.hrep.to_cdd().rstrip("\n"))
-        payload = "\n".join(chunks) + "\n"
-    else:
-        payload = json.dumps(result_to_json(result, dag, args.texts), indent=2) + "\n"
     if args.output == "-":
         print(result.summary(), file=sys.stderr)
-        sys.stdout.write(payload)
+        _write_derivation(sys.stdout, args, dag, result)
     else:
-        _write_text(args.output, payload)
+        _write(args.output, lambda fh: _write_derivation(fh, args, dag, result))
         print(result.summary())
     ci = len(result.ci_statements)
     print(f"ci statements: {ci}", file=sys.stderr if args.output == "-" else sys.stdout)
@@ -269,17 +274,14 @@ def cmd_check(args) -> int:
     dag, result = _derive(args)
     try:
         table = load_table(args.table, dag)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TABLE
-    except TableError as exc:
+    except (OSError, UnicodeDecodeError, TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TABLE
     report = evaluate(result, dag, table, tolerance)
     for line in report.lines():
         print(line)
     if args.json_path:
-        _write_text(args.json_path, json.dumps(report_to_json(report), indent=2) + "\n")
+        _write(args.json_path, lambda fh: _dump_json(report_to_json(report), fh))
     return EXIT_VIOLATED if report.falsified else EXIT_OK
 
 

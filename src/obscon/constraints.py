@@ -14,7 +14,6 @@ Testing them anyway is sound, since trivial rows restrict nothing.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -72,8 +71,12 @@ class DistrictResult:
     skipped: bool
     system: FunctionalSystem | None
     hrep: HRep | None
-    block_sizes: tuple[int, ...]
     constraints: tuple[Constraint, ...]
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        """The row count of each w2 block of the system; empty when skipped."""
+        return () if self.system is None else self.system.block_sizes
 
     @cached_property
     def star_texts(self) -> tuple[str, ...]:
@@ -130,7 +133,6 @@ class DeriveOptions:
     merge: bool = False
     max_ci_size: int | None = None
     column_limit: int | None = 10_000_000
-    jobs: int = 1
     timings: bool = False
 
 
@@ -200,40 +202,26 @@ def _district_is_trivial(dag: HiddenDag, district) -> bool:
     )
 
 
-def _derive_district(dag: HiddenDag, district, column_limit):
+def _derive_district(dag: HiddenDag, district, column_limit, index,
+                     merged) -> DistrictResult:
+    """Build a district's system, convert its columns to facets, flag the rows."""
     system = build_functional_system(dag, district, column_limit)
-    points = VRep(tuple(system.columns_as_points()))
-    hrep = v_to_h(points)
-    n1 = len(system.row_blocks[0])
-    block_sizes = tuple([n1] * len(system.row_blocks))
-    ineq_flags, eq_flags = flag_nontrivial(hrep, block_sizes)
-    return system, hrep, block_sizes, ineq_flags, eq_flags
-
-
-def _assemble(district_index, system, hrep, block_sizes, ineq_flags, eq_flags,
-              merged):
+    hrep = v_to_h(VRep(tuple(system.columns_as_points())))
+    ineq_flags, eq_flags = flag_nontrivial(hrep, system.block_sizes)
     constraints = []
     for relation, rows, flags in (("<=", hrep.ineq, ineq_flags), ("=", hrep.eq, eq_flags)):
         for (coeffs, rhs), (flagged, witness) in zip(rows, flags):
             terms = tuple((row, coeff) for row, coeff in enumerate(coeffs) if coeff != 0)
-            constraints.append(
-                Constraint(district_index, terms, relation, rhs, flagged, witness)
-            )
+            constraints.append(Constraint(index, terms, relation, rhs, flagged, witness))
     return DistrictResult(
-        members=system.district.members,
-        c_degree=system.district.c_degree,
+        members=district.members,
+        c_degree=district.c_degree,
         merged=merged,
         skipped=False,
         system=system,
         hrep=hrep,
-        block_sizes=block_sizes,
         constraints=tuple(constraints),
     )
-
-
-def _derive_district_task(args):
-    dag, district, column_limit = args
-    return _derive_district(dag, district, column_limit)
 
 
 def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> DerivationResult:
@@ -260,11 +248,8 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
         merged = True
 
     ci = tuple(enumerate_ci(working, options.max_ci_size))
-    districts = working.districts()
-
-    tasks = []
-    records: list[DistrictResult | None] = []
-    for district in districts:
+    records = []
+    for index, district in enumerate(working.districts()):
         if _district_is_trivial(working, district):
             records.append(DistrictResult(
                 members=district.members,
@@ -273,29 +258,12 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
                 skipped=True,
                 system=None,
                 hrep=None,
-                block_sizes=(),
                 constraints=(),
             ))
         else:
-            records.append(None)
-            tasks.append((len(records) - 1, district))
-
-    workers = min(options.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(
-                _derive_district_task,
-                [(working, district, options.column_limit) for _, district in tasks],
+            records.append(_derive_district(
+                working, district, options.column_limit, index, merged
             ))
-    else:
-        outputs = [
-            _derive_district_task((working, district, options.column_limit))
-            for _, district in tasks
-        ]
-    for (index, _district), output in zip(tasks, outputs):
-        records[index] = _assemble(index, *output, merged)
 
     meta = {
         "tool": "obscon",
@@ -317,7 +285,7 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
         derived_graph_text=working.to_text(),
         merged=merged,
         ci_statements=ci,
-        districts=tuple(r for r in records if r is not None),
+        districts=tuple(records),
         meta=meta,
     )
 

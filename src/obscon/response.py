@@ -146,12 +146,10 @@ class FunctionalSystem:
     """
 
     district: District
-    w1_order: tuple[str, ...]
     w2_order: tuple[str, ...]
     row_labels: tuple[tuple[Configuration, Configuration], ...]
     col_labels: tuple[tuple[int, ...], ...]  # one response level per member
     col_outcomes: tuple[tuple[int, ...], ...]  # one w1-row index per w2 block
-    row_blocks: tuple[tuple[int, ...], ...]  # row indices grouped by w2 config
 
     @property
     def n_rows(self) -> int:
@@ -161,9 +159,21 @@ class FunctionalSystem:
     def n_cols(self) -> int:
         return len(self.col_labels)
 
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        """Rows per w2 block; every block lists all w1 configurations."""
+        n_blocks = len(self.col_outcomes[0])
+        return (self.n_rows // n_blocks,) * n_blocks
+
+    @property
+    def row_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Row indices grouped by w2 configuration: consecutive runs of a block size."""
+        n1 = self.block_sizes[0]
+        return tuple(tuple(range(start, start + n1)) for start in range(0, self.n_rows, n1))
+
     def columns_as_points(self) -> list[tuple[int, ...]]:
         """Columns of B as 0/1 vectors; the V-representation generators."""
-        n1 = len(self.row_blocks[0])
+        n1 = self.block_sizes[0]
         points = []
         for outcomes in self.col_outcomes:
             point = [0] * self.n_rows
@@ -179,7 +189,7 @@ class FunctionalSystem:
 
     def to_json(self) -> dict:
         return {
-            "members": list(self.w1_order),
+            "members": list(self.district.members),
             "external_parents": list(self.w2_order),
             "row_labels": [
                 {"w1": a.as_dict(), "w2": b.as_dict()} for a, b in self.row_labels
@@ -248,20 +258,6 @@ def _column_order(dag: HiddenDag, district: District):
     )
 
 
-def compatible_responses(dag: HiddenDag, district: District,
-                         w1: Configuration, w2: Configuration) -> set[int]:
-    """Canonical column indices whose joint response realizes (w1, w2)."""
-    col_labels, col_outcomes, w1_configs, w2_configs = _column_order(dag, district)
-    w1_index = {cfg.values(): i for i, cfg in enumerate(w1_configs)}
-    w2_index = {cfg.values(): i for i, cfg in enumerate(w2_configs)}
-    try:
-        target_row = w1_index[tuple(w1[m] for m in district.members)]
-        block = w2_index[tuple(w2[p] for p in external_parents(dag, district))]
-    except KeyError as exc:
-        raise ValueError(f"configuration misses variable {exc.args[0]!r}") from exc
-    return {c for c, outcomes in enumerate(col_outcomes) if outcomes[block] == target_row}
-
-
 def build_functional_system(dag: HiddenDag, district: District,
                             column_limit: int | None = 10_000_000) -> FunctionalSystem:
     """Construct the labeled system p = B r for a c-degree-1 district."""
@@ -281,21 +277,12 @@ def build_functional_system(dag: HiddenDag, district: District,
             raise ColumnLimitError(estimate, column_limit)
 
     col_labels, col_outcomes, w1_configs, w2_configs = _column_order(dag, district)
-    n1 = len(w1_configs)
-    row_labels = tuple(
-        (w1c, w2c) for w2c in w2_configs for w1c in w1_configs
-    )
-    row_blocks = tuple(
-        tuple(range(b * n1, (b + 1) * n1)) for b in range(len(w2_configs))
-    )
     return FunctionalSystem(
         district=district,
-        w1_order=district.members,
         w2_order=external_parents(dag, district),
-        row_labels=row_labels,
+        row_labels=tuple((w1c, w2c) for w2c in w2_configs for w1c in w1_configs),
         col_labels=tuple(col_labels),
         col_outcomes=tuple(col_outcomes),
-        row_blocks=row_blocks,
     )
 
 

@@ -6,8 +6,9 @@ description with the full-scan adjacency test, a path-enumeration
 d-separation checker, a CI enumeration that tries every subset of the other
 observed variables, a structural-model sampler that marginalizes finite
 latent variables directly, the vertices of a product of simplices, dense
-views of a district system (B r, coefficient rows, response encoding), and
-an evaluation that scans the whole table for every probability it needs.
+views of a district system (B r, coefficient rows, response encoding, the
+columns that realize a row), and an evaluation that scans the whole table
+for every probability it needs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from obscon.constraints import (
 )
 from obscon.graph import HiddenDag, Variable, parse_graph
 from obscon.independence import d_separated, make_statement
-from obscon.response import star_factors
+from obscon.response import build_functional_system, star_factors
 from obscon.tables import JointTable
 
 
@@ -550,6 +551,13 @@ def encode_response(spec, outputs) -> int:
             raise ValueError(f"output {value} out of range for {spec.variable}")
         level = level * spec.cardinality + value
     return level
+
+
+def compatible_responses(dag, district, w1, w2) -> set[int]:
+    """Column indices of the district's system whose joint response gives (w1, w2)."""
+    system = build_functional_system(dag, district)
+    block, outcome = divmod(system.row_labels.index((w1, w2)), system.block_sizes[0])
+    return {c for c, outcomes in enumerate(system.col_outcomes) if outcomes[block] == outcome}
 
 
 def multiply(system, r) -> list[Fraction]:

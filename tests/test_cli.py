@@ -68,8 +68,9 @@ def test_superscript_cardinality_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["derive", "check"])
-@pytest.mark.parametrize("jobs", ["0", "-1", "-3", "two"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "-3", "two", "1", "2"])
 def test_jobs_below_one_exits_2(examples, capsys, command, jobs):
+    # derivation is serial: --jobs is not an option, so every value is refused
     args = [command, path_of(examples, "iv.graph")]
     if command == "check":
         args.append(path_of(examples, "iv_model.csv"))
@@ -186,6 +187,52 @@ def test_derive_json_byte_identical(examples, tmp_path):
     assert main(["derive", path_of(examples, "iv.graph"), "-o", str(a)]) == 0
     assert main(["derive", path_of(examples, "iv.graph"), "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name, merge", [("iv", []), ("mixed_cdegree", ["--merge"])])
+@pytest.mark.parametrize("texts", [False, True])
+def test_derive_json_streams_the_dumps_bytes(examples, tmp_path, name, merge, texts):
+    from obscon import DeriveOptions, derive_all, load_graph
+    from obscon.constraints import result_to_json
+
+    graph = path_of(examples, f"{name}.graph")
+    out = tmp_path / "out.json"
+    flags = merge + (["--texts"] if texts else [])
+    assert main(["derive", graph, *flags, "-o", str(out)]) == 0
+    dag = load_graph(graph)
+    result = derive_all(dag, DeriveOptions(merge=bool(merge)))
+    expected = json.dumps(result_to_json(result, dag, texts), indent=2) + "\n"
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.fixture()
+def unreadable(tmp_path):
+    """A directory, and a file that is not UTF-8."""
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"var X 2\n\xff\n")
+    return {"directory": str(tmp_path), "binary": str(binary)}
+
+
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+@pytest.mark.parametrize("command", ["info", "derive", "check"])
+def test_unreadable_graph_exits_2(examples, capsys, unreadable, command, kind):
+    args = [command, unreadable[kind]]
+    if command == "check":
+        args.append(path_of(examples, "iv_model.csv"))
+    code = main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "internal error" not in err[0]
+
+
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_unreadable_table_exits_5(examples, capsys, unreadable, kind):
+    code = main(["check", path_of(examples, "iv.graph"), unreadable[kind]])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 5
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "internal error" not in err[0]
 
 
 def test_check_model_table_exits_0(examples, capsys):

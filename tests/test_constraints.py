@@ -1,5 +1,4 @@
 import json
-import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -174,41 +173,6 @@ def test_derive_keeps_singletons_with_parents(graphs):
     by_members = {r.members: r for r in result.districts}
     assert not by_members[("M",)].skipped
     assert all(not c.flagged for c in by_members[("M",)].constraints)
-
-
-def test_derive_jobs_parallel_matches_serial(graphs):
-    serial = derive_all(graphs["iv_sequential"])
-    parallel = derive_all(graphs["iv_sequential"], DeriveOptions(jobs=2))
-    assert serial.districts == parallel.districts
-    assert serial.ci_statements == parallel.ci_statements
-
-
-@pytest.mark.parametrize("jobs, cpus, pools", [(64, 8, [2]), (2, 1, [])])
-def test_derive_jobs_pool_capped(graphs, monkeypatch, jobs, cpus, pools):
-    # iv_sequential has two nontrivial districts; a serial stand-in for the
-    # pool records its size, so no worker process starts
-    import concurrent.futures
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    result = derive_all(graphs["iv_sequential"], DeriveOptions(jobs=jobs))
-    assert sizes == pools
-    assert result.districts == derive_all(graphs["iv_sequential"]).districts
 
 
 def test_render_star_iv(graphs):

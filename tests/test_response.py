@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from obscon import (
     build_functional_system,
-    compatible_responses,
     eval_response,
     parse_graph,
     response_levels,
@@ -15,7 +14,12 @@ from obscon import (
 from obscon.response import Configuration, enumerate_configs
 from obscon.tables import JointTable
 
-from oracles import encode_response, multiply, positive_simplex_point
+from oracles import (
+    compatible_responses,
+    encode_response,
+    multiply,
+    positive_simplex_point,
+)
 
 # the published 8x16 system for the binary instrumental-variable district
 IV_B_MATRIX = [
@@ -285,9 +289,8 @@ def test_push_through_matches_star(graphs):
             weight = Fraction(1)
             values = config.as_dict()
             for fs in systems:
-                w1 = Configuration.make(
-                    fs.w1_order, tuple(values[m] for m in fs.w1_order)
-                )
+                members = fs.district.members
+                w1 = Configuration.make(members, tuple(values[m] for m in members))
                 w2 = Configuration.make(
                     fs.w2_order, tuple(values[p] for p in fs.w2_order)
                 )
