@@ -28,7 +28,7 @@ from .constraints import (
 from .fixtures import write_examples
 from .graph import GraphParseError, load_graph, validate_conditions
 from .independence import enumerate_ci
-from .response import ColumnLimitError
+from .response import DEFAULT_COLUMN_LIMIT, ColumnLimitError
 from .tables import TableError, load_table, parse_fraction
 from .transform import (
     RewriteError,
@@ -79,6 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the bundled example graphs and distributions to DIR and exit",
     )
     sub = parser.add_subparsers(dest="command")
+    derive_flags = argparse.ArgumentParser(add_help=False)
+    derive_flags.add_argument(
+        "--merge", action="store_true",
+        help="merge multi-latent districts first (valid but possibly incomplete)")
+    derive_flags.add_argument("--max-ci-size", type=_nonnegative_int, default=None)
+    derive_flags.add_argument("--column-limit", type=_positive_int,
+                              default=DEFAULT_COLUMN_LIMIT)
 
     p_info = sub.add_parser("info", help="print variables, conditions, districts and CIs")
     p_info.add_argument("graph")
@@ -95,27 +102,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rewrite.add_argument("--c-set", nargs="+", default=[], metavar="C")
     p_rewrite.add_argument("--d-set", nargs="+", default=[], metavar="D")
 
-    p_derive = sub.add_parser("derive", help="derive the constraint set")
+    p_derive = sub.add_parser("derive", parents=[derive_flags],
+                              help="derive the constraint set")
     p_derive.add_argument("graph")
     p_derive.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     p_derive.add_argument("--format", choices=("json", "cdd"), default="json",
                           help="JSON derivation record, or the conventional "
                                "polyhedral text format for cross-checking")
-    p_derive.add_argument("--merge", action="store_true",
-                          help="merge multi-latent districts first (valid but possibly incomplete)")
-    p_derive.add_argument("--max-ci-size", type=_nonnegative_int, default=None)
-    p_derive.add_argument("--column-limit", type=_positive_int, default=10_000_000)
     p_derive.add_argument("--timings", action="store_true")
     p_derive.add_argument("--texts", action="store_true",
                           help="also write each constraint as text over star "
                                "and observable terms (JSON format)")
 
-    p_check = sub.add_parser("check", help="evaluate a distribution against the constraints")
+    p_check = sub.add_parser("check", parents=[derive_flags],
+                             help="evaluate a distribution against the constraints")
     p_check.add_argument("graph")
     p_check.add_argument("table")
-    p_check.add_argument("--merge", action="store_true")
-    p_check.add_argument("--max-ci-size", type=_nonnegative_int, default=None)
-    p_check.add_argument("--column-limit", type=_positive_int, default=10_000_000)
     p_check.add_argument("--tolerance", default=None,
                          help="nonnegative slack for (in)equality checks, "
                               "e.g. 1/1000000 or 1e-9")
@@ -144,16 +146,20 @@ def _dump_json(doc, fh: TextIO) -> None:
     fh.write("\n")
 
 
-def _load(path: str):
+def _read(path: str, load, code: int, *args):
+    """``load(path, *args)``; an unreadable or malformed file exits ``code``."""
     try:
-        return load_graph(path)
-    except (OSError, UnicodeDecodeError, GraphParseError) as exc:
+        return load(path, *args)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+    except (GraphParseError, TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+    raise SystemExit(code)
 
 
 def cmd_info(args) -> int:
-    dag = _load(args.graph)
+    dag = _read(args.graph, load_graph, EXIT_PARSE)
     obs = " ".join(f"{v.name}({v.cardinality})" for v in dag.variables if v.observed)
     lat = " ".join(dag.latent_names()) or "none"
     print(f"variables: {obs}")
@@ -180,7 +186,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    dag = _load(args.graph)
+    dag = _read(args.graph, load_graph, EXIT_PARSE)
     try:
         if args.normalize:
             out, log = normalize(dag)
@@ -209,7 +215,7 @@ def cmd_rewrite(args) -> int:
 
 
 def _derive(args):
-    dag = _load(args.graph)
+    dag = _read(args.graph, load_graph, EXIT_PARSE)
     options = DeriveOptions(
         merge=args.merge,
         max_ci_size=args.max_ci_size,
@@ -234,7 +240,7 @@ def _write_derivation(fh: TextIO, args, dag, result) -> None:
         return
     chunks = []
     for record in result.districts:
-        if record.hrep is None:
+        if record.skipped:
             continue
         chunks.append("* district {%s}" % ",".join(record.members))
         chunks.append(record.hrep.to_cdd().rstrip("\n"))
@@ -272,11 +278,7 @@ def _tolerance(text: str | None) -> Fraction | None:
 def cmd_check(args) -> int:
     tolerance = _tolerance(args.tolerance)
     dag, result = _derive(args)
-    try:
-        table = load_table(args.table, dag)
-    except (OSError, UnicodeDecodeError, TableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TABLE
+    table = _read(args.table, load_table, EXIT_TABLE, dag)
     report = evaluate(result, dag, table, tolerance)
     for line in report.lines():
         print(line)

@@ -21,12 +21,12 @@ from math import lcm
 from typing import Sequence
 
 from ._version import __version__ as _version
-from .graph import HiddenDag, parse_graph, validate_conditions
+from .graph import HiddenDag, validate_conditions
+from .graph import parse_graph  # noqa: F401  (bound here so a tracer can wrap it)
 from .independence import CIStatement, enumerate_ci
 from .polyhedra import HRep, VRep, v_to_h
 from .response import (
-    ColumnLimitError,
-    Configuration,
+    DEFAULT_COLUMN_LIMIT,
     FunctionalSystem,
     build_functional_system,
     star_factors,
@@ -55,7 +55,6 @@ class Constraint:
     coefficients; ``relation`` is "<=" or "=".
     """
 
-    district_index: int
     terms: tuple[tuple[int, int], ...]
     relation: str
     rhs: int
@@ -65,13 +64,29 @@ class Constraint:
 
 @dataclass(frozen=True)
 class DistrictResult:
+    """One district's derivation; a skipped district has no system."""
+
     members: tuple[str, ...]
     c_degree: int
-    merged: bool
-    skipped: bool
     system: FunctionalSystem | None
-    hrep: HRep | None
     constraints: tuple[Constraint, ...]
+
+    @property
+    def skipped(self) -> bool:
+        return self.system is None
+
+    @property
+    def hrep(self) -> HRep | None:
+        """The canonical dense H-representation, rebuilt from ``constraints``."""
+        if self.system is None:
+            return None
+        rows = {"<=": [], "=": []}
+        for c in self.constraints:
+            coeffs = [0] * self.system.n_rows
+            for row, coeff in c.terms:
+                coeffs[row] = coeff
+            rows[c.relation].append((tuple(coeffs), c.rhs))
+        return HRep(tuple(rows["<="]), tuple(rows["="]))
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -91,13 +106,20 @@ class DistrictResult:
 
 @dataclass(frozen=True)
 class DerivationResult:
+    """A graph's derivation; ``derived_graph`` is the graph it ran on (the
+    input, or its merged rewrite)."""
+
     fingerprint: str
     graph_text: str
-    derived_graph_text: str
+    derived_graph: HiddenDag
     merged: bool
     ci_statements: tuple[CIStatement, ...]
     districts: tuple[DistrictResult, ...]
     meta: dict = field(default_factory=dict)
+
+    @property
+    def derived_graph_text(self) -> str:
+        return self.derived_graph.to_text()
 
     @property
     def constraints_total(self) -> int:
@@ -132,7 +154,7 @@ class DerivationResult:
 class DeriveOptions:
     merge: bool = False
     max_ci_size: int | None = None
-    column_limit: int | None = 10_000_000
+    column_limit: int | None = DEFAULT_COLUMN_LIMIT
     timings: bool = False
 
 
@@ -194,34 +216,23 @@ def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
     return ineq_flags, eq_flags
 
 
-def _district_is_trivial(dag: HiddenDag, district) -> bool:
-    # a lone variable without observed parents can only produce simplex facets
-    return (
-        len(district.members) == 1
-        and not dag.observed_parents(district.members)
-    )
+def _derive_district(dag: HiddenDag, district, column_limit) -> DistrictResult:
+    """Build a district's system, convert its columns to facets, flag the rows.
 
-
-def _derive_district(dag: HiddenDag, district, column_limit, index,
-                     merged) -> DistrictResult:
-    """Build a district's system, convert its columns to facets, flag the rows."""
-    system = build_functional_system(dag, district, column_limit)
-    hrep = v_to_h(VRep(tuple(system.columns_as_points())))
-    ineq_flags, eq_flags = flag_nontrivial(hrep, system.block_sizes)
-    constraints = []
-    for relation, rows, flags in (("<=", hrep.ineq, ineq_flags), ("=", hrep.eq, eq_flags)):
-        for (coeffs, rhs), (flagged, witness) in zip(rows, flags):
-            terms = tuple((row, coeff) for row, coeff in enumerate(coeffs) if coeff != 0)
-            constraints.append(Constraint(index, terms, relation, rhs, flagged, witness))
-    return DistrictResult(
-        members=district.members,
-        c_degree=district.c_degree,
-        merged=merged,
-        skipped=False,
-        system=system,
-        hrep=hrep,
-        constraints=tuple(constraints),
-    )
+    A lone variable without observed parents can only produce simplex facets,
+    so it is skipped: no system and no constraints.
+    """
+    system, constraints = None, []
+    if len(district.members) > 1 or dag.observed_parents(district.members):
+        system = build_functional_system(dag, district, column_limit)
+        hrep = v_to_h(VRep(tuple(system.columns_as_points())))
+        ineq_flags, eq_flags = flag_nontrivial(hrep, system.block_sizes)
+        for relation, rows, flags in (("<=", hrep.ineq, ineq_flags),
+                                      ("=", hrep.eq, eq_flags)):
+            for (coeffs, rhs), (flagged, witness) in zip(rows, flags):
+                terms = tuple((row, c) for row, c in enumerate(coeffs) if c != 0)
+                constraints.append(Constraint(terms, relation, rhs, flagged, witness))
+    return DistrictResult(district.members, district.c_degree, system, tuple(constraints))
 
 
 def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> DerivationResult:
@@ -248,22 +259,10 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
         merged = True
 
     ci = tuple(enumerate_ci(working, options.max_ci_size))
-    records = []
-    for index, district in enumerate(working.districts()):
-        if _district_is_trivial(working, district):
-            records.append(DistrictResult(
-                members=district.members,
-                c_degree=district.c_degree,
-                merged=merged,
-                skipped=True,
-                system=None,
-                hrep=None,
-                constraints=(),
-            ))
-        else:
-            records.append(_derive_district(
-                working, district, options.column_limit, index, merged
-            ))
+    records = tuple(
+        _derive_district(working, district, options.column_limit)
+        for district in working.districts()
+    )
 
     meta = {
         "tool": "obscon",
@@ -282,10 +281,10 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
     return DerivationResult(
         fingerprint=hashlib.sha256(dag.to_text().encode()).hexdigest(),
         graph_text=dag.to_text(),
-        derived_graph_text=working.to_text(),
+        derived_graph=working,
         merged=merged,
         ci_statements=ci,
-        districts=tuple(records),
+        districts=records,
         meta=meta,
     )
 
@@ -305,7 +304,7 @@ def _row_labels(system: FunctionalSystem, dag: HiddenDag | None, mode: str,
     for row in rows:
         w1, w2 = system.row_labels[row]
         if mode == "star":
-            given = f"|{w2.render()}" if system.w2_order else ""
+            given = f"|{w2.render()}" if w2.items else ""
             labels[row] = f"P*({w1.render()}{given})"
             continue
         values = dict(w1.items)
@@ -346,13 +345,6 @@ def render(constraint: Constraint, system: FunctionalSystem,
 
 
 # -- evaluation ------------------------------------------------------------
-
-
-def _working_graph(result: DerivationResult, dag: HiddenDag) -> HiddenDag:
-    """The graph the derivation ran on: ``dag`` or its merged rewrite."""
-    if result.derived_graph_text == dag.to_text():
-        return dag
-    return parse_graph(result.derived_graph_text)
 
 
 _ZERO = Fraction(0)
@@ -440,14 +432,12 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
     if tolerance is None:
         tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
-    working = _working_graph(result, dag)
-
     statuses = []
-    for record in result.districts:
-        if record.skipped or record.system is None:
+    for index, record in enumerate(result.districts):
+        if record.system is None:
             continue
         stars = star_vector(
-            table, working, record.system.district, record.system.row_labels
+            table, result.derived_graph, record.system.district, record.system.row_labels
         )
         scale = lcm(*(s.denominator for s in stars if s is not None))
         scaled = [
@@ -458,9 +448,7 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
         for constraint, text in zip(record.constraints, record.star_texts):
             terms = constraint.terms
             if missing and any(row in missing for row, _ in terms):
-                statuses.append(ConstraintStatus(
-                    constraint.district_index, constraint, text, "not_evaluable", None
-                ))
+                statuses.append(ConstraintStatus(index, constraint, text, "not_evaluable", None))
                 continue
             # the row's value minus its rhs, times scale
             gap = sum(coeff * scaled[row] for row, coeff in terms) - constraint.rhs * scale
@@ -468,9 +456,7 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
                 gap = abs(gap)
             status = "violated" if gap * tol_den > tol_num * scale else "satisfied"
             margin = Fraction(gap, scale) if gap > 0 else _ZERO  # most rows are slack
-            statuses.append(ConstraintStatus(
-                constraint.district_index, constraint, text, status, margin
-            ))
+            statuses.append(ConstraintStatus(index, constraint, text, status, margin))
 
     ci_statuses = []
     for stmt in result.ci_statements:
@@ -518,21 +504,20 @@ def result_to_json(result: DerivationResult, dag: HiddenDag, texts: bool = False
     ``render`` writes them. A skipped district has a null ``system`` and no
     constraints. ``derive --format cdd`` gives the dense H-representation.
     """
-    working = _working_graph(result, dag) if texts else None
     report = validate_conditions(dag)
     districts_json = []
     for record in result.districts:
         entry = {
             "members": list(record.members),
             "c_degree": record.c_degree,
-            "merged": record.merged,
+            "merged": result.merged,
             "skipped": record.skipped,
             "system": None if record.system is None else record.system.to_json(),
             "block_sizes": list(record.block_sizes),
             "constraints": [constraint_to_json(c) for c in record.constraints],
         }
         if texts and record.system is not None:
-            observable = record.texts(working, "observable")
+            observable = record.texts(result.derived_graph, "observable")
             for doc, star, obs in zip(entry["constraints"], record.star_texts, observable):
                 doc.update(text_star=star, text_observable=obs)
         districts_json.append(entry)

@@ -27,6 +27,8 @@ from typing import Mapping, Sequence
 from .graph import District, HiddenDag, validate_conditions
 from .tables import JointTable
 
+DEFAULT_COLUMN_LIMIT = 10_000_000
+
 
 class ColumnLimitError(RuntimeError):
     """The joint response space is larger than the configured column limit."""
@@ -146,7 +148,6 @@ class FunctionalSystem:
     """
 
     district: District
-    w2_order: tuple[str, ...]
     row_labels: tuple[tuple[Configuration, Configuration], ...]
     col_labels: tuple[tuple[int, ...], ...]  # one response level per member
     col_outcomes: tuple[tuple[int, ...], ...]  # one w1-row index per w2 block
@@ -158,6 +159,11 @@ class FunctionalSystem:
     @property
     def n_cols(self) -> int:
         return len(self.col_labels)
+
+    @property
+    def w2_order(self) -> tuple[str, ...]:
+        """The district's external parents, as each row's w2 lists them."""
+        return tuple(name for name, _ in self.row_labels[0][1].items)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -259,7 +265,7 @@ def _column_order(dag: HiddenDag, district: District):
 
 
 def build_functional_system(dag: HiddenDag, district: District,
-                            column_limit: int | None = 10_000_000) -> FunctionalSystem:
+                            column_limit: int | None = DEFAULT_COLUMN_LIMIT) -> FunctionalSystem:
     """Construct the labeled system p = B r for a c-degree-1 district."""
     report = validate_conditions(dag)
     if not report.ok:
@@ -279,7 +285,6 @@ def build_functional_system(dag: HiddenDag, district: District,
     col_labels, col_outcomes, w1_configs, w2_configs = _column_order(dag, district)
     return FunctionalSystem(
         district=district,
-        w2_order=external_parents(dag, district),
         row_labels=tuple((w1c, w2c) for w2c in w2_configs for w1c in w1_configs),
         col_labels=tuple(col_labels),
         col_outcomes=tuple(col_outcomes),

@@ -157,15 +157,6 @@ class JointTable:
         joint.update(target)
         return self.prob(joint) / denom
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(list(self.variables) + ["prob"])
-        for config in sorted(self.probs):
-            p = self.probs[config]
-            writer.writerow(list(config) + [f"{p.numerator}/{p.denominator}"])
-        return out.getvalue()
-
 
 def _parse_prob(text: str) -> tuple[Fraction, bool]:
     text = text.strip()

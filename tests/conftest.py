@@ -118,7 +118,7 @@ def pytest_addoption(parser):
         "--run-long",
         action="store_true",
         default=False,
-        help="run the long (multi-hour) acceptance tests",
+        help="run the long acceptance tests (the Bell derivation, about 90 s)",
     )
 
 
@@ -127,10 +127,9 @@ def pytest_configure(config):
 
 
 def pytest_collection_modifyitems(config, items):
-    run_long = config.getoption("--run-long") or os.environ.get("OBSCON_RUN_LONG") == "1"
-    if run_long:
+    if config.getoption("--run-long"):
         return
-    skip = pytest.mark.skip(reason="long test; pass --run-long or OBSCON_RUN_LONG=1")
+    skip = pytest.mark.skip(reason="long test; pass --run-long")
     for item in items:
         if "long" in item.keywords:
             item.add_marker(skip)

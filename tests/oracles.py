@@ -613,7 +613,7 @@ def evaluate_by_scan(result: DerivationResult, dag: HiddenDag, table: JointTable
         tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
     working = parse_graph(result.derived_graph_text)
     statuses = []
-    for record in result.districts:
+    for index, record in enumerate(result.districts):
         if record.system is None:
             continue
         stars = [
@@ -623,8 +623,7 @@ def evaluate_by_scan(result: DerivationResult, dag: HiddenDag, table: JointTable
         for c in record.constraints:
             text = render(c, record.system, working, "star")
             if any(stars[row] is None for row, _ in c.terms):
-                statuses.append(ConstraintStatus(
-                    c.district_index, c, text, "not_evaluable", None))
+                statuses.append(ConstraintStatus(index, c, text, "not_evaluable", None))
                 continue
             value = sum((coeff * stars[row] for row, coeff in c.terms), Fraction(0))
             if c.relation == "<=":
@@ -633,7 +632,7 @@ def evaluate_by_scan(result: DerivationResult, dag: HiddenDag, table: JointTable
             else:
                 margin = abs(value - c.rhs)
                 status = "violated" if margin > tolerance else "satisfied"
-            statuses.append(ConstraintStatus(c.district_index, c, text, status, margin))
+            statuses.append(ConstraintStatus(index, c, text, status, margin))
     ci_statuses = []
     for stmt in result.ci_statements:
         names = stmt.lhs + stmt.rhs + stmt.given

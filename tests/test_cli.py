@@ -222,7 +222,7 @@ def test_unreadable_graph_exits_2(examples, capsys, unreadable, command, kind):
     code = main(args)
     err = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {unreadable[kind]}: ")
     assert "internal error" not in err[0]
 
 
@@ -231,7 +231,7 @@ def test_unreadable_table_exits_5(examples, capsys, unreadable, kind):
     code = main(["check", path_of(examples, "iv.graph"), unreadable[kind]])
     err = capsys.readouterr().err.splitlines()
     assert code == 5
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {unreadable[kind]}: ")
     assert "internal error" not in err[0]
 
 

@@ -5,16 +5,19 @@ from itertools import product
 
 import pytest
 
+import obscon.constraints
 from obscon import (
     ConditionsError,
     DeriveOptions,
     HRep,
     JointTable,
+    VRep,
     derive_all,
     evaluate,
     flag_nontrivial,
     parse_graph,
     render,
+    v_to_h,
 )
 from obscon.constraints import report_to_json, result_to_json
 from obscon.response import Configuration, star_probability
@@ -424,10 +427,13 @@ def test_schema2_json_loses_nothing(name):
     assert len(payload["districts"]) == len(result.districts)
     for record, entry in zip(result.districts, payload["districts"]):
         assert "hrep" not in entry
-        if record.skipped:
+        if record.system is None:
+            assert record.skipped and record.hrep is None
             assert entry["system"] is None and entry["constraints"] == []
             continue
         fs = record.system
+        assert not record.skipped
+        assert record.hrep == v_to_h(VRep(tuple(fs.columns_as_points())))
         assert "matrix" not in entry["system"]
         assert entry["system"]["row_labels"] == [
             {"w1": w1.as_dict(), "w2": w2.as_dict()} for w1, w2 in fs.row_labels
@@ -439,6 +445,28 @@ def test_schema2_json_loses_nothing(name):
         assert matrix == fs.matrix
         flags = [(c.flagged, c.witness) for c in record.constraints]
         assert [(c["flagged"], c["witness"]) for c in entry["constraints"]] == flags
+
+
+def test_evaluate_reuses_the_derived_graph(graphs, monkeypatch):
+    # the merged working graph is kept on the result, never parsed back from
+    # text by evaluate or by result_to_json
+    dag = graphs["mixed_cdegree"]
+    result = derive_all(dag, DeriveOptions(merge=True))
+    assert result.derived_graph != dag
+    assert result.derived_graph_text == result.derived_graph.to_text()
+
+    def refuse(text):
+        raise AssertionError("evaluate parsed a graph")
+
+    monkeypatch.setattr(obscon.constraints, "parse_graph", refuse)
+    rng = random.Random(5)
+    table = JointTable.from_dict(dag, structural_model_table(dag, rng))
+    report = evaluate(result, dag, table)
+    assert not report.falsified
+    assert {s.district_index for s in report.constraint_statuses} == {
+        index for index, record in enumerate(result.districts) if record.constraints
+    }
+    assert result_to_json(result, dag, texts=True)["derived_graph"] == result.derived_graph_text
 
 
 def test_report_json(graphs):
