@@ -273,7 +273,11 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
             "column_limit": options.column_limit,
         },
         "ci_policy": "minimal-Z, merged, greedy-cover",
-        "complete": not merged,
+        # a cap below the largest possible separator may drop CI statements
+        "complete": not merged and (
+            options.max_ci_size is None
+            or options.max_ci_size >= len(working.observed_names()) - 2
+        ),
         "caveat": FLAG_CAVEAT,
     }
     if options.timings:

@@ -20,8 +20,10 @@ for the binary instrumental-variable system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .graph import District, HiddenDag, validate_conditions
@@ -69,18 +71,10 @@ class Configuration:
 
 def enumerate_configs(names: Sequence[str], cards: Sequence[int]) -> list[Configuration]:
     """All configurations, first variable fastest. One empty config for no names."""
-    total = 1
-    for c in cards:
-        total *= c
-    out = []
-    for index in range(total):
-        values = []
-        rem = index
-        for card in cards:
-            values.append(rem % card)
-            rem //= card
-        out.append(Configuration.make(names, values))
-    return out
+    return [
+        Configuration.make(names, values[::-1])
+        for values in product(*[range(c) for c in reversed(cards)])
+    ]
 
 
 @dataclass(frozen=True)
@@ -94,10 +88,7 @@ class ResponseSpec:
 
     @property
     def parent_domain_size(self) -> int:
-        size = 1
-        for c in self.parent_cards:
-            size *= c
-        return size
+        return math.prod(self.parent_cards)
 
     @property
     def level_count(self) -> int:
@@ -210,60 +201,6 @@ def external_parents(dag: HiddenDag, district: District) -> tuple[str, ...]:
     return dag.sort_observed(dag.observed_parents(members) - members)
 
 
-def _member_specs(dag: HiddenDag, district: District) -> dict[str, ResponseSpec]:
-    return {w: response_levels(dag, w) for w in district.members}
-
-
-def _outcome_index(steps, members, levels, w2_config, w1_configs_index):
-    """w1-row realized by the joint response ``levels`` under ``w2_config``.
-
-    ``steps`` lists (member, position in ``members``, spec) in topological
-    order, so each member's parents are set before it is evaluated.
-    """
-    values: dict[str, int] = dict(w2_config.items)
-    for member, position, spec in steps:
-        values[member] = eval_response(spec, levels[position], values)
-    key = tuple(values[m] for m in members)
-    return w1_configs_index[key]
-
-
-def _column_order(dag: HiddenDag, district: District):
-    """Canonical column labels plus each column's outcome per w2 block."""
-    specs = _member_specs(dag, district)
-    members = district.members
-    position = {m: i for i, m in enumerate(members)}
-    steps = [(m, position[m], specs[m]) for m in dag.topological_order() if m in position]
-    w2 = external_parents(dag, district)
-    w1_configs = enumerate_configs(members, [dag.cardinality(m) for m in members])
-    w2_configs = enumerate_configs(w2, [dag.cardinality(p) for p in w2])
-    w1_index = {cfg.values(): i for i, cfg in enumerate(w1_configs)}
-
-    level_counts = [specs[m].level_count for m in members]
-    n_cols = 1
-    for c in level_counts:
-        n_cols *= c
-    raw = []
-    for rank in range(n_cols):
-        rem = rank
-        levels = []
-        for count in level_counts:  # first member fastest
-            levels.append(rem % count)
-            rem //= count
-        levels = tuple(levels)
-        outcomes = tuple(
-            _outcome_index(steps, members, levels, w2c, w1_index)
-            for w2c in w2_configs
-        )
-        raw.append((outcomes[0], rank, levels, outcomes))
-    raw.sort(key=lambda item: (item[0], item[1]))
-    return (
-        [levels for _, _, levels, _ in raw],
-        [outcomes for _, _, _, outcomes in raw],
-        w1_configs,
-        w2_configs,
-    )
-
-
 def build_functional_system(dag: HiddenDag, district: District,
                             column_limit: int | None = DEFAULT_COLUMN_LIMIT) -> FunctionalSystem:
     """Construct the labeled system p = B r for a c-degree-1 district."""
@@ -275,19 +212,39 @@ def build_functional_system(dag: HiddenDag, district: District,
             f"district {{{', '.join(district.members)}}} has c-degree "
             f"{district.c_degree}; merge its latents first"
         )
-    specs = _member_specs(dag, district)
-    estimate = 1
-    for m in district.members:
-        estimate *= specs[m].level_count
-        if column_limit is not None and estimate > column_limit:
-            raise ColumnLimitError(estimate, column_limit)
+    members = district.members
+    specs = [response_levels(dag, m) for m in members]
+    n_cols = math.prod(spec.level_count for spec in specs)
+    if column_limit is not None and n_cols > column_limit:
+        raise ColumnLimitError(n_cols, column_limit)
 
-    col_labels, col_outcomes, w1_configs, w2_configs = _column_order(dag, district)
+    # members in topological order, so each one's parents are set before it
+    position = {m: i for i, m in enumerate(members)}
+    steps = [(m, position[m], specs[position[m]])
+             for m in dag.topological_order() if m in position]
+    w2 = external_parents(dag, district)
+    w1_configs = enumerate_configs(members, [dag.cardinality(m) for m in members])
+    w2_configs = enumerate_configs(w2, [dag.cardinality(p) for p in w2])
+    w1_index = {cfg.values(): i for i, cfg in enumerate(w1_configs)}
+
+    columns = []
+    # joint response levels with the first member fastest
+    for reversed_levels in product(*[range(spec.level_count) for spec in reversed(specs)]):
+        levels = reversed_levels[::-1]
+        outcomes = []
+        for w2c in w2_configs:
+            values = dict(w2c.items)
+            for member, i, spec in steps:
+                values[member] = eval_response(spec, levels[i], values)
+            outcomes.append(w1_index[tuple(values[m] for m in members)])
+        columns.append((levels, tuple(outcomes)))
+    # group by the first w2 block's row; the stable sort keeps level order within
+    columns.sort(key=lambda column: column[1][0])
     return FunctionalSystem(
         district=district,
         row_labels=tuple((w1c, w2c) for w2c in w2_configs for w1c in w1_configs),
-        col_labels=tuple(col_labels),
-        col_outcomes=tuple(col_outcomes),
+        col_labels=tuple(levels for levels, _ in columns),
+        col_outcomes=tuple(outcomes for _, outcomes in columns),
     )
 
 

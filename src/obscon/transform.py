@@ -23,7 +23,6 @@ class RewriteError(ValueError):
 @dataclass(frozen=True)
 class RewriteStep:
     rule: str
-    affected: tuple[str, ...]
     description: str
     # primitive edits, each ("add_edge"|"remove_edge", parent, child) or
     # ("remove_var"|"add_latent", name); replaying them reproduces the rewrite
@@ -88,7 +87,6 @@ def exogenize(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
             edits.append(("remove_edge", v, u))
         step = RewriteStep(
             rule="exogenize",
-            affected=(u,) + tuple(parents),
             description=f"rerouted {', '.join(parents)} around latent {u}",
             edits=tuple(edits),
         )
@@ -116,7 +114,6 @@ def absorb_nested_latents(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
             if len(child_sets[u]) < 2:
                 step = RewriteStep(
                     rule="absorb",
-                    affected=(u,),
                     description=f"dropped latent {u} with fewer than 2 observed children",
                     edits=(("remove_var", u),),
                 )
@@ -132,7 +129,6 @@ def absorb_nested_latents(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
             if absorber is not None:
                 step = RewriteStep(
                     rule="absorb",
-                    affected=(u, absorber),
                     description=f"absorbed latent {u} into {absorber}",
                     edits=(("remove_var", u),),
                 )
@@ -180,7 +176,6 @@ def merge_district_latents(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
         edits += [("remove_var", u) for u in latents]
         step = RewriteStep(
             rule="merge",
-            affected=(fresh,) + latents,
             description=(
                 f"merged latents {', '.join(latents)} of district "
                 f"{{{', '.join(district.members)}}} into {fresh}"

@@ -163,11 +163,12 @@ def test_derive_merge_triangle(examples, tmp_path, capsys):
 
 
 def test_derive_cost_guard_exits_4(examples, capsys):
-    code = main([
-        "derive", path_of(examples, "iv.graph"), "--column-limit", "4"
-    ])
-    assert code == 4
-    assert "limit" in capsys.readouterr().err
+    for name, limit, columns in (("iv", "4", 16), ("bell_tripartite", "10", 64)):
+        code = main([
+            "derive", path_of(examples, f"{name}.graph"), "--column-limit", limit
+        ])
+        assert code == 4
+        assert f"needs {columns} response columns, over the limit" in capsys.readouterr().err
 
 
 def test_derive_cdd_format(examples, tmp_path):

@@ -163,6 +163,17 @@ def test_derive_merged_flagged_metadata(graphs):
     assert result.flagged_count == 0
 
 
+@pytest.mark.parametrize("cap, complete", [(0, False), (3, True), (None, True)])
+def test_derive_complete_under_ci_cap(graphs, cap, complete):
+    # iv_sequential has five observed variables, so a separator has at most
+    # three; a cap of 0 drops its one CI statement
+    dag = graphs["iv_sequential"]
+    result = derive_all(dag, DeriveOptions(max_ci_size=cap))
+    assert len(dag.observed_names()) == 5
+    assert len(result.ci_statements) == (0 if cap == 0 else 1)
+    assert result.meta["complete"] is complete
+
+
 def test_derive_skips_parentless_singletons(graphs):
     result = iv_result(graphs)
     by_members = {r.members: r for r in result.districts}

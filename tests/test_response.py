@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,8 +12,11 @@ from obscon import (
     response_levels,
     star_probability,
 )
+from obscon.fixtures import FIXTURE_GRAPHS
 from obscon.response import Configuration, enumerate_configs
 from obscon.tables import JointTable
+
+from conftest import BELL_I3322
 
 from oracles import (
     compatible_responses,
@@ -174,10 +178,32 @@ def test_build_functional_system_rejects_high_c_degree(graphs):
 def test_build_functional_system_cost_guard(graphs):
     from obscon import ColumnLimitError
 
-    dag, district = iv_district(graphs)
-    with pytest.raises(ColumnLimitError) as info:
-        build_functional_system(dag, district, column_limit=10)
-    assert info.value.estimate > 10
+    # the guard names the district's full column count, not a partial product
+    for name, members, columns in (("iv", ("X", "Y"), 16),
+                                   ("bell_tripartite", ("V1", "V2", "V3"), 64)):
+        dag = graphs[name]
+        district = next(d for d in dag.districts() if d.members == members)
+        with pytest.raises(ColumnLimitError) as info:
+            build_functional_system(dag, district, column_limit=10)
+        assert info.value.estimate == columns
+
+
+# pinned SHA-256 of repr((col_labels, col_outcomes)) of the district system
+@pytest.mark.parametrize("text, n_blocks, digest", [
+    pytest.param(FIXTURE_GRAPHS["bell_tripartite"], 8,
+                 "78894e8786f7917cd7d012e03d8dc562b9c07cde8188e68e5f6732494b2a4b8b",
+                 id="bell_tripartite"),
+    pytest.param(BELL_I3322, 9,
+                 "54403c58807ef756a8757032c8d5b12aae39c86f0bec9173c6cde6cb637aa97e",
+                 id="i3322"),
+])
+def test_build_functional_system_wide_column_order(text, n_blocks, digest):
+    dag = parse_graph(text)
+    (district,) = [d for d in dag.districts() if len(d.members) > 1]
+    fs = build_functional_system(dag, district)
+    assert fs.n_cols == 64 and len(fs.col_outcomes[0]) == n_blocks
+    blob = repr((fs.col_labels, fs.col_outcomes)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_column_count_formula(graphs):
