@@ -154,7 +154,7 @@ class DerivationResult:
 class DeriveOptions:
     merge: bool = False
     max_ci_size: int | None = None
-    column_limit: int | None = DEFAULT_COLUMN_LIMIT
+    column_limit: int = DEFAULT_COLUMN_LIMIT
     timings: bool = False
 
 

@@ -202,7 +202,7 @@ def external_parents(dag: HiddenDag, district: District) -> tuple[str, ...]:
 
 
 def build_functional_system(dag: HiddenDag, district: District,
-                            column_limit: int | None = DEFAULT_COLUMN_LIMIT) -> FunctionalSystem:
+                            column_limit: int = DEFAULT_COLUMN_LIMIT) -> FunctionalSystem:
     """Construct the labeled system p = B r for a c-degree-1 district."""
     report = validate_conditions(dag)
     if not report.ok:
@@ -215,7 +215,7 @@ def build_functional_system(dag: HiddenDag, district: District,
     members = district.members
     specs = [response_levels(dag, m) for m in members]
     n_cols = math.prod(spec.level_count for spec in specs)
-    if column_limit is not None and n_cols > column_limit:
+    if n_cols > column_limit:
         raise ColumnLimitError(n_cols, column_limit)
 
     # members in topological order, so each one's parents are set before it

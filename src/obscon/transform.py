@@ -11,9 +11,10 @@ graphs with identical constraint sets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .graph import HiddenDag, Variable, validate_conditions
+from .graph import GraphStructureError, HiddenDag, Variable, validate_conditions
 
 
 class RewriteError(ValueError):
@@ -59,6 +60,19 @@ def _apply_edits(dag: HiddenDag, edits) -> HiddenDag:
     return HiddenDag(variables, sorted(edges))
 
 
+def _record(dag: HiddenDag, steps: list, rule: str, description: str, edits) -> HiddenDag:
+    """Log one rewrite step in ``steps`` and return the graph its edits produce."""
+    steps.append(RewriteStep(rule, description, tuple(edits)))
+    return _apply_edits(dag, edits)
+
+
+def _require_conditions(dag: HiddenDag, rule: str) -> None:
+    if not validate_conditions(dag).ok:
+        raise RewriteError(
+            f"{rule} needs a graph satisfying the structural conditions; run normalize first"
+        )
+
+
 def replay(dag: HiddenDag, log: RewriteLog) -> HiddenDag:
     """Re-apply a rewrite log to its input graph."""
     for step in log.steps:
@@ -85,13 +99,8 @@ def exogenize(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
                 if (v, c) not in dag.edges and v != c:
                     edits.append(("add_edge", v, c))
             edits.append(("remove_edge", v, u))
-        step = RewriteStep(
-            rule="exogenize",
-            description=f"rerouted {', '.join(parents)} around latent {u}",
-            edits=tuple(edits),
-        )
-        dag = _apply_edits(dag, step.edits)
-        steps.append(step)
+        dag = _record(dag, steps, "exogenize",
+                      f"rerouted {', '.join(parents)} around latent {u}", edits)
     return dag, RewriteLog(tuple(steps))
 
 
@@ -105,21 +114,13 @@ def absorb_nested_latents(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
         if dag.parents(u):
             raise RewriteError(f"latent {u!r} has parents; exogenize first")
     steps = []
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        # one search per round: the first latent, in declaration order, to drop
         latents = dag.latent_names()
         child_sets = {u: frozenset(dag.observed_children(u)) for u in latents}
         for u in latents:
             if len(child_sets[u]) < 2:
-                step = RewriteStep(
-                    rule="absorb",
-                    description=f"dropped latent {u} with fewer than 2 observed children",
-                    edits=(("remove_var", u),),
-                )
-                dag = _apply_edits(dag, step.edits)
-                steps.append(step)
-                changed = True
+                description = f"dropped latent {u} with fewer than 2 observed children"
                 break
             absorber = next(
                 (w for w in latents if w != u and child_sets[u] <= child_sets[w]
@@ -127,25 +128,19 @@ def absorb_nested_latents(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
                 None,
             )
             if absorber is not None:
-                step = RewriteStep(
-                    rule="absorb",
-                    description=f"absorbed latent {u} into {absorber}",
-                    edits=(("remove_var", u),),
-                )
-                dag = _apply_edits(dag, step.edits)
-                steps.append(step)
-                changed = True
+                description = f"absorbed latent {u} into {absorber}"
                 break
-    return dag, RewriteLog(tuple(steps))
+        else:
+            return dag, RewriteLog(tuple(steps))
+        dag = _record(dag, steps, "absorb", description, [("remove_var", u)])
 
 
 def normalize(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
     """Exogenize, then absorb nested latents; the result passes both conditions."""
     dag, log1 = exogenize(dag)
     dag, log2 = absorb_nested_latents(dag)
-    result = dag
-    assert validate_conditions(result).ok
-    return result, log1 + log2
+    assert validate_conditions(dag).ok
+    return dag, log1 + log2
 
 
 def merge_district_latents(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
@@ -154,42 +149,26 @@ def merge_district_latents(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
     Constraints derived from the result hold for the input model but are not
     guaranteed to be complete. Fresh latents are named ``merge_<k>``.
     """
-    report = validate_conditions(dag)
-    if not report.ok:
-        raise RewriteError("graph must satisfy the structural conditions; run normalize first")
+    _require_conditions(dag, "merge_district_latents")
     steps = []
     counter = 0
     for district in dag.districts():
         latents = district.latents
         if len(district.members) < 2 or len(latents) < 2:
             continue
+        # checked against the current graph, which holds the earlier merges
         counter += 1
-        fresh = f"merge_{counter}"
-        while fresh in {v.name for v in dag.variables}:
+        while f"merge_{counter}" in {v.name for v in dag.variables}:
             counter += 1
-            fresh = f"merge_{counter}"
-        confounded = dag.sort_observed(
-            w for w in district.members if any(u in dag.parents(w) for u in latents)
-        )
+        fresh = f"merge_{counter}"
+        # every member of the district is an observed child of one of its latents
         edits = [("add_latent", fresh)]
-        edits += [("add_edge", fresh, w) for w in confounded]
+        edits += [("add_edge", fresh, w) for w in district.members]
         edits += [("remove_var", u) for u in latents]
-        step = RewriteStep(
-            rule="merge",
-            description=(
-                f"merged latents {', '.join(latents)} of district "
-                f"{{{', '.join(district.members)}}} into {fresh}"
-            ),
-            edits=tuple(edits),
-        )
-        dag = _apply_edits(dag, step.edits)
-        steps.append(step)
+        description = (f"merged latents {', '.join(latents)} of district "
+                       f"{{{', '.join(district.members)}}} into {fresh}")
+        dag = _record(dag, steps, "merge", description, edits)
     return dag, RewriteLog(tuple(steps))
-
-
-def _require_conditions(dag: HiddenDag, rule: str) -> None:
-    if not validate_conditions(dag).ok:
-        raise RewriteError(f"{rule} needs a graph satisfying the structural conditions")
 
 
 def replace_latent_with_edges(
@@ -222,7 +201,7 @@ def replace_latent_with_edges(
     pa_c = set()
     for c in c_set:
         pa_c.update(dag.parents(c))
-    for d in d_set:
+    for d in sorted(d_set, key=dag.index):
         missing = pa_c - set(dag.parents(d))
         if missing:
             raise RewriteError(
@@ -260,7 +239,7 @@ def hlp_add_edge(dag: HiddenDag, w1: str, w2: str) -> HiddenDag:
         return dag
     try:
         return _apply_edits(dag, [("add_edge", w1, w2)])
-    except Exception as exc:  # cycle detected by HiddenDag construction
+    except GraphStructureError as exc:  # cycle detected by HiddenDag construction
         raise RewriteError(f"adding {w1} -> {w2} creates a cycle") from exc
 
 
@@ -323,27 +302,17 @@ def strong_face_split(dag: HiddenDag, latents: list[str]) -> HiddenDag:
                 "but not the whole split set"
             )
 
-    names = {v.name for v in dag.variables}
-    counter = 0
-
-    def fresh_name():
-        nonlocal counter
-        counter += 1
-        while f"split_{counter}" in names:
-            counter += 1
-        name = f"split_{counter}"
-        names.add(name)
-        return name
-
+    taken = {v.name for v in dag.variables}
+    fresh = (f"split_{k}" for k in itertools.count(1) if f"split_{k}" not in taken)
     edits = []
     for u in moved:
         edits.append(("remove_var", u))
         if len(remainders[u]) >= 2:
-            name = fresh_name()
+            name = next(fresh)
             edits.append(("add_latent", name))
             edits += [("add_edge", name, w) for w in dag.sort_observed(remainders[u])]
     if len(split) >= 2:
-        name = fresh_name()
+        name = next(fresh)
         edits.append(("add_latent", name))
         edits += [("add_edge", name, w) for w in dag.sort_observed(split)]
     out = _apply_edits(dag, edits)

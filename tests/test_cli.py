@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import obscon
 
 from obscon.cli import main
 from obscon.fixtures import FIXTURE_GRAPHS, FIXTURE_TABLES
@@ -343,6 +350,38 @@ def test_rewrite_replace_error(examples, capsys):
     assert "bullet 3" in capsys.readouterr().err
 
 
+def test_rewrite_replace_needs_both_sets(examples, capsys):
+    code = main(["rewrite", path_of(examples, "iv.graph"), "--replace", "U", "--c-set", "Z"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --replace needs --c-set and --d-set\n"
+
+
+def test_rewrite_hlp_self_edge_exits_3(examples, capsys):
+    # the only edge that passes the parent-domination check yet makes a cycle
+    code = main(["rewrite", path_of(examples, "iv.graph"), "--hlp", "X", "X"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: adding X -> X creates a cycle\n"
+
+
+def test_rewrite_replace_error_is_hash_independent(examples):
+    # bullet 3 fails for both d in {V1, V3}; the first in canonical order is named
+    argv = [
+        sys.executable, "-m", "obscon", "rewrite", path_of(examples, "mixed_cdegree.graph"),
+        "--replace", "U2", "--c-set", "V6", "--d-set", "V1", "V3",
+    ]
+    src = os.path.dirname(os.path.dirname(obscon.__file__))
+    errors = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1] == (
+        "error: bullet 3: parent V1 of c_set is not a parent of V1\n"
+    )
+
+
 def test_no_command_prints_help(capsys):
     code = main([])
     assert code == 2
@@ -470,3 +509,151 @@ def test_check_huge_margins_are_written(examples, tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     margins = [entry["margin"] for entry in payload["constraints"]]
     assert any(m.startswith("about ") for m in margins if m)
+
+
+def test_derive_to_stdout_matches_the_output_file(examples, tmp_path, capsys):
+    graph = path_of(examples, "iv.graph")
+    out_path = tmp_path / "iv.json"
+    assert main(["derive", graph, "-o", str(out_path)]) == 0
+    to_file = capsys.readouterr()
+    assert main(["derive", graph]) == 0
+    to_stdout = capsys.readouterr()
+    assert to_stdout.out.encode() == out_path.read_bytes()
+    # the summary lines move from stdout to stderr
+    assert to_stdout.err == to_file.out
+    assert to_stdout.err.startswith("14 constraints, 12 inequalities")
+
+
+def test_derive_timings_adds_only_derive_seconds(examples, tmp_path):
+    graph = path_of(examples, "iv.graph")
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main(["derive", graph, "-o", str(plain)]) == 0
+    assert main(["derive", graph, "--timings", "-o", str(timed)]) == 0
+    payload = json.loads(timed.read_text())
+    timings = payload["meta"].pop("timings")
+    assert list(timings) == ["derive_seconds"] and timings["derive_seconds"] >= 0
+    assert payload == json.loads(plain.read_text())
+
+
+def test_check_reports_a_violated_ci_statement(examples, tmp_path, capsys):
+    # V1 = V2 = V4 = V5 while V3 = 0: V1,V2 and V4,V5 are dependent given V3
+    table = tmp_path / "ci.csv"
+    table.write_text("V1,V2,V3,V4,V5,prob\n0,0,0,0,0,1/2\n1,1,0,1,1,1/2\n")
+    code = main(["check", path_of(examples, "iv_sequential.graph"), str(table)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0] == "[violated] CI V1,V2 _||_ V4,V5 | V3 (margin 1/4)"
+    assert out[-1] == "model falsified"
+
+
+# -- fuzzed CLI contract ----------------------------------------------------------
+#
+# Whatever the input text, main() returns one of the exit codes the module
+# documents for that command, and never 70 (an internal error).
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    assert main(["--emit-examples", str(directory)]) == 0
+    return directory
+
+
+def run_main(argv):
+    """main()'s exit code with its output discarded; argparse's exit counts too."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@st.composite
+def graph_texts(draw):
+    """Mostly well-formed graphs, some with cycles, bad cardinalities or junk."""
+    observed = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=4, unique=True))
+    latents = draw(st.lists(st.sampled_from("UW"), max_size=2, unique=True))
+    # latents first in the drawn order, so most of them are exogenous
+    names = latents + draw(st.permutations(observed))
+    cards = [draw(st.sampled_from("223")) for _ in observed]
+    if not draw(st.integers(0, 5)):
+        cards[-1] = draw(st.sampled_from(["1", "0", "-1", "x", "\u00b2"]))
+    lines = [f"var {name} {card}" for name, card in zip(observed, cards)]
+    lines += [f"latent {name}" for name in latents]
+    pairs = st.tuples(st.integers(0, len(names) - 1), st.integers(0, len(names) - 1))
+    for i, j in draw(st.lists(pairs, max_size=8, unique=True)):
+        # mostly along the drawn order, so most graphs are acyclic
+        if i != j and draw(st.integers(0, 9)):
+            lines.append(f"edge {names[min(i, j)]} {names[max(i, j)]}")
+        elif not draw(st.integers(0, 3)):
+            lines.append(f"edge {names[i]} {names[j]}")
+    if not draw(st.integers(0, 4)):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+GRAPH_COMMANDS = {
+    "info": ([], {0, 2, 3}),
+    # a small column limit keeps every derivation fast; going over it exits 4
+    "derive": (["--merge", "--column-limit", "16"], {0, 2, 3, 4}),
+    "rewrite": (["--normalize"], {0, 2}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+@given(text=graph_texts())
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_graph_text_exits_with_a_documented_code(fuzz_dir, command, text):
+    path = fuzz_dir / f"fuzz_{command}.graph"
+    path.write_text(text, encoding="utf-8")
+    flags, codes = GRAPH_COMMANDS[command]
+    assert run_main([command, str(path), *flags]) in codes
+
+
+@st.composite
+def table_texts(draw):
+    """Tables for the IV graph: mostly well-formed, some with a corrupted row."""
+    header = "Z,X,Y,prob"
+    if not draw(st.integers(0, 5)):
+        header = draw(st.sampled_from(["X,Z,Y,prob", "Z,X,prob", "Z,X,Y", ""]))
+    cells = draw(st.lists(st.tuples(*[st.sampled_from("01")] * 3), min_size=1, max_size=8,
+                          unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(cells), max_size=len(cells)))
+    total = sum(weights)
+    if draw(st.booleans()):
+        probs = [f"{w}/{total}" for w in weights]
+    else:
+        probs = [f"{w / total:.4f}" for w in weights]
+    rows = [",".join([*cell, prob]) for cell, prob in zip(cells, probs)]
+    if not draw(st.integers(0, 3)):
+        junk = st.one_of(
+            st.sampled_from(["0,0,2,1/2", "0,0,0,-1/4", "0,0,0,1/0", "0,0,1e-3000,1",
+                             "0,0,0", "0,0,0,nan", "-1,0,0,1/2"]),
+            st.text(max_size=12),
+        )
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(junk)
+    return "\n".join([header, *rows]) + "\n"
+
+
+@given(text=table_texts())
+@settings(max_examples=120, deadline=None)
+def test_fuzzed_table_text_exits_with_a_documented_code(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run_main(["check", str(fuzz_dir / "iv.graph"), str(path)]) in {0, 1, 5}
+
+
+TOLERANCES = st.one_of(
+    st.text(max_size=16),
+    st.fractions().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.builds("{}e{}".format, st.integers(-10, 10), st.integers(-5000, 5000)),
+)
+
+
+@given(tolerance=TOLERANCES)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_tolerance_exits_with_a_documented_code(fuzz_dir, tolerance):
+    argv = ["check", str(fuzz_dir / "iv.graph"), str(fuzz_dir / "iv_model.csv"),
+            f"--tolerance={tolerance}"]
+    assert run_main(argv) in {0, 5}

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -246,3 +249,115 @@ def test_iv_family_rewrites_share_constraint_set(graphs):
     reference = canonical(graphs["iv"])
     assert canonical(via_replace) == reference
     assert canonical(via_split) == reference
+
+
+# -- pinned rewrite outputs -----------------------------------------------------
+#
+# SHA-256 digests of the graph text, log lines and edits the rewrites produce
+# on the fixtures, the conftest graphs and seeded random DAGs. A refactor of
+# ``transform`` must leave every one of them unchanged.
+
+PIN_NORMALIZE_MERGE = "6b52c83c45f04ce0e10d4c077aeeb6ce0e30aa203ef2e3aea2b953e067db3f65"
+PIN_FACE_SPLIT_HLP = "d73d616647a0fe2b9a45f149803762e5dde028ec0dd10ab7b1ce852badcaf1da"
+
+
+def pinned_graphs(graphs):
+    named = [graphs[name] for name in sorted(graphs)]
+    return named + [parse_graph(EXOGENIZE_EXAMPLE)]
+
+
+def rewrite_record(dag, rewrite):
+    """Output text, log lines and edits of one logged rewrite."""
+    out, log = rewrite(dag)
+    return out, [out.to_text(), log.lines(), [list(step.edits) for step in log.steps]]
+
+
+def outcome(rewrite, *args):
+    """Output text of one unlogged rewrite, or its error message."""
+    try:
+        return rewrite(*args).to_text()
+    except RewriteError as exc:
+        return f"error: {exc}"
+
+
+def digest(records):
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def test_normalize_and_merge_outputs_pinned(graphs):
+    rng = random.Random(2026)
+    dags = pinned_graphs(graphs) + [random_dag(rng) for _ in range(200)]
+    records = []
+    for dag in dags:
+        normal, record = rewrite_record(dag, normalize)
+        records.append(record)
+        records.append(rewrite_record(normal, merge_district_latents)[1])
+    assert digest(records) == PIN_NORMALIZE_MERGE
+
+
+def test_face_split_and_hlp_outputs_pinned(graphs):
+    records = []
+    for dag in pinned_graphs(graphs):
+        normal, _ = normalize(dag)
+        latents = normal.latent_names()
+        for k in (1, 2):
+            for chosen in itertools.combinations(latents, k):
+                records.append(outcome(strong_face_split, normal, list(chosen)))
+        for w1, w2 in itertools.permutations(normal.observed_names(), 2):
+            records.append(outcome(hlp_add_edge, normal, w1, w2))
+    assert digest(records) == PIN_FACE_SPLIT_HLP
+
+
+# -- error branches and fresh names ---------------------------------------------
+
+
+def test_absorb_requires_exogenous_latents():
+    with pytest.raises(RewriteError, match="latent 'U1' has parents; exogenize first"):
+        absorb_nested_latents(parse_graph(EXOGENIZE_EXAMPLE))
+
+
+def test_hlp_add_edge_rejects_a_latent(graphs):
+    with pytest.raises(RewriteError, match="'U' is not an observed variable"):
+        hlp_add_edge(graphs["iv"], "U", "Y")
+
+
+def test_replace_and_face_split_reject_an_observed_name(graphs):
+    with pytest.raises(RewriteError, match="'X' is not a latent variable"):
+        replace_latent_with_edges(graphs["iv"], "X", {"Y"}, {"Z"})
+    with pytest.raises(RewriteError, match="'X' is not a latent variable"):
+        strong_face_split(graphs["iv"], ["U", "X"])
+
+
+def test_face_split_needs_a_latent(graphs):
+    with pytest.raises(RewriteError, match="no latents given"):
+        strong_face_split(graphs["iv"], [])
+
+
+def test_merge_skips_a_declared_fresh_name(graphs):
+    dag = parse_graph(graphs["triangle"].to_text() + "var merge_1 2\n")
+    out, log = merge_district_latents(dag)
+    assert latent_children(out) == {"merge_2": frozenset({"V1", "V2", "V3"})}
+    assert log.lines() == [
+        "merge: merged latents U1, U2, U3 of district {V1, V2, V3} into merge_2"
+    ]
+
+
+def test_face_split_skips_a_declared_fresh_name(graphs):
+    dag = parse_graph(graphs["iv"].to_text() + "var split_1 2\n")
+    out = strong_face_split(dag, ["U"])
+    assert latent_children(out) == {"split_2": frozenset({"X", "Y"})}
+
+
+@pytest.mark.parametrize("rule, rewrite", [
+    ("merge_district_latents", merge_district_latents),
+    ("replace_latent_with_edges", lambda dag: replace_latent_with_edges(dag, "U1", {"X"}, {"Y"})),
+    ("hlp_add_edge", lambda dag: hlp_add_edge(dag, "X", "Y")),
+    ("strong_face_split", lambda dag: strong_face_split(dag, ["U1"])),
+], ids=["merge", "replace", "hlp", "face_split"])
+def test_rewrites_name_the_failed_precondition(rule, rewrite):
+    # U1 has a parent, so the graph is not in the normalized form
+    with pytest.raises(RewriteError) as info:
+        rewrite(parse_graph(EXOGENIZE_EXAMPLE))
+    assert str(info.value) == (
+        f"{rule} needs a graph satisfying the structural conditions; run normalize first"
+    )
