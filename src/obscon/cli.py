@@ -204,7 +204,10 @@ def cmd_rewrite(args) -> int:
             log = None
         else:
             out, log = strong_face_split(dag, args.face_split), None
-    except (RewriteError, KeyError, ValueError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_CONDITIONS
+    except (RewriteError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONS
     sys.stdout.write(out.to_text())

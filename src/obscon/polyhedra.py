@@ -8,7 +8,11 @@ elimination: it finds the affine hull's pivot columns and equality rows,
 the independent rows and the inverse that start double description, and
 the particular solution and null space of an equality system.
 
-The vertex-to-facet conversion is double description (``extreme_rays``). Its
+The vertex-to-facet conversion is double description (``extreme_rays``). It
+inserts the constraint rows in lexicographic order, the "lexmin" rule of
+Fukuda & Prodon ("Double description method revisited", 1996), which keeps
+the intermediate ray lists small. The rays it returns do not depend on the
+order of the input rows, nor does ``v_to_h`` on the order of its points. Its
 combinatorial work runs on Python-int bitsets: every ray keeps the mask of
 constraint rows it is tight at, and every insertion step transposes those
 masks into one bitset per row marking the rays tight at it (the tight sets
@@ -208,10 +212,13 @@ def affine_hull(points: Sequence[tuple]):
 def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     """Extreme rays of the pointed cone {y : row . y <= 0 for every row}.
 
-    Double description with dynamic insertion order: each step inserts the
-    row that cuts off the fewest current rays, the first such row on ties.
-    Requires the rows to have full column rank (a pointed cone); raises
-    ``UnboundedPolytopeError`` otherwise.
+    Double description with the lexicographic ("lexmin") insertion order of
+    Fukuda & Prodon, "Double description method revisited" (1996): the rows
+    are sorted lexicographically, the first independent sorted rows span the
+    initial simplicial cone, and the other rows are inserted in sorted
+    order. The ray list therefore depends only on the multiset of rows, not
+    on their input order. Requires the rows to have full column rank (a
+    pointed cone); raises ``UnboundedPolytopeError`` otherwise.
 
     Each step splits the rays into plus (cut off), zero and minus rays and
     builds, for every row, the bitset of the current rays tight at it
@@ -226,10 +233,11 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     all such n at once, and only they are tested, in list order. New rays
     come out plus-major, minus-minor, after the zero and minus rays.
 
-    ``progress(done, total, n_rays, n_cut)`` is invoked once per insertion
-    for long-running conversions.
+    ``progress(done, total, n_rays, n_cut)`` is invoked once per insertion,
+    before the step, with the number of rows already in, the number of
+    rows, the current rays and the plus rays among them.
     """
-    rows = [tuple(r) for r in rows]
+    rows = sorted(tuple(r) for r in rows)
     if not rows:
         raise ValueError("no constraint rows")
     dim = len(rows[0])
@@ -246,33 +254,18 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
 
     # rays of the initial simplicial cone: the negated columns of the basis
     # rows' inverse; ray j is tight at every basis row except the j-th
-    rays = []  # each entry: [vector, tight-mask, dots-by-remaining]
-    remaining = [i for i in range(n) if i not in basis_idx]
+    rays = []  # each entry: [vector, tight-mask]
     full_basis_mask = 0
     for i in basis_idx:
         full_basis_mask |= 1 << i
     for j, red in enumerate(reduced):
         vec = _integerize([-v for v in red[n:]])
-        mask = full_basis_mask & ~(1 << basis_idx[j])
-        dots = [_dot(rows[k], vec) for k in remaining]
-        rays.append([vec, mask, dots])
+        rays.append([vec, full_basis_mask & ~(1 << basis_idx[j])])
 
-    total = len(rows)
-    while remaining:
-        # most-constrained-first: fewest strictly positive products
-        best_pos, best_count = 0, None
-        for pos in range(len(remaining)):
-            count = sum(1 for ray in rays if ray[2][pos] > 0)
-            if best_count is None or count < best_count:
-                best_pos, best_count = pos, count
-                if count == 0:
-                    break
-        if progress is not None:
-            progress(total - len(remaining), total, len(rays), best_count)
-        k = remaining.pop(best_pos)
-        bit = 1 << k
-
-        products = [ray[2].pop(best_pos) for ray in rays]
+    remaining = [i for i in range(n) if not full_basis_mask >> i & 1]
+    for done, k in enumerate(remaining, dim):
+        row, bit = rows[k], 1 << k
+        products = [_dot(row, ray[0]) for ray in rays]
         plus, zero, minus = [], [], []
         minus_set = 0
         for index, (ray, s) in enumerate(zip(rays, products)):
@@ -284,11 +277,13 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
             else:
                 ray[1] |= bit
                 zero.append(ray)
+        if progress is not None:
+            progress(done, n, len(rays), len(plus))
         if not plus:
             rays = zero + minus
             continue
 
-        tight = _tight_sets(rays, total)
+        tight = _tight_sets(rays, n)
         all_rays = (1 << len(rays)) - 1
         missed = [minus_set & ~t for t in tight]
         new_rays = []
@@ -315,25 +310,11 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
                             break
                 if survivors != pair:
                     continue
-                common = mask_p & mask_n
-                vec = tuple(
-                    sp * nv - sn * pv for pv, nv in zip(p_ray[0], n_ray[0])
-                )
-                g = 0
-                for v in vec:
-                    g = gcd(g, v)
-                if g > 1:
-                    vec = tuple(v // g for v in vec)
-                else:
-                    g = 1
-                dots = [
-                    (sp * nd - sn * pd) // g
-                    for pd, nd in zip(p_ray[2], n_ray[2])
-                ]
-                new_rays.append([vec, common | bit, dots])
+                vec = [sp * nv - sn * pv for pv, nv in zip(p_ray[0], n_ray[0])]
+                new_rays.append([tuple(_primitive(vec)), mask_p & mask_n | bit])
         rays = zero + minus + new_rays
 
-    return [tuple(ray[0]) for ray in rays]
+    return [ray[0] for ray in rays]
 
 
 def _dot(a: Row, b: Row) -> int:
@@ -394,8 +375,11 @@ def _within_slack(missed_rows: Sequence[int], candidates: int, slack: int) -> in
 # -- conversions -----------------------------------------------------------
 
 
-def v_to_h(v: VRep) -> HRep:
-    """Facets and affine hull of the convex hull of the given points."""
+def v_to_h(v: VRep, progress=None) -> HRep:
+    """Facets and affine hull of the convex hull of the given points.
+
+    ``progress`` is handed to ``extreme_rays`` for the facet conversion.
+    """
     points = []
     seen = set()
     for p in v.points:
@@ -407,7 +391,7 @@ def v_to_h(v: VRep) -> HRep:
     chart = [tuple(p[j] for j in pivots) for p in points]
     cone_rows = [_integerize((1,) + q) for q in chart]
     ineqs = []
-    for ray in extreme_rays(cone_rows):
+    for ray in extreme_rays(cone_rows, progress=progress):
         a0, a = ray[0], ray[1:]
         if all(c == 0 for c in a):
             continue  # the trivial face at the homogenization apex

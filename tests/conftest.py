@@ -118,7 +118,7 @@ def pytest_addoption(parser):
         "--run-long",
         action="store_true",
         default=False,
-        help="run the long acceptance tests (the Bell derivation, about 90 s)",
+        help="run the long tests (the Bell derivation and its DD, about a minute each)",
     )
 
 

@@ -246,14 +246,15 @@ def _inverse(mat):
 def extreme_rays_full_scan(rows, progress=None):
     """Double description as ``obscon.polyhedra.extreme_rays`` specifies it.
 
-    Same initial cone (the first full-rank set of rows), insertion order,
-    hook calls and output order, but every plus/minus pair that shares at
-    least dim - 2 tight rows is tested against every current ray's tight
-    mask: the pair is adjacent iff no third ray is tight wherever both are.
-    O(|plus| |minus| |rays|) per step. Returns None when the rows do not
-    span.
+    Same lexicographic insertion order (sort the rows; the first full-rank
+    set of sorted rows is the initial cone, the others go in in sorted
+    order), hook calls and output order, but every plus/minus pair that
+    shares at least dim - 2 tight rows is tested against every current
+    ray's tight mask: the pair is adjacent iff no third ray is tight
+    wherever both are. O(|plus| |minus| |rays|) per step. Returns None when
+    the rows do not span.
     """
-    rows = [tuple(r) for r in rows]
+    rows = sorted(tuple(r) for r in rows)
     dim = len(rows[0])
     basis_idx = []
     for idx in range(len(rows)):
@@ -265,26 +266,20 @@ def extreme_rays_full_scan(rows, progress=None):
         return None
     basis_inv = _inverse([rows[i] for i in basis_idx])
 
-    remaining = [i for i in range(len(rows)) if i not in basis_idx]
     basis_mask = sum(1 << i for i in basis_idx)
-    rays = []  # [vector, tight-mask, dots-by-remaining]
+    rays = []  # [vector, tight-mask]
     for j in range(dim):
         vec = _primitive([-basis_inv[i][j] for i in range(dim)])
-        dots = [sum(a * b for a, b in zip(rows[k], vec)) for k in remaining]
-        rays.append([vec, basis_mask & ~(1 << basis_idx[j]), dots])
+        rays.append([vec, basis_mask & ~(1 << basis_idx[j])])
 
-    total = len(rows)
-    while remaining:
-        counts = [sum(1 for ray in rays if ray[2][pos] > 0)
-                  for pos in range(len(remaining))]
-        best_pos = counts.index(min(counts))
-        if progress is not None:
-            progress(total - len(remaining), total, len(rays), counts[best_pos])
-        bit = 1 << remaining.pop(best_pos)
-
+    inserted = dim
+    for k in range(len(rows)):
+        if k in basis_idx:
+            continue
+        bit = 1 << k
         plus, zero, minus = [], [], []
         for ray in rays:
-            s = ray[2].pop(best_pos)
+            s = sum(a * b for a, b in zip(rows[k], ray[0]))
             if s > 0:
                 plus.append((ray, s))
             elif s < 0:
@@ -292,6 +287,9 @@ def extreme_rays_full_scan(rows, progress=None):
             else:
                 ray[1] |= bit
                 zero.append(ray)
+        if progress is not None:
+            progress(inserted, len(rows), len(rays), len(plus))
+        inserted += 1
 
         masks = [ray[1] for ray in rays]
         new_rays = []
@@ -303,14 +301,9 @@ def extreme_rays_full_scan(rows, progress=None):
                 if any(common & ~m == 0 and m != p_ray[1] and m != n_ray[1]
                        for m in masks):
                     continue
-                vec = tuple(sp * nv - sn * pv for pv, nv in zip(p_ray[0], n_ray[0]))
-                g = 0
-                for v in vec:
-                    g = gcd(g, v)
-                g = max(g, 1)
-                vec = tuple(v // g for v in vec)
-                dots = [(sp * nd - sn * pd) // g for pd, nd in zip(p_ray[2], n_ray[2])]
-                new_rays.append([vec, common | bit, dots])
+                vec = _primitive([sp * nv - sn * pv
+                                  for pv, nv in zip(p_ray[0], n_ray[0])])
+                new_rays.append([vec, common | bit])
         rays = zero + [ray for ray, _ in minus] + new_rays
     return [ray[0] for ray in rays]
 

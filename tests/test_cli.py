@@ -363,6 +363,17 @@ def test_rewrite_hlp_self_edge_exits_3(examples, capsys):
     assert capsys.readouterr().err == "error: adding X -> X creates a cycle\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["--hlp", "Q", "X"],
+    ["--replace", "Q", "--c-set", "Y", "--d-set", "X"],
+    ["--face-split", "Q"],
+], ids=["hlp", "replace", "face-split"])
+def test_rewrite_unknown_variable_message(examples, capsys, args):
+    code = main(["rewrite", path_of(examples, "iv.graph"), *args])
+    assert code == 3
+    assert capsys.readouterr().err == "error: unknown variable 'Q'\n"
+
+
 def test_rewrite_replace_error_is_hash_independent(examples):
     # bullet 3 fails for both d in {V1, V3}; the first in canonical order is named
     argv = [

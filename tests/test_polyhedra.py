@@ -15,6 +15,8 @@ from obscon import (
     v_to_h,
 )
 from obscon import polyhedra
+from obscon.fixtures import FIXTURE_GRAPHS
+from obscon.response import build_functional_system
 
 from oracles import (
     _rank,
@@ -291,6 +293,20 @@ def test_extreme_rays_matches_full_scan_reference():
         assert got_calls == want_calls, (rep, rows)
 
 
+def test_extreme_rays_ignore_row_order():
+    # lexicographic insertion: the ray list, order and duplicates included,
+    # is a function of the multiset of rows, and so is v_to_h's HRep
+    rng = random.Random(2024)
+    for rep in range(100):
+        rows = degenerate_cone_rows(rng)
+        want = polyhedra.extreme_rays(rows)
+        for order in (rows[::-1], rng.sample(rows, len(rows))):
+            assert polyhedra.extreme_rays(order) == want, (rep, rows)
+        points = [row[1:] for row in rows]
+        want_h = v_to_h(VRep.make(points))
+        assert v_to_h(VRep.make(rng.sample(points, len(points)))) == want_h
+
+
 def test_within_slack_matches_counting():
     # the candidate filter is exact: it keeps a ray iff the ray is set in
     # at most `slack` of the rows, the count overflowing the planes included
@@ -350,4 +366,49 @@ def test_bell_i3322_facets_and_dd_counts(monkeypatch):
     hrep, steps, finals = bell_derivation(monkeypatch, BELL_I3322)
     assert (len(hrep.ineq), len(hrep.eq)) == (684, 21)
     assert len(steps) == 48
-    assert max([n_rays for _, _, n_rays, _ in steps] + finals) == 3679
+    assert max([n_rays for _, _, n_rays, _ in steps] + finals) == 1223
+
+
+@pytest.mark.parametrize("text", [BELL_CHSH, BELL_I3322], ids=["chsh", "i3322"])
+def test_bell_cone_rays_ignore_row_order(monkeypatch, text):
+    cones = []
+    original = polyhedra.extreme_rays
+
+    def recording(rows, progress=None):
+        cones.append(list(rows))
+        return original(rows, progress)
+
+    monkeypatch.setattr(polyhedra, "extreme_rays", recording)
+    derive_all(parse_graph(text))
+    (rows,) = cones
+    want = original(rows)
+    rng = random.Random(31)
+    for order in (rows[::-1], rng.sample(rows, len(rows)), rng.sample(rows, len(rows))):
+        assert original(order) == want
+
+
+def dd_of_district(text):
+    """v_to_h of a graph's one derived district, with every progress call."""
+    dag = parse_graph(text)
+    (district,) = [d for d in dag.districts() if len(d.members) > 1]
+    system = build_functional_system(dag, district)
+    calls = []
+    hrep = v_to_h(VRep(tuple(system.columns_as_points())),
+                  progress=lambda *args: calls.append(args))
+    return hrep, calls
+
+
+def test_v_to_h_passes_progress_to_dd():
+    hrep, calls = dd_of_district(BELL_I3322)
+    assert (len(hrep.ineq), len(hrep.eq)) == (684, 21)
+    # one call per inserted row of the 64-row, dimension-16 cone
+    assert [(done, total) for done, total, _, _ in calls] == [(d, 64) for d in range(16, 64)]
+    assert max(n_rays for _, _, n_rays, _ in calls) == 1223
+
+
+@pytest.mark.long
+def test_bell_tripartite_dd_counts():
+    # the DD part of criterion 8, pinned apart from its flag counts
+    hrep, calls = dd_of_district(FIXTURE_GRAPHS["bell_tripartite"])
+    assert (len(hrep.ineq), len(hrep.eq)) == (53_856, 38)
+    assert max(n_rays for _, _, n_rays, _ in calls) == 51_576
