@@ -20,7 +20,12 @@ of Terzer & Stelling, "Large-scale computation of elementary flux modes
 with bit pattern trees", Bioinformatics 24, 2008). The adjacency test of a
 plus/minus pair is then an AND of row bitsets, and a bit-sliced counter over
 the same bitsets picks each plus ray's candidate partners without looking
-at pairs one by one.
+at pairs one by one. Most candidate pairs are not adjacent: the AND leaves
+a third ray, tight wherever both are, and a step remembers these witnesses.
+A remembered witness that is neither ray of a later pair and is tight at all
+of that pair's common rows settles it with one check on small masks, before
+any AND. No mask changes during a step's pair loop, so every such answer is
+exact.
 
 Canonical form of an H-representation: every row is scaled to integer entries
 with gcd 1 (positive scaling only, so inequality orientation is intrinsic),
@@ -233,6 +238,17 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     all such n at once, and only they are tested, in list order. New rays
     come out plus-major, minus-minor, after the zero and minus rays.
 
+    Witness memo: when a pair (p, n) fails, the highest-indexed third ray
+    r left by the AND is tight at every row of ``common = mask_p & mask_n``.
+    r is kept for the rest of the step as n's witness and in p's list.
+    Before its AND, a later pair (q, m) tries m's witness, then the witness
+    that last answered for q, then q's list: a witness r that is neither q
+    nor m and passes ``common & ~mask_r == 0`` shows the pair non-adjacent.
+    The condition that r is not q or m is needed, since each ray is tight
+    wherever it itself is. No tight mask changes during a step's pair loop,
+    so the memo only skips ANDs whose outcome is already known: the rays,
+    their order and the hook calls are those of the plain test.
+
     ``progress(done, total, n_rays, n_cut)`` is invoked once per insertion,
     before the step, with the number of rows already in, the number of
     rows, the current rays and the plus rays among them.
@@ -264,8 +280,9 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
 
     remaining = [i for i in range(n) if not full_basis_mask >> i & 1]
     for done, k in enumerate(remaining, dim):
-        row, bit = rows[k], 1 << k
-        products = [_dot(row, ray[0]) for ray in rays]
+        bit = 1 << k
+        terms = [(i, v) for i, v in enumerate(rows[k]) if v]
+        products = [sum(v * ray[0][i] for i, v in terms) for ray in rays]
         plus, zero, minus = [], [], []
         minus_set = 0
         for index, (ray, s) in enumerate(zip(rays, products)):
@@ -285,7 +302,11 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
 
         tight = _tight_sets(rays, n)
         all_rays = (1 << len(rays)) - 1
+        masks = [ray[1] for ray in rays]
         missed = [minus_set & ~t for t in tight]
+        # witness memo: the third ray that showed a pair non-adjacent, kept
+        # by its minus ray for the whole step and by its plus ray in a list
+        n_witness = {}
         new_rays = []
         for p_index, p_ray, sp in plus:
             mask_p = p_ray[1]
@@ -293,32 +314,41 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
             slack = len(p_rows) - (dim - 2)
             if slack < 0:
                 continue
-            p_tight = [(1 << i, tight[i]) for i in p_rows]
+            witnesses = []
+            last = None  # the witness that last answered for p
             candidates = _within_slack([missed[i] for i in p_rows], minus_set, slack)
-            while candidates:
-                n_bit = candidates & -candidates
-                candidates ^= n_bit
-                n_index = n_bit.bit_length() - 1
-                n_ray, sn = rays[n_index], products[n_index]
-                mask_n = n_ray[1]
-                pair = (1 << p_index) | n_bit
-                survivors = all_rays
-                for row_bit, t in p_tight:
-                    if mask_n & row_bit:
-                        survivors &= t
-                        if survivors == pair:
-                            break
-                if survivors != pair:
+            bits = format(candidates, "b")[::-1]
+            n_index = -1
+            while (n_index := bits.find("1", n_index + 1)) >= 0:
+                common = mask_p & masks[n_index]
+                r = n_witness.get(n_index)
+                if r is not None and r != p_index and not common & ~masks[r]:
                     continue
-                vec = [sp * nv - sn * pv for pv, nv in zip(p_ray[0], n_ray[0])]
-                new_rays.append([tuple(_primitive(vec)), mask_p & mask_n | bit])
+                if last is not None and last != n_index and not common & ~masks[last]:
+                    continue
+                for r in witnesses:
+                    if r != n_index and not common & ~masks[r]:
+                        last = r
+                        break
+                else:
+                    pair = (1 << p_index) | (1 << n_index)
+                    survivors = all_rays
+                    for i in p_rows:
+                        if common >> i & 1:
+                            survivors &= tight[i]
+                            if survivors == pair:
+                                break
+                    if survivors == pair:
+                        n_ray, sn = rays[n_index], products[n_index]
+                        vec = [sp * nv - sn * pv for pv, nv in zip(p_ray[0], n_ray[0])]
+                        new_rays.append([tuple(_primitive(vec)), common | bit])
+                    else:
+                        last = (survivors ^ pair).bit_length() - 1
+                        n_witness[n_index] = last
+                        witnesses.append(last)
         rays = zero + minus + new_rays
 
     return [ray[0] for ray in rays]
-
-
-def _dot(a: Row, b: Row) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _bit_indices(mask: int) -> list[int]:

@@ -118,7 +118,7 @@ def pytest_addoption(parser):
         "--run-long",
         action="store_true",
         default=False,
-        help="run the long tests (the Bell derivation and its DD, about a minute each)",
+        help="run the long tests (the Bell derivation and its DD, 15-25 s each on 2 cores)",
     )
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with ``pytest tests/test_acceptance.py -v``; criterion 8 (the tripartite
-Bell derivation, about a minute of CPU) is gated behind ``--run-long``.
+Bell derivation, 15-25 s on a 2-core machine) is gated behind ``--run-long``.
 
 Published constraint lists are presented after eliminating redundant
 coordinates against the equality rows ("simple algebra"), so expected and
@@ -535,7 +535,7 @@ SOUNDNESS_FIXTURES = [
 def test_criterion_10_soundness():
     # model-generated distributions never violate the derived constraints;
     # the Bell fixture joins the gated long run (criterion 8) because its
-    # derivation alone takes about a minute
+    # derivation alone takes 15-25 s
     t0 = time.monotonic()
     rng = random.Random(414243)
     for name in SOUNDNESS_FIXTURES:

@@ -340,7 +340,7 @@ def _random_tables(dag, rng):
 
 @pytest.mark.parametrize("name", sorted(set(FIXTURE_GRAPHS) - {"bell_tripartite"}) + ["two_roots"])
 def test_evaluate_matches_scan_reference(name):
-    # bell_tripartite is left out: its derivation alone takes over a minute
+    # bell_tripartite is left out: its derivation alone takes 15-25 s
     dag = parse_graph(TWO_ROOTS if name == "two_roots" else FIXTURE_GRAPHS[name])
     merge = any(d.c_degree > 1 for d in dag.districts())
     result = derive_all(dag, DeriveOptions(merge=merge))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
 from itertools import product
 
 import pytest
@@ -247,13 +248,13 @@ def test_interior_points_ignored():
 
 
 def test_iv_round_trip(graphs):
-    from obscon import build_functional_system
-
-    dag = graphs["iv"]
-    fs = build_functional_system(dag, dag.districts()[1])
-    points = tuple(fs.columns_as_points())
-    v = h_to_v(v_to_h(VRep(points)))
-    assert sorted(v.points) == sorted(set(points))
+    # the column sets of IV's and CHSH's one derived district; h_to_v runs
+    # the DD on the dual cone
+    for dag in (graphs["iv"], parse_graph(BELL_CHSH)):
+        (district,) = [d for d in dag.districts() if len(d.members) > 1]
+        points = tuple(build_functional_system(dag, district).columns_as_points())
+        v = h_to_v(v_to_h(VRep(points)))
+        assert sorted(v.points) == sorted(set(points))
 
 
 def test_cdd_format_smoke():
@@ -282,10 +283,26 @@ def degenerate_cone_rows(rng):
     return [(1,) + p for p in points]
 
 
+def zero_one_cone_rows(rng):
+    """Homogenized random 0/1 points in dimension 5 to 7, at most 24 of them.
+
+    Many rays share most of their tight rows here, so most plus/minus pairs
+    are shown non-adjacent by a third ray; points are redrawn until they
+    span, so the cone is pointed.
+    """
+    dim = rng.randint(5, 7)
+    while True:
+        rows = [(1,) + tuple(rng.getrandbits(1) for _ in range(dim))
+                for _ in range(rng.randint(dim + 1, 24))]
+        if _rank(rows) == dim + 1:
+            return rows
+
+
 def test_extreme_rays_matches_full_scan_reference():
     rng = random.Random(7321)
-    for rep in range(150):
-        rows = degenerate_cone_rows(rng)
+    cones = [degenerate_cone_rows(rng) for _ in range(150)]
+    cones += [zero_one_cone_rows(rng) for _ in range(60)]
+    for rep, rows in enumerate(cones):
         got_calls, want_calls = [], []
         got = polyhedra.extreme_rays(rows, progress=lambda *a: got_calls.append(a))
         want = extreme_rays_full_scan(rows, progress=lambda *a: want_calls.append(a))
@@ -341,14 +358,15 @@ def test_known_facet_counts(points, facets):
 
 
 def bell_derivation(monkeypatch, text):
-    """Derive a Bell graph, recording every DD step through the progress hook."""
+    """Derive a Bell graph, recording every DD step through the progress hook
+    and every ray list the DD returns."""
     steps = []
     finals = []
     original = polyhedra.extreme_rays
 
     def recording(rows, progress=None):
         rays = original(rows, progress=lambda *args: steps.append(args))
-        finals.append(len(rays))
+        finals.append(rays)
         return rays
 
     monkeypatch.setattr(polyhedra, "extreme_rays", recording)
@@ -366,7 +384,11 @@ def test_bell_i3322_facets_and_dd_counts(monkeypatch):
     hrep, steps, finals = bell_derivation(monkeypatch, BELL_I3322)
     assert (len(hrep.ineq), len(hrep.eq)) == (684, 21)
     assert len(steps) == 48
-    assert max([n_rays for _, _, n_rays, _ in steps] + finals) == 1223
+    (rays,) = finals
+    assert max([n_rays for _, _, n_rays, _ in steps] + [len(rays)]) == 1223
+    # SHA-256 of the exact ray list, order and duplicates included
+    assert sha256(repr(rays).encode()).hexdigest() == (
+        "bb86a08342a7e6b8cd9fbd6038183493b6dace9ffe2538edd78ef140059d2072")
 
 
 @pytest.mark.parametrize("text", [BELL_CHSH, BELL_I3322], ids=["chsh", "i3322"])
@@ -387,19 +409,28 @@ def test_bell_cone_rays_ignore_row_order(monkeypatch, text):
         assert original(order) == want
 
 
-def dd_of_district(text):
-    """v_to_h of a graph's one derived district, with every progress call."""
+def dd_of_district(monkeypatch, text):
+    """v_to_h of a graph's one derived district, with every progress call
+    and the ray list of its one DD."""
     dag = parse_graph(text)
     (district,) = [d for d in dag.districts() if len(d.members) > 1]
     system = build_functional_system(dag, district)
-    calls = []
+    calls, finals = [], []
+    original = polyhedra.extreme_rays
+
+    def recording(rows, progress=None):
+        finals.append(original(rows, progress))
+        return finals[-1]
+
+    monkeypatch.setattr(polyhedra, "extreme_rays", recording)
     hrep = v_to_h(VRep(tuple(system.columns_as_points())),
                   progress=lambda *args: calls.append(args))
-    return hrep, calls
+    (rays,) = finals
+    return hrep, calls, rays
 
 
-def test_v_to_h_passes_progress_to_dd():
-    hrep, calls = dd_of_district(BELL_I3322)
+def test_v_to_h_passes_progress_to_dd(monkeypatch):
+    hrep, calls, _ = dd_of_district(monkeypatch, BELL_I3322)
     assert (len(hrep.ineq), len(hrep.eq)) == (684, 21)
     # one call per inserted row of the 64-row, dimension-16 cone
     assert [(done, total) for done, total, _, _ in calls] == [(d, 64) for d in range(16, 64)]
@@ -407,8 +438,11 @@ def test_v_to_h_passes_progress_to_dd():
 
 
 @pytest.mark.long
-def test_bell_tripartite_dd_counts():
+def test_bell_tripartite_dd_counts(monkeypatch):
     # the DD part of criterion 8, pinned apart from its flag counts
-    hrep, calls = dd_of_district(FIXTURE_GRAPHS["bell_tripartite"])
+    hrep, calls, rays = dd_of_district(monkeypatch, FIXTURE_GRAPHS["bell_tripartite"])
     assert (len(hrep.ineq), len(hrep.eq)) == (53_856, 38)
     assert max(n_rays for _, _, n_rays, _ in calls) == 51_576
+    # SHA-256 of the exact ray list, order and duplicates included
+    assert sha256(repr(rays).encode()).hexdigest() == (
+        "f34a05956f44ec889724e5732eb55cd867cfd9d0727e697b9c0ff083b4af138a")
