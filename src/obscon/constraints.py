@@ -17,8 +17,8 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Sequence
+from operator import itemgetter, mul
+from typing import NamedTuple, Sequence
 
 from ._version import __version__ as _version
 from .graph import HiddenDag, validate_conditions
@@ -30,8 +30,9 @@ from .response import (
     FunctionalSystem,
     build_functional_system,
     star_factors,
+    star_keys,
     star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
-    star_vector,
+    star_scaled,
 )
 from .tables import JointTable, _approximate
 from .transform import merge_district_latents
@@ -101,7 +102,8 @@ class DistrictResult:
     def texts(self, dag: HiddenDag | None, mode: str) -> tuple[str, ...]:
         """Each constraint rendered as ``render`` does, labelling each row once."""
         labels = _row_labels(self.system, dag, mode, range(self.system.n_rows))
-        return tuple(_join_terms(c, labels) for c in self.constraints)
+        term_texts = _TermTexts(labels)
+        return tuple(_join_terms(c, term_texts) for c in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,15 @@ class DerivationResult:
     @property
     def derived_graph_text(self) -> str:
         return self.derived_graph.to_text()
+
+    @cached_property
+    def check_plans(self) -> tuple["CheckPlan", ...]:
+        """What ``evaluate`` reads of each derived district, once per derivation."""
+        return tuple(
+            _check_plan(index, record, self.derived_graph)
+            for index, record in enumerate(self.districts)
+            if record.system is not None
+        )
 
     @property
     def constraints_total(self) -> int:
@@ -321,23 +332,28 @@ def _row_labels(system: FunctionalSystem, dag: HiddenDag | None, mode: str,
     return labels
 
 
-def _join_terms(constraint: Constraint, labels) -> str:
-    """The constraint as text, with ``labels[row]`` naming each row."""
-    parts = []
-    for row, coeff in constraint.terms:
-        label = labels[row]
-        if not parts:
-            if coeff == 1:
-                parts.append(label)
-            elif coeff == -1:
-                parts.append(f"-{label}")
-            else:
-                parts.append(f"{coeff} {label}")
-        else:
-            sign = "+" if coeff > 0 else "-"
-            mag = abs(coeff)
-            parts.append(f"{sign} {label}" if mag == 1 else f"{sign} {mag} {label}")
-    lhs = " ".join(parts) if parts else "0"
+class _TermTexts(dict):
+    """A (row, coeff) term as text after a constraint's first term: ``+ L``,
+    ``- L``, ``+ 2 L``, with ``labels[row]`` as L; each made once."""
+
+    def __init__(self, labels):
+        super().__init__()
+        self.labels = labels
+
+    def __missing__(self, term):
+        row, coeff = term
+        label = self.labels[row] if abs(coeff) == 1 else f"{abs(coeff)} {self.labels[row]}"
+        text = self[term] = f"{'+' if coeff > 0 else '-'} {label}"
+        return text
+
+
+def _join_terms(constraint: Constraint, term_texts: _TermTexts) -> str:
+    """The constraint as text, its terms written by ``term_texts``."""
+    lhs = " ".join(map(term_texts.__getitem__, constraint.terms))
+    if not lhs:
+        lhs = "0"
+    else:  # the first term drops a "+" and the space after its sign
+        lhs = lhs[2:] if lhs[0] == "+" else "-" + lhs[2:]
     return f"{lhs} {constraint.relation} {constraint.rhs}"
 
 
@@ -345,7 +361,7 @@ def render(constraint: Constraint, system: FunctionalSystem,
            dag: HiddenDag | None = None, mode: str = "star") -> str:
     """Pretty-print a constraint over star or observable probability terms."""
     rows = [row for row, _ in constraint.terms]
-    return _join_terms(constraint, _row_labels(system, dag, mode, rows))
+    return _join_terms(constraint, _TermTexts(_row_labels(system, dag, mode, rows)))
 
 
 # -- evaluation ------------------------------------------------------------
@@ -354,13 +370,47 @@ def render(constraint: Constraint, system: FunctionalSystem,
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ConstraintStatus:
+class ConstraintStatus(NamedTuple):
+    """One constraint's verdict; an immutable record that builds like a tuple."""
+
     district_index: int
     constraint: Constraint
     text: str
     status: str  # satisfied | violated | not_evaluable
     margin: Fraction | None
+
+
+class CheckPlan(NamedTuple):
+    """One derived district as ``evaluate`` reads it.
+
+    ``stars`` holds the marginal keys of every row of the system
+    (``response.star_keys``). Each entry of ``rows`` is one constraint as
+    (row getter, coefficients, rhs, is an equality, constraint, star text);
+    the getter picks the constraint's rows out of the scaled star vector.
+    """
+
+    district_index: int
+    stars: tuple
+    rows: tuple
+
+
+def _row_getter(rows: tuple[int, ...]):
+    """``itemgetter(*rows)``, returning a sequence for a single row too."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    start = rows[0] if rows else 0
+    return itemgetter(slice(start, start + len(rows)))
+
+
+def _check_plan(index: int, record: DistrictResult, dag: HiddenDag) -> CheckPlan:
+    """The plan of the district ``result.districts[index]`` of a derivation on ``dag``."""
+    rows = []
+    for constraint, text in zip(record.constraints, record.star_texts):
+        picked, coeffs = zip(*constraint.terms) if constraint.terms else ((), ())
+        rows.append((_row_getter(picked), coeffs, constraint.rhs,
+                     constraint.relation == "=", constraint, text))
+    stars = star_keys(dag, record.system.district, record.system.row_labels)
+    return CheckPlan(index, stars, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -427,9 +477,11 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
              tolerance: Fraction | None = None) -> ViolationReport:
     """Check every derived constraint and CI statement against a joint table.
 
-    Star terms come from the table's cached marginals; each district's terms
-    are put over a common denominator, so a row is summed and compared with
-    the tolerance in integers, and only its reported margin is a Fraction.
+    Reads each district's ``CheckPlan``, built on the derivation's first
+    check and kept: the star terms come from the table's cached marginals by
+    the plan's keys, over one common denominator, so a row is summed and
+    compared with the tolerance in integers, and only a positive margin is
+    a Fraction.
     """
     if table.variables != dag.observed_names():
         raise ValueError("table variables do not match the graph")
@@ -437,30 +489,26 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
         tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
     statuses = []
-    for index, record in enumerate(result.districts):
-        if record.system is None:
-            continue
-        stars = star_vector(
-            table, result.derived_graph, record.system.district, record.system.row_labels
-        )
-        scale = lcm(*(s.denominator for s in stars if s is not None))
-        scaled = [
-            None if s is None else s.numerator * (scale // s.denominator)
-            for s in stars
-        ]
-        missing = {row for row, s in enumerate(stars) if s is None}
-        for constraint, text in zip(record.constraints, record.star_texts):
-            terms = constraint.terms
-            if missing and any(row in missing for row, _ in terms):
-                statuses.append(ConstraintStatus(index, constraint, text, "not_evaluable", None))
+    add = statuses.append
+    make = ConstraintStatus._make  # skips the keyword-capable __new__
+    for index, stars, rows in result.check_plans:
+        scale, scaled = star_scaled(table, stars)
+        limit = tol_num * scale
+        missing = None in scaled
+        for get, coeffs, rhs, is_eq, constraint, text in rows:
+            values = get(scaled)
+            if missing and None in values:
+                add(make((index, constraint, text, "not_evaluable", None)))
                 continue
             # the row's value minus its rhs, times scale
-            gap = sum(coeff * scaled[row] for row, coeff in terms) - constraint.rhs * scale
-            if constraint.relation == "=":
+            gap = sum(map(mul, coeffs, values)) - rhs * scale
+            if is_eq:
                 gap = abs(gap)
-            status = "violated" if gap * tol_den > tol_num * scale else "satisfied"
-            margin = Fraction(gap, scale) if gap > 0 else _ZERO  # most rows are slack
-            statuses.append(ConstraintStatus(index, constraint, text, status, margin))
+            if gap > 0:
+                status = "violated" if gap * tol_den > limit else "satisfied"
+                add(make((index, constraint, text, status, Fraction(gap, scale))))
+            else:  # most rows are slack
+                add(make((index, constraint, text, "satisfied", _ZERO)))
 
     ci_statuses = []
     for stmt in result.ci_statements:
@@ -544,6 +592,7 @@ def result_to_json(result: DerivationResult, dag: HiddenDag, texts: bool = False
 
 
 def report_to_json(report: ViolationReport) -> dict:
+    zero = _frac_str(_ZERO)  # evaluate gives every slack row this one margin
     return {
         "tolerance": _frac_str(report.tolerance),
         "falsified": report.falsified,
@@ -560,7 +609,8 @@ def report_to_json(report: ViolationReport) -> dict:
                 "district": s.district_index,
                 "text": s.text,
                 "status": s.status,
-                "margin": None if s.margin is None else _margin_str(s.margin, _frac_str),
+                "margin": (None if s.margin is None else zero if s.margin is _ZERO
+                           else _margin_str(s.margin, _frac_str)),
             }
             for s in report.constraint_statuses
         ],

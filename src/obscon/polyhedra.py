@@ -303,7 +303,7 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
         tight = _tight_sets(rays, n)
         all_rays = (1 << len(rays)) - 1
         masks = [ray[1] for ray in rays]
-        missed = [minus_set & ~t for t in tight]
+        missed = [minus_set ^ (minus_set & t) for t in tight]
         # witness memo: the third ray that showed a pair non-adjacent, kept
         # by its minus ray for the whole step and by its plus ray in a list
         n_witness = {}
@@ -317,9 +317,7 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
             witnesses = []
             last = None  # the witness that last answered for p
             candidates = _within_slack([missed[i] for i in p_rows], minus_set, slack)
-            bits = format(candidates, "b")[::-1]
-            n_index = -1
-            while (n_index := bits.find("1", n_index + 1)) >= 0:
+            for n_index in _bit_indices(candidates):
                 common = mask_p & masks[n_index]
                 r = n_witness.get(n_index)
                 if r is not None and r != p_index and not common & ~masks[r]:
@@ -352,12 +350,17 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
 
 
 def _bit_indices(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, ascending."""
+    """Positions of the set bits of ``mask``, ascending.
+
+    Walks down from the top bit, so a ray-wide mask shrinks at every step
+    and is never negated (``mask & -mask`` copies all of it per bit).
+    """
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -392,14 +395,16 @@ def _within_slack(missed_rows: Sequence[int], candidates: int, slack: int) -> in
             if not carry:
                 break
         over |= carry
-    equal = candidates & ~over
+    # x ^ (x & y) clears y's bits from x without ~y, a negative number that
+    # Python would build as a copy of the whole ray-wide bitset
+    equal = candidates ^ (candidates & over)
     for j in reversed(range(len(planes))):
         if slack >> j & 1:
             equal &= planes[j]
         else:
             over |= equal & planes[j]
-            equal &= ~planes[j]
-    return candidates & ~over
+            equal ^= equal & planes[j]
+    return candidates ^ (candidates & over)
 
 
 # -- conversions -----------------------------------------------------------

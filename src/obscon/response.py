@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Mapping, Sequence
 
 from .graph import District, HiddenDag, validate_conditions
@@ -264,37 +265,74 @@ def star_factors(dag: HiddenDag, district: District) -> list[tuple[str, tuple[st
     return factors
 
 
+def star_keys(dag: HiddenDag, district: District,
+              labels: Sequence[tuple[Configuration, Configuration]]) -> tuple:
+    """The table marginals that the rows of ``labels`` read, as keys.
+
+    One entry per identifying factor (member W, conditioning names C) of
+    ``star_factors``: C, C + (W,), and each row's values of C (the key of
+    its conditioning mass) and of C + (W,) (the key of its joint mass).
+    Built once per system, so a table is then read by key lookups alone.
+    """
+    rows = []
+    for w1, w2 in labels:
+        values = dict(w1.items)
+        values.update(w2.items)
+        rows.append(values)
+    keys = []
+    for member, cond in star_factors(dag, district):
+        given = [tuple([values[name] for name in cond]) for values in rows]
+        joint = [key + (values[member],) for key, values in zip(given, rows)]
+        keys.append((cond, cond + (member,), tuple(given), tuple(joint)))
+    return tuple(keys)
+
+
+def star_scaled(table: JointTable, keys: tuple) -> tuple[int, list[int | None]]:
+    """Each row's interventional probability times one common denominator.
+
+    Returns (denominator, numerators): the denominator is the lcm of the
+    rows' reduced denominators, and a numerator is ``None`` when some
+    conditioning event of its row has probability zero (not evaluable).
+    Each factor reads its two marginals once for all rows; both masses of a
+    conditional share the table's denominator, which cancels.
+    """
+    nums = dens = None  # every district has a member, so a factor
+    for cond, joint, given_keys, joint_keys in keys:
+        given_mass = table.marginal(cond).get
+        joint_mass = table.marginal(joint).get
+        given = [given_mass(key, 0) for key in given_keys]
+        joint = [joint_mass(key, 0) for key in joint_keys]
+        if nums is None:
+            nums, dens = joint, given
+        else:
+            nums, dens = list(map(mul, nums, joint)), list(map(mul, dens, given))
+    scaled, reduced = [], []
+    for num, den in zip(nums, dens):
+        if den:
+            g = math.gcd(num, den)
+            scaled.append(num // g)
+            reduced.append(den // g)
+        else:
+            scaled.append(None)
+            reduced.append(1)
+    scale = math.lcm(*reduced)
+    return scale, [
+        None if num is None else num * (scale // den) for num, den in zip(scaled, reduced)
+    ]
+
+
 def star_vector(table: JointTable, dag: HiddenDag, district: District,
                 labels: Sequence[tuple[Configuration, Configuration]],
                 ) -> list[Fraction | None]:
     """Interventional probabilities of many (w1 | w2) rows of one district.
 
     Each entry is the product of the identifying conditionals, or ``None``
-    when some conditioning event has probability zero (not evaluable). The
-    factors are found once, and each conditional is read from the table's
-    cached marginals, so the table is scanned once per conditioning set.
+    when some conditioning event has probability zero (not evaluable): the
+    rows' ``star_keys`` read through ``star_scaled``. ``evaluate`` keeps the
+    keys of every derived district and uses the integers directly.
     """
-    factors = [
-        (member, cond, table.marginal(cond), table.marginal(cond + (member,)))
-        for member, cond in star_factors(dag, district)
-    ]
-    out: list[Fraction | None] = []
-    for w1, w2 in labels:
-        values = dict(w1.items)
-        values.update(w2.items)
-        num = den = 1
-        for member, cond, given_mass, joint_mass in factors:
-            given = tuple([values[name] for name in cond])
-            mass = given_mass.get(given, 0)
-            if not mass:
-                out.append(None)
-                break
-            # both masses share the table's denominator, which cancels
-            num *= joint_mass.get(given + (values[member],), 0)
-            den *= mass
-        else:
-            out.append(Fraction(num, den))
-    return out
+    scale, scaled = star_scaled(table, star_keys(dag, district, labels))
+    return [None if s is None else Fraction(s, scale) for s in scaled]
 
 
 def star_probability(table: JointTable, dag: HiddenDag, district: District,

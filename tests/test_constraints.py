@@ -19,7 +19,12 @@ from obscon import (
     render,
     v_to_h,
 )
-from obscon.constraints import report_to_json, result_to_json
+from obscon.constraints import (
+    Constraint,
+    ConstraintStatus,
+    report_to_json,
+    result_to_json,
+)
 from obscon.response import Configuration, star_probability
 from obscon.tables import TableError, parse_table
 
@@ -338,10 +343,18 @@ def _random_tables(dag, rng):
     yield "decimal", parse_table(_decimal_csv(dag, model), dag)
 
 
-@pytest.mark.parametrize("name", sorted(set(FIXTURE_GRAPHS) - {"bell_tripartite"}) + ["two_roots"])
+SCAN_GRAPHS = {
+    **{name: text for name, text in FIXTURE_GRAPHS.items() if name != "bell_tripartite"},
+    "two_roots": TWO_ROOTS,
+    "i3322": BELL_I3322,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
 def test_evaluate_matches_scan_reference(name):
-    # bell_tripartite is left out: its derivation alone takes 15-25 s
-    dag = parse_graph(TWO_ROOTS if name == "two_roots" else FIXTURE_GRAPHS[name])
+    # bell_tripartite is left out: its derivation alone takes 15-25 s. I3322's
+    # dense tables satisfy every row, so only its sparse tables are asserted on
+    dag = parse_graph(SCAN_GRAPHS[name])
     merge = any(d.c_degree > 1 for d in dag.districts())
     result = derive_all(dag, DeriveOptions(merge=merge))
     rng = random.Random(f"scan-{name}")
@@ -363,6 +376,75 @@ def test_evaluate_matches_scan_reference(name):
         assert "not_evaluable" in statuses["sparse"]
     if name == "two_roots":
         assert [s.statement.given for s in fast.ci_statuses] == [()]
+
+
+def _split_tables(dag, rng):
+    """Two random tables, one on the configurations where the first observed
+    variable is 0 and one where it is not, so their star terms with that
+    variable in a conditioning set are evaluable in one table only."""
+    configs = list(product(*(range(dag.cardinality(n)) for n in dag.observed_names())))
+    tables = []
+    for support in ([c for c in configs if c[0] == 0], [c for c in configs if c[0] != 0]):
+        weights = {c: rng.randint(1, 9) for c in support}
+        total = sum(weights.values())
+        tables.append(JointTable.from_dict(
+            dag, {c: Fraction(w, total) for c, w in weights.items()}))
+    return tables
+
+
+@pytest.mark.parametrize("name", ["iv", "mixed_cdegree"])
+def test_check_plan_is_built_once_and_reused(name, monkeypatch):
+    dag = parse_graph(FIXTURE_GRAPHS[name])
+    options = DeriveOptions(merge=name == "mixed_cdegree")
+    result = derive_all(dag, options)
+    documents = [json.dumps(result_to_json(result, dag, texts=texts)) for texts in (False, True)]
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return check_plan(*args)
+
+    check_plan = obscon.constraints._check_plan
+    monkeypatch.setattr(obscon.constraints, "_check_plan", counted)
+    table_a, table_b = _split_tables(dag, random.Random(f"reuse-{name}"))
+    reports = [evaluate(result, dag, table) for table in (table_a, table_b, table_a)]
+    derived = [index for index, record in enumerate(result.districts) if record.system]
+    assert built == derived
+    for table, report in zip((table_a, table_b, table_a), reports):
+        fresh = evaluate(derive_all(dag, options), dag, table)
+        assert report == fresh
+        assert json.dumps(report_to_json(report)) == json.dumps(report_to_json(fresh))
+        assert report.lines() == fresh.lines()
+    unevaluable = [
+        {k for k, s in enumerate(report.constraint_statuses) if s.status == "not_evaluable"}
+        for report in reports
+    ]
+    assert unevaluable[0] and unevaluable[1] and unevaluable[0] != unevaluable[1]
+    assert unevaluable[2] == unevaluable[0]
+    assert documents == [
+        json.dumps(result_to_json(result, dag, texts=texts)) for texts in (False, True)
+    ]
+
+
+def test_constraint_status_contract(graphs):
+    # tests/oracles.py and callers build statuses positionally; the names and
+    # their order are part of the interface, and a status cannot be changed
+    assert ConstraintStatus._fields == (
+        "district_index", "constraint", "text", "status", "margin")
+    constraint = Constraint(((0, 1), (2, -1)), "<=", 0, True, 3)
+    status = ConstraintStatus(1, constraint, "P*(a) - P*(b) <= 0", "violated", Fraction(1, 3))
+    assert (status.district_index, status.constraint, status.text, status.status,
+            status.margin) == (1, constraint, "P*(a) - P*(b) <= 0", "violated", Fraction(1, 3))
+    assert status == ConstraintStatus(
+        district_index=1, constraint=constraint, text="P*(a) - P*(b) <= 0",
+        status="violated", margin=Fraction(1, 3))
+    for field in ConstraintStatus._fields:
+        with pytest.raises(AttributeError):
+            setattr(status, field, None)
+    assert hash(status) == hash(ConstraintStatus(*status))
+    dag = graphs["iv"]
+    report = evaluate(derive_all(dag), dag, parse_table(IV_VIOLATOR, dag))
+    assert all(type(s) is ConstraintStatus for s in report.constraint_statuses)
 
 
 def test_table_parse_and_errors(graphs):
