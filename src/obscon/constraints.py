@@ -29,6 +29,7 @@ from .response import (
     DEFAULT_COLUMN_LIMIT,
     FunctionalSystem,
     build_functional_system,
+    row_symmetries,
     star_factors,
     star_keys,
     star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
@@ -236,7 +237,8 @@ def _derive_district(dag: HiddenDag, district, column_limit) -> DistrictResult:
     system, constraints = None, []
     if len(district.members) > 1 or dag.observed_parents(district.members):
         system = build_functional_system(dag, district, column_limit)
-        hrep = v_to_h(VRep(tuple(system.columns_as_points())))
+        hrep = v_to_h(VRep(tuple(system.columns_as_points())),
+                      symmetries=row_symmetries(dag, system))
         ineq_flags, eq_flags = flag_nontrivial(hrep, system.block_sizes)
         for relation, rows, flags in (("<=", hrep.ineq, ineq_flags),
                                       ("=", hrep.eq, eq_flags)):

@@ -27,6 +27,19 @@ of that pair's common rows settles it with one check on small masks, before
 any AND. No mask changes during a step's pair loop, so every such answer is
 exact.
 
+Symmetric point sets go orbit by orbit instead (``_facet_orbits``), by the
+adjacency decomposition of Bremner, Dutour Sikirić & Schürmann ("Polyhedral
+representation conversion up to symmetries", arXiv:math/0702239) and
+Christof & Reinelt (IJCGA 11, 2001). The caller proposes coordinate
+permutations; ``point_symmetries`` keeps those that map the points onto
+themselves, an exact check. With at least ``ORBIT_MIN_POINTS`` distinct
+points and a kept group that is transitive on them, one representative per
+facet orbit is converted: a small plain ``v_to_h`` of its tight points gives
+its ridges, each ridge leads to a neighbouring facet, and the generators
+expand every new orbit. Smaller or less symmetric sets do no group work or
+take plain double description, where the group work would cost more than
+it saves. Both paths return the same canonical HRep.
+
 Canonical form of an H-representation: every row is scaled to integer entries
 with gcd 1 (positive scaling only, so inequality orientation is intrinsic),
 equality rows additionally have their first nonzero coefficient negative,
@@ -37,9 +50,11 @@ coefficients on the dependent columns.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -407,13 +422,184 @@ def _within_slack(missed_rows: Sequence[int], candidates: int, slack: int) -> in
     return candidates ^ (candidates & over)
 
 
+# -- symmetry ----------------------------------------------------------------
+
+# fewer distinct points than this: no group work, plain double description
+ORBIT_MIN_POINTS = 32
+
+
+def point_symmetries(points: Sequence[tuple], symmetries: Iterable[Sequence[int]]
+                     ) -> list[tuple[int, ...]]:
+    """The coordinate permutations that map the points onto themselves.
+
+    A coordinate permutation ``perm`` sends x to the y with
+    ``y[perm[i]] = x[i]``. Each one that sends every point to a point is
+    returned as the permutation g of point indices it induces:
+    ``points[g[j]]`` is the image of ``points[j]``. The others are dropped.
+    """
+    index = {p: j for j, p in enumerate(points)}
+    found = []
+    for perm in symmetries:
+        inverse = [0] * len(perm)
+        for i, target in enumerate(perm):
+            inverse[target] = i
+        move = itemgetter(*inverse)
+        image = [index.get(move(p)) for p in points]
+        if None not in image:
+            found.append(tuple(image))
+    return found
+
+
+def _orbit_generators(points: Sequence[tuple], symmetries) -> list[tuple[int, ...]] | None:
+    """The verified point symmetries if ``v_to_h`` should go orbit-wise, else None.
+
+    The orbit path pays off when the group moves every point to every other
+    (transitive), so that every facet orbit is large; below
+    ``ORBIT_MIN_POINTS`` points the proposals are not even read.
+    """
+    if len(points) < ORBIT_MIN_POINTS:
+        return None
+    generators = point_symmetries(points, symmetries)
+    reached, frontier = {0}, [0]
+    while frontier:
+        j = frontier.pop()
+        for g in generators:
+            if g[j] not in reached:
+                reached.add(g[j])
+                frontier.append(g[j])
+    return generators if len(reached) == len(points) else None
+
+
+def _facet_orbits(chart: Sequence[tuple], rows: Sequence[Row],
+                  generators: Sequence[tuple[int, ...]], progress=None) -> list[list[Row]]:
+    """The extreme rays of {y : row . y <= 0}, orbit by orbit.
+
+    Adjacency decomposition (Bremner, Dutour Sikirić & Schürmann,
+    arXiv:math/0702239; Christof & Reinelt, IJCGA 11, 2001). ``rows`` are
+    the cone rows ``(1, q)`` of the full-dimensional points ``chart``, and
+    ``generators`` permute the points (as ``point_symmetries`` returns
+    them). A facet is keyed by its primitive vector of values ``row . y``
+    over the points; a generator g sends key k to ``k[g[j]]`` at point j.
+
+    The first facet comes from rotating a coordinate bound until its tight
+    points span a hyperplane. Then, for each orbit representative F, plain
+    ``v_to_h`` of F's tight points gives F's ridges; each ridge h rotates
+    about itself onto the neighbouring facet h + mu * F, with mu the least
+    value keeping every point feasible. A key not seen before starts a new
+    orbit, expanded by the generators. The facet graph is connected, so
+    every orbit is reached. Each key is turned back into its ray with the
+    inverse of one basis of the rows.
+
+    Needs a hull of dimension at least 2, where ridges are nonempty; a
+    group transitive on 32 or more points guarantees it, since all of them
+    are then vertices.
+    """
+    width = len(rows[0])
+    values = _columns_product(list(zip(*rows)))  # y -> row . y at every point
+
+    # a coordinate bound q_1 <= top, tight at some point
+    top = max(Fraction(row[1], row[0]) for row in rows)
+    y = [-top.numerator, top.denominator] + [0] * (width - 2)
+    vals = values(y)
+    while True:
+        reduced, pivots = _echelon([row for row, v in zip(rows, vals) if v == 0])
+        if len(pivots) == width - 1:
+            break
+        lead = next(i for i, c in enumerate(y) if c)
+        z = next(z for z in _null_basis(reduced, pivots, width)
+                 if any(y[lead] * b != z[lead] * a for a, b in zip(y, z)))
+        z_vals = values(z)
+        if max(z_vals) <= 0:
+            z, z_vals = [-c for c in z], [-v for v in z_vals]
+        # the largest step keeping every point feasible; a point leaves
+        # the slack and joins the tight set, raising its rank
+        t = min(Fraction(-v, w) for v, w in zip(vals, z_vals) if w > 0)
+        y = _primitive([t.denominator * a + t.numerator * b for a, b in zip(y, z)])
+        vals = values(y)
+
+    seen: set[tuple[int, ...]] = set()
+    orbits: list[list[tuple[int, ...]]] = []
+    actions = [itemgetter(*g) for g in generators]
+
+    def add_orbit(key):
+        seen.add(key)
+        orbit = [key]
+        for k in orbit:  # grows while it is walked
+            for act in actions:
+                image = act(k)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(orbit)
+
+    add_orbit(tuple(_primitive(vals)))
+    for orbit in orbits:  # grows while it is walked
+        key = orbit[0]
+        tight = [chart[p] for p, v in enumerate(key) if v == 0]
+        off = [(p, -v) for p, v in enumerate(key) if v]
+        for coeffs, rhs in v_to_h(VRep(tuple(tight)), progress).ineq:
+            h = values((-rhs,) + coeffs)
+            num, den = h[off[0][0]], off[0][1]
+            for p, slack in off:
+                if h[p] * den > num * slack:
+                    num, den = h[p], slack
+            neighbour = tuple(_primitive([den * a + num * b for a, b in zip(h, key)]))
+            if neighbour not in seen:
+                add_orbit(neighbour)
+
+    # eliminating [rows^T | I] as in extreme_rays: right-half row j is a
+    # positive multiple of column j of the basis rows' inverse
+    reduced, basis = _echelon([
+        [row[i] for row in rows] + [int(i == j) for j in range(width)]
+        for i in range(width)
+    ])
+    scale = lcm(*(red[b] for red, b in zip(reduced, basis)))
+    solve = _columns_product([[c * (scale // red[b]) for c in red[len(rows):]]
+                              for red, b in zip(reduced, basis)])
+    at_basis = itemgetter(*basis)
+    return [[tuple(_primitive(solve(at_basis(key)))) for key in orbit] for orbit in orbits]
+
+
+def _columns_product(columns: Sequence[Sequence[int]]):
+    """The map y -> sum over j of y[j] * columns[j], for integer columns.
+
+    The columns are packed into one int each, 64 bits per entry, so the sum
+    is a few big-int products (SIMD within a register). Adding 2**63 to
+    every field keeps each field in [0, 2**64), so no borrow crosses
+    fields; xor-ing the same bias off leaves every field in two's
+    complement, read back as native signed 64-bit integers. This is exact
+    while ``top * sum(|y|) < 2**63`` bounds every entry; past that bound
+    the entries are summed one row at a time.
+    """
+    length = len(columns[0])
+    top = max(abs(c) for column in columns for c in column)
+    packed = [sum(c << 64 * i for i, c in enumerate(column)) for column in columns]
+    bias = sum(1 << 64 * i + 63 for i in range(length))
+    rows = list(zip(*columns))
+
+    def product(y):
+        if top * sum(map(abs, y)) >= 1 << 63:
+            return [sum(map(mul, row, y)) for row in rows]
+        total = (sum(map(mul, y, packed)) + bias) ^ bias
+        fields = memoryview(total.to_bytes(8 * length, sys.byteorder)).cast("q").tolist()
+        return fields if sys.byteorder == "little" else fields[::-1]
+
+    return product
+
+
 # -- conversions -----------------------------------------------------------
 
 
-def v_to_h(v: VRep, progress=None) -> HRep:
+def v_to_h(v: VRep, progress=None, symmetries=()) -> HRep:
     """Facets and affine hull of the convex hull of the given points.
 
-    ``progress`` is handed to ``extreme_rays`` for the facet conversion.
+    ``symmetries`` are proposed coordinate permutations (see
+    ``point_symmetries``), read only for at least ``ORBIT_MIN_POINTS``
+    distinct points. Those that map the points onto themselves are kept;
+    if the group they generate is transitive on the points, the facets come
+    orbit by orbit (``_facet_orbits``), else from one double description
+    over all points (``extreme_rays``). Either way the HRep is the same.
+    ``progress`` is handed to every ``extreme_rays`` call.
     """
     points = []
     seen = set()
@@ -425,8 +611,14 @@ def v_to_h(v: VRep, progress=None) -> HRep:
     pivots, eq_rows = affine_hull(points)
     chart = [tuple(p[j] for j in pivots) for p in points]
     cone_rows = [_integerize((1,) + q) for q in chart]
+    generators = _orbit_generators(points, symmetries)
+    if generators is None:
+        rays = extreme_rays(cone_rows, progress=progress)
+    else:
+        rays = [ray for orbit in _facet_orbits(chart, cone_rows, generators, progress)
+                for ray in orbit]
     ineqs = []
-    for ray in extreme_rays(cone_rows, progress=progress):
+    for ray in rays:
         a0, a = ray[0], ray[1:]
         if all(c == 0 for c in a):
             continue  # the trivial face at the homogenization apex

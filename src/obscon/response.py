@@ -249,6 +249,71 @@ def build_functional_system(dag: HiddenDag, district: District,
     )
 
 
+def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
+    """Row permutations of B that should map its columns onto themselves.
+
+    Yields permutations ``perm`` of the row indices, read as the coordinate
+    permutation sending a column x to the column y with ``y[perm[r]] = x[r]``.
+    They are proposals: ``polyhedra.v_to_h`` keeps only those that map the
+    column set onto itself. There are three kinds:
+
+    * adjacent transpositions of each external parent's values;
+    * for each member W and each configuration c of W's observed parents,
+      adjacent transpositions of W's values on the rows where W's parents
+      equal c;
+    * for each pair of members of equal cardinality, the involution that
+      swaps them and pairs the external parents of one but not the other,
+      in variable order, when it sends every member's observed-parent set
+      to its image's. Transpositions generate every permutation of
+      interchangeable members, as in the Bell scenarios' party swaps.
+
+    A generator: nothing is built until ``v_to_h`` reads it, which it does
+    only for large point sets.
+    """
+    members = system.district.members
+    names = members + system.w2_order
+    position = {name: i for i, name in enumerate(names)}
+    cards = [dag.cardinality(name) for name in names]
+    rows = [w1.values() + w2.values() for w1, w2 in system.row_labels]
+    index = {row: r for r, row in enumerate(rows)}
+
+    def swap_values(k, a, where=lambda row: True):
+        swap = {a: a + 1, a + 1: a}
+        return tuple(
+            index[row[:k] + (swap[row[k]],) + row[k + 1:]]
+            if row[k] in swap and where(row) else r
+            for r, row in enumerate(rows)
+        )
+
+    for k in range(len(members), len(names)):
+        for a in range(cards[k] - 1):
+            yield swap_values(k, a)
+    parents = {m: response_levels(dag, m).parent_order for m in members}
+    for m in members:
+        k = position[m]
+        at = [position[p] for p in parents[m]]
+        for config in product(*[range(cards[i]) for i in at]):
+            for a in range(cards[k] - 1):
+                yield swap_values(k, a, lambda row: tuple(row[i] for i in at) == config)
+    for i, first in enumerate(members):
+        for second in members[i + 1:]:
+            if cards[position[first]] != cards[position[second]]:
+                continue
+            ext_first, ext_second = (
+                sorted(set(parents[m]) - set(members) - set(parents[o]), key=position.get)
+                for m, o in ((first, second), (second, first)))
+            pairs = [(first, second)] + list(zip(ext_first, ext_second))
+            if len(ext_first) != len(ext_second) or any(
+                    cards[position[a]] != cards[position[b]] for a, b in pairs):
+                continue
+            image = {name: name for name in names}
+            for a, b in pairs:
+                image[a], image[b] = b, a
+            if all({image[p] for p in parents[m]} == set(parents[image[m]]) for m in members):
+                target = [position[image[name]] for name in names]
+                yield tuple(index[tuple(map(row.__getitem__, target))] for row in rows)
+
+
 def star_factors(dag: HiddenDag, district: District) -> list[tuple[str, tuple[str, ...]]]:
     """Per-member (variable, conditioning set) pairs of the identifying product.
 

@@ -118,7 +118,8 @@ def pytest_addoption(parser):
         "--run-long",
         action="store_true",
         default=False,
-        help="run the long tests (the Bell derivation and its DD, 15-25 s each on 2 cores)",
+        help="run the long tests (criterion 8 on the Bell scenario, 10-15 s, and its "
+             "plain DD, 15-25 s, on 2 cores)",
     )
 
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with ``pytest tests/test_acceptance.py -v``; criterion 8 (the tripartite
-Bell derivation, 15-25 s on a 2-core machine) is gated behind ``--run-long``.
+Bell derivation with its flag counts, 10-15 s on a 2-core machine) is gated
+behind ``--run-long``.
 
 Published constraint lists are presented after eliminating redundant
 coordinates against the equality rows ("simple algebra"), so expected and
@@ -535,7 +536,7 @@ SOUNDNESS_FIXTURES = [
 def test_criterion_10_soundness():
     # model-generated distributions never violate the derived constraints;
     # the Bell fixture joins the gated long run (criterion 8) because its
-    # derivation alone takes 15-25 s
+    # derivation alone takes 8-10 s
     t0 = time.monotonic()
     rng = random.Random(414243)
     for name in SOUNDNESS_FIXTURES:

@@ -352,7 +352,7 @@ SCAN_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(SCAN_GRAPHS))
 def test_evaluate_matches_scan_reference(name):
-    # bell_tripartite is left out: its derivation alone takes 15-25 s. I3322's
+    # bell_tripartite is left out: its derivation alone takes 8-10 s. I3322's
     # dense tables satisfy every row, so only its sparse tables are asserted on
     dag = parse_graph(SCAN_GRAPHS[name])
     merge = any(d.c_degree > 1 for d in dag.districts())

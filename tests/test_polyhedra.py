@@ -340,6 +340,24 @@ def test_within_slack_matches_counting():
         assert polyhedra._within_slack(missed, candidates, slack) == want
 
 
+def test_columns_product_matches_row_sums():
+    # the packed product is exact: against the plain row sums, with
+    # negative entries, entries near the 64-bit bound, and past it
+    rng = random.Random(64)
+    for rep in range(300):
+        n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 12)
+        big = rng.choice([3, 1 << 20, 1 << 40, 1 << 70])
+        columns = [[rng.randint(-big, big) for _ in range(n_rows)] for _ in range(n_cols)]
+        product = polyhedra._columns_product(columns)
+        for _ in range(5):
+            y = [rng.randint(-big, big) for _ in range(n_cols)]
+            want = [sum(c[i] * v for c, v in zip(columns, y)) for i in range(n_rows)]
+            assert product(y) == want, (rep, columns, y)
+    # every entry just inside the bound
+    top = (1 << 62) - 1
+    assert polyhedra._columns_product([[top, -top], [1, -1]])([1, 1]) == [1 << 62, -(1 << 62)]
+
+
 def cross_polytope(dim):
     return [tuple(sign * (j == i) for j in range(dim)) for i in range(dim) for sign in (1, -1)]
 
@@ -357,38 +375,50 @@ def test_known_facet_counts(points, facets):
     assert len(h.ineq) == facets
 
 
-def bell_derivation(monkeypatch, text):
-    """Derive a Bell graph, recording every DD step through the progress hook
-    and every ray list the DD returns."""
-    steps = []
-    finals = []
+def district_columns(text):
+    """The columns of the system of a graph's one derived district."""
+    dag = parse_graph(text)
+    (district,) = [d for d in dag.districts() if len(d.members) > 1]
+    return tuple(build_functional_system(dag, district).columns_as_points())
+
+
+def test_bell_chsh_facets():
+    (record,) = [r for r in derive_all(parse_graph(BELL_CHSH)).districts if not r.skipped]
+    assert len(record.hrep.ineq) == 24
+
+
+def dd_of_district(monkeypatch, text):
+    """Plain v_to_h (one DD over all columns) of a graph's one derived
+    district, with every progress call and the ray list of its one DD."""
+    points = district_columns(text)
+    calls, finals = [], []
     original = polyhedra.extreme_rays
 
     def recording(rows, progress=None):
-        rays = original(rows, progress=lambda *args: steps.append(args))
-        finals.append(rays)
-        return rays
+        finals.append(original(rows, progress))
+        return finals[-1]
 
     monkeypatch.setattr(polyhedra, "extreme_rays", recording)
-    (record,) = [r for r in derive_all(parse_graph(text)).districts if not r.skipped]
-    return record.hrep, steps, finals
-
-
-def test_bell_chsh_facets(monkeypatch):
-    hrep, _, _ = bell_derivation(monkeypatch, BELL_CHSH)
-    assert len(hrep.ineq) == 24
+    hrep = v_to_h(VRep(points), progress=lambda *args: calls.append(args))
+    (rays,) = finals
+    return hrep, calls, rays
 
 
 def test_bell_i3322_facets_and_dd_counts(monkeypatch):
     # 684 facets: Collins & Gisin, J. Phys. A 37, 1775 (2004)
-    hrep, steps, finals = bell_derivation(monkeypatch, BELL_I3322)
+    hrep, steps, rays = dd_of_district(monkeypatch, BELL_I3322)
     assert (len(hrep.ineq), len(hrep.eq)) == (684, 21)
     assert len(steps) == 48
-    (rays,) = finals
     assert max([n_rays for _, _, n_rays, _ in steps] + [len(rays)]) == 1223
     # SHA-256 of the exact ray list, order and duplicates included
     assert sha256(repr(rays).encode()).hexdigest() == (
         "bb86a08342a7e6b8cd9fbd6038183493b6dace9ffe2538edd78ef140059d2072")
+
+
+def test_bell_i3322_derived_hrep_is_plain_dd():
+    # the derivation goes orbit-wise; its HRep is plain DD's
+    (record,) = [r for r in derive_all(parse_graph(BELL_I3322)).districts if not r.skipped]
+    assert record.hrep == v_to_h(VRep(tuple(record.system.columns_as_points())))
 
 
 @pytest.mark.parametrize("text", [BELL_CHSH, BELL_I3322], ids=["chsh", "i3322"])
@@ -401,32 +431,12 @@ def test_bell_cone_rays_ignore_row_order(monkeypatch, text):
         return original(rows, progress)
 
     monkeypatch.setattr(polyhedra, "extreme_rays", recording)
-    derive_all(parse_graph(text))
+    v_to_h(VRep(district_columns(text)))
     (rows,) = cones
     want = original(rows)
     rng = random.Random(31)
     for order in (rows[::-1], rng.sample(rows, len(rows)), rng.sample(rows, len(rows))):
         assert original(order) == want
-
-
-def dd_of_district(monkeypatch, text):
-    """v_to_h of a graph's one derived district, with every progress call
-    and the ray list of its one DD."""
-    dag = parse_graph(text)
-    (district,) = [d for d in dag.districts() if len(d.members) > 1]
-    system = build_functional_system(dag, district)
-    calls, finals = [], []
-    original = polyhedra.extreme_rays
-
-    def recording(rows, progress=None):
-        finals.append(original(rows, progress))
-        return finals[-1]
-
-    monkeypatch.setattr(polyhedra, "extreme_rays", recording)
-    hrep = v_to_h(VRep(tuple(system.columns_as_points())),
-                  progress=lambda *args: calls.append(args))
-    (rays,) = finals
-    return hrep, calls, rays
 
 
 def test_v_to_h_passes_progress_to_dd(monkeypatch):
