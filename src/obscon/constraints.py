@@ -14,12 +14,12 @@ Testing them anyway is sound, since trivial rows restrict nothing.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
+from ._record import Record
 from ._version import __version__ as _version
 from .graph import HiddenDag, validate_conditions
 from .graph import parse_graph  # noqa: F401  (bound here so a tracer can wrap it)
@@ -49,8 +49,7 @@ class ConditionsError(ValueError):
     """The graph is not in derivable form (conditions or c-degree)."""
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One linear (in)equality over a district's interventional terms.
 
     ``terms`` maps row indices of the district's FunctionalSystem to integer
@@ -64,14 +63,15 @@ class Constraint:
     witness: int | None
 
 
-@dataclass(frozen=True)
-class DistrictResult:
+class DistrictResult(Record):
     """One district's derivation; a skipped district has no system."""
 
-    members: tuple[str, ...]
-    c_degree: int
-    system: FunctionalSystem | None
-    constraints: tuple[Constraint, ...]
+    _fields = ("members", "c_degree", "system", "constraints")
+
+    def __init__(self, members: tuple[str, ...], c_degree: int,
+                 system: FunctionalSystem | None, constraints: tuple[Constraint, ...]):
+        self._set(members=members, c_degree=c_degree, system=system,
+                  constraints=constraints)
 
     @property
     def skipped(self) -> bool:
@@ -107,18 +107,20 @@ class DistrictResult:
         return tuple(_join_terms(c, term_texts) for c in self.constraints)
 
 
-@dataclass(frozen=True)
-class DerivationResult:
+class DerivationResult(Record):
     """A graph's derivation; ``derived_graph`` is the graph it ran on (the
-    input, or its merged rewrite)."""
+    input, or its merged rewrite). ``meta`` defaults to a new empty dict."""
 
-    fingerprint: str
-    graph_text: str
-    derived_graph: HiddenDag
-    merged: bool
-    ci_statements: tuple[CIStatement, ...]
-    districts: tuple[DistrictResult, ...]
-    meta: dict = field(default_factory=dict)
+    _fields = ("fingerprint", "graph_text", "derived_graph", "merged",
+               "ci_statements", "districts", "meta")
+
+    def __init__(self, fingerprint: str, graph_text: str, derived_graph: HiddenDag,
+                 merged: bool, ci_statements: tuple[CIStatement, ...],
+                 districts: tuple[DistrictResult, ...], meta: dict | None = None):
+        self._set(fingerprint=fingerprint, graph_text=graph_text,
+                  derived_graph=derived_graph, merged=merged,
+                  ci_statements=ci_statements, districts=districts,
+                  meta={} if meta is None else meta)
 
     @property
     def derived_graph_text(self) -> str:
@@ -162,8 +164,7 @@ class DerivationResult:
         )
 
 
-@dataclass(frozen=True)
-class DeriveOptions:
+class DeriveOptions(NamedTuple):
     merge: bool = False
     max_ci_size: int | None = None
     column_limit: int = DEFAULT_COLUMN_LIMIT
@@ -415,15 +416,13 @@ def _check_plan(index: int, record: DistrictResult, dag: HiddenDag) -> CheckPlan
     return CheckPlan(index, stars, tuple(rows))
 
 
-@dataclass(frozen=True)
-class CIStatus:
+class CIStatus(NamedTuple):
     statement: CIStatement
     status: str
     margin: Fraction
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     constraint_statuses: tuple[ConstraintStatus, ...]
     ci_statuses: tuple[CIStatus, ...]
     tolerance: Fraction
@@ -454,10 +453,11 @@ def _ci_margin(table: JointTable, stmt: CIStatement) -> Fraction:
     rhs values that occur with each conditioning value are visited.
     """
     lhs, rhs, given = stmt.lhs, stmt.rhs, stmt.given
-    mass_g = table.marginal(given)
+    # finest first, so that the others are summed from it
+    mass_all = table.marginal(lhs + rhs + given)
     mass_lg = table.marginal(lhs + given)
     mass_rg = table.marginal(rhs + given)
-    mass_all = table.marginal(lhs + rhs + given)
+    mass_g = table.marginal(given)
     sides: dict[tuple[int, ...], tuple[list, list]] = {g: ([], []) for g in mass_g}
     for key in mass_lg:
         sides[key[len(lhs):]][0].append(key[:len(lhs)])

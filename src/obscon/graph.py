@@ -9,8 +9,7 @@ derives from it, so outputs are reproducible bit for bit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphParseError(ValueError):
@@ -26,32 +25,41 @@ class GraphStructureError(ValueError):
     """Raised when a graph violates a structural invariant (cycle, bad edge)."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class _VariableFields(NamedTuple):
     name: str
     kind: str  # "observed" | "latent"
     cardinality: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("observed", "latent"):
-            raise GraphStructureError(f"unknown variable kind {self.kind!r}")
-        if self.kind == "observed":
-            if self.cardinality is None or self.cardinality < 2:
+
+class Variable(_VariableFields):
+    """A declared variable; its kind and cardinality are checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: str, cardinality: int | None = None):
+        if kind not in ("observed", "latent"):
+            raise GraphStructureError(f"unknown variable kind {kind!r}")
+        if kind == "observed":
+            if cardinality is None or cardinality < 2:
                 raise GraphStructureError(
-                    f"observed variable {self.name!r} needs cardinality >= 2"
+                    f"observed variable {name!r} needs cardinality >= 2"
                 )
-        elif self.cardinality is not None:
+        elif cardinality is not None:
             raise GraphStructureError(
-                f"latent variable {self.name!r} must not carry a cardinality"
+                f"latent variable {name!r} must not carry a cardinality"
             )
+        return super().__new__(cls, name, kind, cardinality)
+
+    @classmethod
+    def _make(cls, iterable) -> "Variable":
+        return cls(*iterable)  # checked, as is every ``_replace``
 
     @property
     def observed(self) -> bool:
         return self.kind == "observed"
 
 
-@dataclass(frozen=True)
-class District:
+class District(NamedTuple):
     """A confounded component: observed members plus the latents over them.
 
     ``members`` and ``latents`` are tuples sorted by canonical variable index.
@@ -105,6 +113,7 @@ class HiddenDag:
             self._children[parent].append(child)
 
         self._topo = self._topological_sort()  # raises on cycles
+        self._conditions: ConditionReport | None = None  # validate_conditions fills it
 
     # -- basic queries -------------------------------------------------
 
@@ -288,8 +297,7 @@ class HiddenDag:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of the structural validity check.
 
     ``violations`` holds (condition, latent, message) triples; an empty list
@@ -297,7 +305,7 @@ class ConditionReport:
     distinct with at least two members each.
     """
 
-    violations: tuple[tuple[str, str, str], ...] = field(default=())
+    violations: tuple[tuple[str, str, str], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -310,7 +318,16 @@ class ConditionReport:
 
 
 def validate_conditions(dag: HiddenDag) -> ConditionReport:
-    """Check that latents are exogenous (C1) and non-nested with >= 2 observed children (C2)."""
+    """Check that latents are exogenous (C1) and non-nested with >= 2 observed children (C2).
+
+    A graph is immutable, so its report is computed once and kept on it.
+    """
+    if dag._conditions is None:
+        dag._conditions = _check_conditions(dag)
+    return dag._conditions
+
+
+def _check_conditions(dag: HiddenDag) -> ConditionReport:
     violations = []
     latents = dag.latent_names()
     for u in latents:

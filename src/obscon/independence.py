@@ -18,15 +18,13 @@ it. When a and b are adjacent in that graph, no candidate can separate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import HiddenDag
 
 
-@dataclass(frozen=True)
-class CIStatement:
+class CIStatement(NamedTuple):
     """A statement lhs _||_ rhs | given over observed variables.
 
     Canonical form: all three parts sorted by canonical index and the side

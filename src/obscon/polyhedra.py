@@ -51,11 +51,10 @@ coefficients on the dependent columns.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class UnboundedPolytopeError(ValueError):
@@ -65,21 +64,30 @@ class UnboundedPolytopeError(ValueError):
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VRep:
-    """Convex-hull generators (points only; rays are out of scope).
-
-    Coordinates are ``int`` or ``Fraction``.
-    """
-
+class _VRepFields(NamedTuple):
     points: tuple[tuple[int | Fraction, ...], ...]
 
-    def __post_init__(self):
-        if not self.points:
+
+class VRep(_VRepFields):
+    """Convex-hull generators (points only; rays are out of scope).
+
+    Coordinates are ``int`` or ``Fraction``; the points are checked on
+    construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, points: tuple[tuple[int | Fraction, ...], ...]):
+        if not points:
             raise ValueError("VRep needs at least one point")
-        dim = len(self.points[0])
-        if any(len(p) != dim for p in self.points):
+        dim = len(points[0])
+        if any(len(p) != dim for p in points):
             raise ValueError("points have inconsistent dimensions")
+        return super().__new__(cls, points)
+
+    @classmethod
+    def _make(cls, iterable) -> "VRep":
+        return cls(*iterable)  # checked, as is every ``_replace``
 
     @property
     def dim(self) -> int:
@@ -90,8 +98,7 @@ class VRep:
         return cls(tuple(tuple(Fraction(x) for x in p) for p in points))
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(NamedTuple):
     """Canonical halfspace representation: ineq rows H x <= b, eq rows H x = b."""
 
     ineq: tuple[tuple[Row, int], ...]

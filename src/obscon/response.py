@@ -21,11 +21,10 @@ for the binary instrumental-variable system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graph import District, HiddenDag, validate_conditions
 from .tables import JointTable
@@ -44,8 +43,7 @@ class ColumnLimitError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """An assignment of values to an ordered tuple of observed variables."""
 
     items: tuple[tuple[str, int], ...]
@@ -78,8 +76,7 @@ def enumerate_configs(names: Sequence[str], cards: Sequence[int]) -> list[Config
     ]
 
 
-@dataclass(frozen=True)
-class ResponseSpec:
+class ResponseSpec(NamedTuple):
     """Shape of the response variable for one observed variable."""
 
     variable: str
@@ -131,8 +128,7 @@ def eval_response(spec: ResponseSpec, level: int,
     return (level // power) % spec.cardinality
 
 
-@dataclass(frozen=True)
-class FunctionalSystem:
+class FunctionalSystem(NamedTuple):
     """The labeled 0/1 system p = B r for one district, stored sparsely.
 
     Column c of B has a single 1 in each w2 block, in the block's row
@@ -358,13 +354,14 @@ def star_scaled(table: JointTable, keys: tuple) -> tuple[int, list[int | None]]:
     Returns (denominator, numerators): the denominator is the lcm of the
     rows' reduced denominators, and a numerator is ``None`` when some
     conditioning event of its row has probability zero (not evaluable).
-    Each factor reads its two marginals once for all rows; both masses of a
+    Each factor reads its two marginals once for all rows, the joint one
+    first, from which the table sums the conditioning one; both masses of a
     conditional share the table's denominator, which cancels.
     """
     nums = dens = None  # every district has a member, so a factor
     for cond, joint, given_keys, joint_keys in keys:
-        given_mass = table.marginal(cond).get
         joint_mass = table.marginal(joint).get
+        given_mass = table.marginal(cond).get
         given = [given_mass(key, 0) for key in given_keys]
         joint = [joint_mass(key, 0) for key in joint_keys]
         if nums is None:

@@ -6,18 +6,20 @@ decimal literal; omitted rows mean probability zero.
 
 A table keeps its masses as integer numerators over one common denominator
 and caches every marginal it is asked for, so a query over a variable tuple
-costs one pass over the table the first time and a dictionary lookup after.
+costs one pass the first time and a dictionary lookup after. While the
+cache holds fewer marginals than the table has rows, the pass runs over the
+smallest cached marginal that holds the variables, if there is one.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, lcm, log10
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .graph import HiddenDag
 
 
@@ -75,28 +77,29 @@ def _approximate(numerator: int, denominator: int) -> str:
     return f"about {mantissa:.5f}e{power}"
 
 
-@dataclass(frozen=True)
-class JointTable:
-    variables: tuple[str, ...]
-    cardinalities: tuple[int, ...]
-    probs: Mapping[tuple[int, ...], Fraction]
-    decimal_source: bool = False
-    # derived state: equality and hashing see only the fields above
-    denominator: int = field(init=False, repr=False, compare=False)
-    _scaled: tuple = field(init=False, repr=False, compare=False)
-    _marginals: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+class JointTable(Record):
+    """A joint distribution over ``variables``, checked on construction.
 
-    def __post_init__(self):
-        for config, p in self.probs.items():
-            if len(config) != len(self.variables):
+    Equality, hashing and the repr see ``variables``, ``cardinalities``,
+    ``probs`` and ``decimal_source``; the integer masses over
+    ``denominator`` and the marginal cache are derived from them.
+    """
+
+    __slots__ = ("variables", "cardinalities", "probs", "decimal_source",
+                 "denominator", "_scaled", "_marginals")
+    _fields = ("variables", "cardinalities", "probs", "decimal_source")
+
+    def __init__(self, variables: tuple[str, ...], cardinalities: tuple[int, ...],
+                 probs: Mapping[tuple[int, ...], Fraction], decimal_source: bool = False):
+        for config, p in probs.items():
+            if len(config) != len(variables):
                 raise TableError("configuration arity mismatch")
-            for value, card in zip(config, self.cardinalities):
+            for value, card in zip(config, cardinalities):
                 if not 0 <= value < card:
                     raise TableError(f"value {value} out of range in {config}")
             if p < 0:
                 raise TableError(f"negative probability for {config}")
-        exact = [(config, Fraction(p)) for config, p in self.probs.items() if p]
+        exact = [(config, Fraction(p)) for config, p in probs.items() if p]
         denominator = lcm(*(p.denominator for _, p in exact))
         scaled = tuple(
             (config, p.numerator * (denominator // p.denominator))
@@ -107,8 +110,9 @@ class JointTable:
             raise TableError(
                 f"probabilities sum to {_approximate(total, denominator)}, expected 1"
             )
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_scaled", scaled)
+        self._set(variables=variables, cardinalities=cardinalities, probs=probs,
+                  decimal_source=decimal_source, denominator=denominator,
+                  _scaled=scaled, _marginals={})
 
     @classmethod
     def from_dict(cls, dag: HiddenDag, probs: Mapping[tuple[int, ...], Fraction],
@@ -128,15 +132,28 @@ class JointTable:
         """Masses of the values of ``names``, keyed in the order given.
 
         Masses are integer numerators over ``denominator``; values of zero
-        mass are absent. Each variable tuple costs one pass over the table,
-        the first time it is asked for.
+        mass are absent. Each variable tuple costs one pass, the first time
+        it is asked for: over the smallest cached marginal of a superset of
+        ``names`` if there is one and the cache holds fewer marginals than
+        the table has rows, else over the table. Either pass meets the
+        values in the order of their first row in the table, so the keys
+        come in that order too.
         """
         key = tuple(names)
         masses = self._marginals.get(key)
         if masses is None:
-            cols = [self._column(name) for name in key]
+            cols = [self._column(name) for name in key]  # raises on unknown names
+            rows = self._scaled
+            # a look at a cached marginal costs about what a row of a pass
+            # does, so the cache is searched only while it is the shorter
+            if len(self._marginals) < len(rows):
+                wanted = set(key)
+                for finer, cached in self._marginals.items():
+                    if len(cached) < len(rows) and wanted.issubset(finer):
+                        rows = cached.items()
+                        cols = [finer.index(name) for name in key]
             masses = {}
-            for config, n in self._scaled:
+            for config, n in rows:
                 values = tuple([config[i] for i in cols])
                 masses[values] = masses.get(values, 0) + n
             self._marginals[key] = masses

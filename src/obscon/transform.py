@@ -12,7 +12,7 @@ graphs with identical constraint sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import GraphStructureError, HiddenDag, Variable, validate_conditions
 
@@ -21,8 +21,7 @@ class RewriteError(ValueError):
     """A rewrite's precondition failed; the message names the failed clause."""
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     rule: str
     description: str
     # primitive edits, each ("add_edge"|"remove_edge", parent, child) or
@@ -30,8 +29,7 @@ class RewriteStep:
     edits: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class RewriteLog:
+class RewriteLog(NamedTuple):
     steps: tuple[RewriteStep, ...] = ()
 
     def __add__(self, other: "RewriteLog") -> "RewriteLog":

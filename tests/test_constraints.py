@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import obscon.constraints
+import obscon.graph
 from obscon import (
     ConditionsError,
     DeriveOptions,
@@ -424,6 +425,24 @@ def test_check_plan_is_built_once_and_reused(name, monkeypatch):
     assert documents == [
         json.dumps(result_to_json(result, dag, texts=texts)) for texts in (False, True)
     ]
+
+
+@pytest.mark.parametrize("name", ["frontdoor", "mixed_cdegree"])
+def test_conditions_are_checked_once_per_graph(name, monkeypatch):
+    checked = []
+
+    def counted(dag):
+        checked.append(dag)
+        return check(dag)
+
+    check = obscon.graph._check_conditions
+    monkeypatch.setattr(obscon.graph, "_check_conditions", counted)
+    dag = parse_graph(FIXTURE_GRAPHS[name])
+    result = derive_all(dag, DeriveOptions(merge=name == "mixed_cdegree"))
+    for texts in (False, True):
+        result_to_json(result, dag, texts=texts)
+    touched = [dag] + ([result.derived_graph] if result.merged else [])
+    assert sorted(map(id, checked)) == sorted(map(id, touched))
 
 
 def test_constraint_status_contract(graphs):

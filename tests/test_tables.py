@@ -79,6 +79,20 @@ def test_marginal_masses_over_common_denominator():
                 table, dict(zip(names, values)))
 
 
+def test_marginals_summed_from_cached_ones_match_a_direct_pass():
+    # a table sums a new marginal from the smallest cached one that holds
+    # its variables; a fresh table's first marginal is a pass over its rows
+    rng = random.Random(29)
+    for _ in range(100):
+        table = random_table(rng)
+        for _ in range(8):
+            names = list(table.variables)
+            rng.shuffle(names)
+            names = tuple(names[:rng.randint(0, len(names))])
+            fresh = JointTable(table.variables, table.cardinalities, table.probs)
+            assert list(table.marginal(names).items()) == list(fresh.marginal(names).items())
+
+
 def test_unknown_variable_raises():
     table = JointTable(("A", "B"), (2, 2), {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
     for _ in range(2):  # before and after the cache holds entries
