@@ -25,7 +25,6 @@ from .constraints import (
     report_to_json,
     result_to_json,
 )
-from .fixtures import write_examples
 from .graph import GraphParseError, load_graph, validate_conditions
 from .independence import enumerate_ci
 from .response import DEFAULT_COLUMN_LIMIT, ColumnLimitError
@@ -291,6 +290,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_emit_examples(args) -> int:
+    from .fixtures import write_examples  # only this command needs the examples
+
     try:
         written = write_examples(args.emit_examples)
     except OSError as exc:

@@ -4,11 +4,12 @@ Everything here is deliberately written from first principles, not by calling
 the code under test: a dictionary simplex over exact rationals, double
 description with the full-scan adjacency test, a path-enumeration
 d-separation checker, a CI enumeration that tries every subset of the other
-observed variables, a structural-model sampler that marginalizes finite
-latent variables directly, the vertices of a product of simplices, dense
-views of a district system (B r, coefficient rows, response encoding, the
-columns that realize a row), and an evaluation that scans the whole table
-for every probability it needs.
+observed variables, a per-pair scan for minimal separators over the subsets
+of the pair's observed ancestors, a structural-model sampler that
+marginalizes finite latent variables directly, the vertices of a product of
+simplices, dense views of a district system (B r, coefficient rows, response
+encoding, the columns that realize a row), and an evaluation that scans the
+whole table for every probability it needs.
 """
 
 from __future__ import annotations
@@ -400,6 +401,44 @@ def enumerate_ci_exhaustive(dag: HiddenDag, max_condition_size=None) -> list:
             kept.append(stmt)
             covered |= stmt.pairs()
     return sorted(kept, key=lambda s: (s.given, s.lhs, s.rhs))
+
+
+def minimal_separators_by_scan(dag: HiddenDag, wi: str, wj: str, cap: int) -> list:
+    """Inclusion-minimal Z with wi _||_ wj | Z and |Z| <= cap, by trying every
+    subset of the observed members of An({wi, wj}) in order of size.
+
+    Every candidate lies in that ancestor closure, so An({wi, wj} | Z) is the
+    closure itself and one dict-of-sets moral graph of it answers every test.
+    """
+    relevant = dag.ancestors((wi, wj))
+    moral = {v: set() for v in relevant}
+    for child in relevant:
+        parents = dag.parents(child)
+        for p in parents:
+            moral[p].add(child)
+            moral[child].add(p)
+        for p, q in combinations(parents, 2):
+            moral[p].add(q)
+            moral[q].add(p)
+
+    def separated(z):
+        frontier, seen = [wi], {wi}
+        while frontier:
+            for nxt in moral[frontier.pop()]:
+                if nxt == wj:
+                    return False
+                if nxt not in z and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return True
+
+    pool = [w for w in dag.observed_names() if w in relevant and w not in (wi, wj)]
+    found: list = []
+    for size in range(min(cap, len(pool)) + 1):
+        for z in map(frozenset, combinations(pool, size)):
+            if not any(prev <= z for prev in found) and separated(z):
+                found.append(z)
+    return found
 
 
 # -- random structures -------------------------------------------------------

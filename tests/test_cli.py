@@ -34,6 +34,17 @@ def test_emit_examples_writes_everything(examples):
         assert f"{table}.csv" in names
 
 
+def test_cli_import_leaves_examples_unloaded():
+    # only --emit-examples needs obscon.fixtures; -I ignores PYTHON* variables,
+    # -B writes no bytecode
+    src = os.path.dirname(os.path.dirname(obscon.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import obscon.cli; "
+            "print('obscon.fixtures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", code, src],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "False\n"
+
+
 def test_info_iv(examples, capsys):
     code = main(["info", path_of(examples, "iv.graph")])
     out = capsys.readouterr().out

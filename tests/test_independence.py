@@ -1,12 +1,20 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from obscon import d_separated, enumerate_ci, parse_graph
+from obscon.independence import _bitgraph, _minimal_separators
 
-from oracles import enumerate_ci_exhaustive, path_d_separated, random_dag
+from oracles import (
+    enumerate_ci_exhaustive,
+    minimal_separators_by_scan,
+    path_d_separated,
+    random_dag,
+    sparse_dag,
+)
 
 
 def all_subsets(pool, cap=None):
@@ -162,3 +170,68 @@ def test_enumerate_ci_sparse_18_variables(sparse18):
         if d_separated(sparse18, {a}, {b}, rest):
             separable.add((min(a, b), max(a, b)))
     assert set().union(*(s.pairs() for s in statements)) == separable
+
+
+def listed_separators(dag, a, b, cap):
+    g = _bitgraph(dag)
+    masks = _minimal_separators(g, g.index[a], g.index[b], cap)
+    assert len(set(masks)) == len(masks)
+    return {frozenset(g.names_of(m)) for m in masks}
+
+
+@pytest.mark.parametrize("cap", [0, 2, None])
+def test_minimal_separators_match_subset_scan(cap):
+    rng = random.Random(1998)
+    dags = [random_dag(rng, max_nodes=9, exogenous_latents=exogenous)
+            for exogenous in (False, True) for _ in range(150)]
+    dags += [sparse_dag(random.Random(seed)) for seed in (2, 3)]
+    pairs = 0
+    for dag in dags:
+        observed = dag.observed_names()
+        limit = max(0, len(observed) - 2) if cap is None else cap
+        for a, b in combinations(observed, 2):
+            want = set(minimal_separators_by_scan(dag, a, b, limit))
+            assert listed_separators(dag, a, b, limit) == want, (dag.to_text(), a, b, limit)
+            pairs += 1
+    assert pairs > 1000
+
+
+def test_minimal_separators_small_cases():
+    # joined only through a latent: no observed set separates the pair
+    confounded = parse_graph("var A 2\nvar B 2\nlatent U\nedge U A\nedge U B\n")
+    assert listed_separators(confounded, "A", "B", 0) == set()
+    # disconnected: the empty set separates
+    apart = parse_graph("var A 2\nvar B 2\n")
+    assert listed_separators(apart, "A", "B", 0) == {frozenset()}
+    # the only separator, {C, D}, is over a cap of 1
+    diamond = parse_graph(
+        "var A 2\nvar C 2\nvar D 2\nvar B 2\n"
+        "edge A C\nedge A D\nedge C B\nedge D B\n"
+    )
+    assert listed_separators(diamond, "A", "B", 2) == {frozenset("CD")}
+    assert listed_separators(diamond, "A", "B", 1) == set()
+
+
+def chain_into_confounded_pair(k):
+    """V1 -> ... -> Vk -> A, B, with a latent U -> A, B: every subset of the
+    chain is a candidate separator for (A, B), and none separates them."""
+    chain = [f"V{i}" for i in range(1, k + 1)]
+    lines = [f"var {v} 2" for v in chain] + ["var A 2", "var B 2", "latent U"]
+    lines += [f"edge {p} {c}" for p, c in zip(chain, chain[1:])]
+    lines += [f"edge {chain[-1]} A", f"edge {chain[-1]} B", "edge U A", "edge U B"]
+    return parse_graph("\n".join(lines) + "\n")
+
+
+def test_enumerate_ci_chain_into_confounded_pair():
+    small = chain_into_confounded_pair(8)
+    assert enumerate_ci(small) == enumerate_ci_exhaustive(small)
+
+    # a scan over the chain's 2**24 subsets would take minutes
+    dag = chain_into_confounded_pair(24)
+    start = time.perf_counter()
+    statements = enumerate_ci(dag)
+    assert time.perf_counter() - start < 5
+    assert statements
+    for stmt in statements:
+        assert ("A", "B") not in stmt.pairs()
+        assert d_separated(dag, set(stmt.lhs), set(stmt.rhs), set(stmt.given))
