@@ -182,27 +182,24 @@ class HiddenDag:
 
     def observed_ancestors(self, s: Iterable[str]) -> frozenset[str]:
         """Reflexive closure of the observed-parent relation over ``s``."""
-        frontier = list(s)
-        for name in frontier:
+        names = list(s)
+        for name in names:
             if not self.is_observed(name):
                 raise ValueError(f"{name!r} is not an observed variable")
-        seen = set(frontier)
-        while frontier:
-            name = frontier.pop()
-            for p in self._parents[name]:
-                if self.is_observed(p) and p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-        return frozenset(seen)
+        return self._closure(names, self.is_observed)
 
     def ancestors(self, s: Iterable[str]) -> frozenset[str]:
         """Reflexive ancestor closure through all variables, latents included."""
-        frontier = [self.variable(n).name for n in s]
-        seen = set(frontier)
+        return self._closure([self.variable(n).name for n in s], lambda name: True)
+
+    def _closure(self, names: list[str], follow) -> frozenset[str]:
+        """``names`` and every variable reached from them by stepping to a
+        parent that passes ``follow``."""
+        seen = set(names)
+        frontier = list(seen)
         while frontier:
-            name = frontier.pop()
-            for p in self._parents[name]:
-                if p not in seen:
+            for p in self._parents[frontier.pop()]:
+                if follow(p) and p not in seen:
                     seen.add(p)
                     frontier.append(p)
         return frozenset(seen)

@@ -5,8 +5,9 @@ rational (``fractions.Fraction``) or integer; each row is scaled to coprime
 integers as it enters the linear algebra, which then runs on Python ints
 only. One fraction-free Gauss-Jordan kernel (``_echelon``) does all of the
 elimination: it finds the affine hull's pivot columns and equality rows,
-the independent rows and the inverse that start double description, and
-the particular solution and null space of an equality system.
+the particular solution and null space of an equality system, and, in
+``_basis_inverse``, the independent rows and the inverse that start double
+description and turn each facet orbit's keys back into rays.
 
 The vertex-to-facet conversion is double description (``extreme_rays``). It
 inserts the constraint rows in lexicographic order, the "lexmin" rule of
@@ -36,9 +37,11 @@ themselves, an exact check. With at least ``ORBIT_MIN_POINTS`` distinct
 points and a kept group that is transitive on them, one representative per
 facet orbit is converted: a small plain ``v_to_h`` of its tight points gives
 its ridges, each ridge leads to a neighbouring facet, and the generators
-expand every new orbit. Smaller or less symmetric sets do no group work or
-take plain double description, where the group work would cost more than
-it saves. Both paths return the same canonical HRep.
+expand every new orbit. One closure walk (``_orbit``) both tests that the
+group is transitive and expands the facet orbits. Smaller or less
+symmetric sets do no group work or take plain double description, where
+the group work would cost more than it saves. Both paths return the same
+canonical HRep.
 
 Canonical form of an H-representation: every row is scaled to integer entries
 with gcd 1 (positive scaling only, so inequality orientation is intrinsic),
@@ -236,6 +239,23 @@ def affine_hull(points: Sequence[tuple]):
 # -- double description ---------------------------------------------------
 
 
+def _basis_inverse(rows: Sequence[Row]) -> tuple[list[int], list[list[int]]]:
+    """(basis, inverse): the greedy-first independent rows' indices and, as
+    ``inverse[j]``, column j of their inverse times one positive integer,
+    both read off the elimination of ``[rows^T | I]``. Raises
+    ``UnboundedPolytopeError`` when the rows do not span."""
+    width = len(rows[0])
+    reduced, basis = _echelon([
+        [row[i] for row in rows] + [int(i == j) for j in range(width)]
+        for i in range(width)
+    ])
+    if not basis or basis[-1] >= len(rows):
+        raise UnboundedPolytopeError("constraint rows do not span; cone is not pointed")
+    scale = lcm(*(red[b] for red, b in zip(reduced, basis)))
+    return basis, [[c * (scale // red[b]) for c in red[len(rows):]]
+                   for red, b in zip(reduced, basis)]
+
+
 def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     """Extreme rays of the pointed cone {y : row . y <= 0 for every row}.
 
@@ -279,16 +299,8 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     if not rows:
         raise ValueError("no constraint rows")
     dim = len(rows[0])
-    # eliminating [rows^T | I] puts the first independent rows' indices in
-    # the pivot columns and, in the right half, the inverse of their
-    # transpose up to positive row scaling
     n = len(rows)
-    reduced, basis_idx = _echelon([
-        [row[i] for row in rows] + [int(i == j) for j in range(dim)]
-        for i in range(dim)
-    ])
-    if not basis_idx or basis_idx[-1] >= n:
-        raise UnboundedPolytopeError("constraint rows do not span; cone is not pointed")
+    basis_idx, inverse = _basis_inverse(rows)
 
     # rays of the initial simplicial cone: the negated columns of the basis
     # rows' inverse; ray j is tight at every basis row except the j-th
@@ -296,9 +308,8 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     full_basis_mask = 0
     for i in basis_idx:
         full_basis_mask |= 1 << i
-    for j, red in enumerate(reduced):
-        vec = _integerize([-v for v in red[n:]])
-        rays.append([vec, full_basis_mask & ~(1 << basis_idx[j])])
+    for i, column in zip(basis_idx, inverse):
+        rays.append([_integerize([-v for v in column]), full_basis_mask & ~(1 << i)])
 
     remaining = [i for i in range(n) if not full_basis_mask >> i & 1]
     for done, k in enumerate(remaining, dim):
@@ -467,14 +478,23 @@ def _orbit_generators(points: Sequence[tuple], symmetries) -> list[tuple[int, ..
     if len(points) < ORBIT_MIN_POINTS:
         return None
     generators = point_symmetries(points, symmetries)
-    reached, frontier = {0}, [0]
-    while frontier:
-        j = frontier.pop()
-        for g in generators:
-            if g[j] not in reached:
-                reached.add(g[j])
-                frontier.append(g[j])
+    reached = _orbit(0, [g.__getitem__ for g in generators], set())
     return generators if len(reached) == len(points) else None
+
+
+def _orbit(seed, moves, seen: set) -> list:
+    """The elements reached from ``seed`` by ``moves`` (functions of one
+    element), in the order reached and not already in ``seen``; adds them
+    to ``seen``."""
+    seen.add(seed)
+    orbit = [seed]
+    for x in orbit:  # grows while it is walked
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
 
 
 def _facet_orbits(chart: Sequence[tuple], rows: Sequence[Row],
@@ -507,8 +527,8 @@ def _facet_orbits(chart: Sequence[tuple], rows: Sequence[Row],
     # a coordinate bound q_1 <= top, tight at some point
     top = max(Fraction(row[1], row[0]) for row in rows)
     y = [-top.numerator, top.denominator] + [0] * (width - 2)
-    vals = values(y)
     while True:
+        vals = values(y)
         reduced, pivots = _echelon([row for row, v in zip(rows, vals) if v == 0])
         if len(pivots) == width - 1:
             break
@@ -522,24 +542,10 @@ def _facet_orbits(chart: Sequence[tuple], rows: Sequence[Row],
         # the slack and joins the tight set, raising its rank
         t = min(Fraction(-v, w) for v, w in zip(vals, z_vals) if w > 0)
         y = _primitive([t.denominator * a + t.numerator * b for a, b in zip(y, z)])
-        vals = values(y)
 
     seen: set[tuple[int, ...]] = set()
-    orbits: list[list[tuple[int, ...]]] = []
     actions = [itemgetter(*g) for g in generators]
-
-    def add_orbit(key):
-        seen.add(key)
-        orbit = [key]
-        for k in orbit:  # grows while it is walked
-            for act in actions:
-                image = act(k)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-        orbits.append(orbit)
-
-    add_orbit(tuple(_primitive(vals)))
+    orbits = [_orbit(tuple(_primitive(vals)), actions, seen)]
     for orbit in orbits:  # grows while it is walked
         key = orbit[0]
         tight = [chart[p] for p, v in enumerate(key) if v == 0]
@@ -552,17 +558,10 @@ def _facet_orbits(chart: Sequence[tuple], rows: Sequence[Row],
                     num, den = h[p], slack
             neighbour = tuple(_primitive([den * a + num * b for a, b in zip(h, key)]))
             if neighbour not in seen:
-                add_orbit(neighbour)
+                orbits.append(_orbit(neighbour, actions, seen))
 
-    # eliminating [rows^T | I] as in extreme_rays: right-half row j is a
-    # positive multiple of column j of the basis rows' inverse
-    reduced, basis = _echelon([
-        [row[i] for row in rows] + [int(i == j) for j in range(width)]
-        for i in range(width)
-    ])
-    scale = lcm(*(red[b] for red, b in zip(reduced, basis)))
-    solve = _columns_product([[c * (scale // red[b]) for c in red[len(rows):]]
-                              for red, b in zip(reduced, basis)])
+    basis, inverse = _basis_inverse(rows)
+    solve = _columns_product(inverse)
     at_basis = itemgetter(*basis)
     return [[tuple(_primitive(solve(at_basis(key)))) for key in orbit] for orbit in orbits]
 
@@ -607,13 +606,13 @@ def v_to_h(v: VRep, progress=None, symmetries=()) -> HRep:
     orbit by orbit (``_facet_orbits``), else from one double description
     over all points (``extreme_rays``). Either way the HRep is the same.
     ``progress`` is handed to every ``extreme_rays`` call.
+
+    Inequality rows are written in the canonical chart: zero off the affine
+    hull's leftmost pivot columns. A row is fixed only modulo the equalities,
+    so ``constraints.flag_nontrivial``, which reads its coefficients, depends
+    on this chart.
     """
-    points = []
-    seen = set()
-    for p in v.points:
-        if p not in seen:
-            seen.add(p)
-            points.append(p)
+    points = list(dict.fromkeys(v.points))
     dim = v.dim
     pivots, eq_rows = affine_hull(points)
     chart = [tuple(p[j] for j in pivots) for p in points]

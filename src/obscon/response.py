@@ -33,13 +33,15 @@ DEFAULT_COLUMN_LIMIT = 10_000_000
 
 
 class ColumnLimitError(RuntimeError):
-    """The joint response space is larger than the configured column limit."""
+    """The joint response space is larger than the configured column limit;
+    ``estimate`` is its size, or None when that is over the limit squared."""
 
-    def __init__(self, estimate: int, limit: int):
+    def __init__(self, estimate: int | None, limit: int):
         self.estimate = estimate
         self.limit = limit
+        needs = f"more than {limit}" if estimate is None else estimate
         super().__init__(
-            f"district needs {estimate} response columns, over the limit of {limit}"
+            f"district needs {needs} response columns, over the limit of {limit}"
         )
 
 
@@ -211,9 +213,16 @@ def build_functional_system(dag: HiddenDag, district: District,
         )
     members = district.members
     specs = [response_levels(dag, m) for m in members]
-    n_cols = math.prod(spec.level_count for spec in specs)
+    # each factor |W| ** e has |W| >= 2, so an exponent past the limit's bit
+    # length is over the limit alone: stop before computing a huge power,
+    # and name the count exactly only up to the limit squared
+    n_cols = 1
+    for spec in specs:
+        if spec.parent_domain_size > column_limit.bit_length() or n_cols > column_limit ** 2:
+            raise ColumnLimitError(None, column_limit)
+        n_cols *= spec.level_count
     if n_cols > column_limit:
-        raise ColumnLimitError(n_cols, column_limit)
+        raise ColumnLimitError(n_cols if n_cols <= column_limit ** 2 else None, column_limit)
 
     # members in topological order, so each one's parents are set before it
     position = {m: i for i, m in enumerate(members)}
@@ -272,29 +281,21 @@ def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
     cards = [dag.cardinality(name) for name in names]
     rows = [w1.values() + w2.values() for w1, w2 in system.row_labels]
     index = {row: r for r, row in enumerate(rows)}
-
-    def swap_values(k, a, where=lambda row: True):
-        swap = {a: a + 1, a + 1: a}
-        return tuple(
-            index[row[:k] + (swap[row[k]],) + row[k + 1:]]
-            if row[k] in swap and where(row) else r
-            for r, row in enumerate(rows)
-        )
-
-    for k in range(len(members), len(names)):
-        for a in range(cards[k] - 1):
-            yield swap_values(k, a)
     parents = {m: response_levels(dag, m).parent_order for m in members}
-    for m in members:
-        k = position[m]
-        at = [position[p] for p in parents[m]]
+
+    # an external parent has no condition: its one configuration is ()
+    for name in system.w2_order + members:
+        k = position[name]
+        at = [position[p] for p in parents.get(name, ())]
         for config in product(*[range(cards[i]) for i in at]):
             for a in range(cards[k] - 1):
-                yield swap_values(k, a, lambda row: tuple(row[i] for i in at) == config)
+                swap = {a: a + 1, a + 1: a}
+                yield tuple(
+                    index[row[:k] + (swap[row[k]],) + row[k + 1:]]
+                    if row[k] in swap and tuple(row[i] for i in at) == config else r
+                    for r, row in enumerate(rows))
     for i, first in enumerate(members):
         for second in members[i + 1:]:
-            if cards[position[first]] != cards[position[second]]:
-                continue
             ext_first, ext_second = (
                 sorted(set(parents[m]) - set(members) - set(parents[o]), key=position.get)
                 for m, o in ((first, second), (second, first)))
@@ -383,20 +384,6 @@ def star_scaled(table: JointTable, keys: tuple) -> tuple[int, list[int | None]]:
     ]
 
 
-def star_vector(table: JointTable, dag: HiddenDag, district: District,
-                labels: Sequence[tuple[Configuration, Configuration]],
-                ) -> list[Fraction | None]:
-    """Interventional probabilities of many (w1 | w2) rows of one district.
-
-    Each entry is the product of the identifying conditionals, or ``None``
-    when some conditioning event has probability zero (not evaluable): the
-    rows' ``star_keys`` read through ``star_scaled``. ``evaluate`` keeps the
-    keys of every derived district and uses the integers directly.
-    """
-    scale, scaled = star_scaled(table, star_keys(dag, district, labels))
-    return [None if s is None else Fraction(s, scale) for s in scaled]
-
-
 def star_probability(table: JointTable, dag: HiddenDag, district: District,
                      w1: Configuration, w2: Configuration) -> Fraction | None:
     """Interventional probability of (w1 | w2) from an empirical table.
@@ -404,4 +391,5 @@ def star_probability(table: JointTable, dag: HiddenDag, district: District,
     Returns the product of identifying conditionals, or ``None`` when some
     conditioning event has probability zero (not evaluable).
     """
-    return star_vector(table, dag, district, [(w1, w2)])[0]
+    scale, (scaled,) = star_scaled(table, star_keys(dag, district, [(w1, w2)]))
+    return None if scaled is None else Fraction(scaled, scale)

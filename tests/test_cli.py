@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -187,6 +188,35 @@ def test_derive_cost_guard_exits_4(examples, capsys):
         ])
         assert code == 4
         assert f"needs {columns} response columns, over the limit" in capsys.readouterr().err
+
+
+def test_derive_cost_guard_exits_4_on_a_huge_response_space(tmp_path, capsys):
+    # 3 ** 1,000,000 columns: the guard must refuse them without writing out
+    # a 477,000-digit count
+    path = tmp_path / "wide.graph"
+    path.write_text("var X 1000000\nvar A 3\nedge X A\n")
+    assert main(["derive", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "needs more than 10000000 response columns, over the limit" in err
+
+
+def test_readme_library_example_runs(examples):
+    # README's "Library" code block, run on the emitted IV example and its
+    # violating table, prints what its comment says
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        code = re.search(r"\n## Library\n+```python\n(.*?)```", fh.read(), re.S).group(1)
+    for name, emitted in (("iv.graph", "iv.graph"), ("table.csv", "iv_violator.csv")):
+        assert f'open("{name}")' in code
+        code = code.replace(f'open("{name}")', f"open({path_of(examples, emitted)!r})")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, readme, "exec"), {})
+    summary, *flagged, falsified = out.getvalue().splitlines()
+    assert summary == re.search(r"print\(result\.summary\(\)\) +# (.*)", code).group(1)
+    assert len(flagged) == 4 and all(line.startswith(("P*(", "-P*(")) for line in flagged)
+    assert falsified == "True"
 
 
 def test_derive_cdd_format(examples, tmp_path):

@@ -590,7 +590,7 @@ def test_report_json(graphs):
     assert any(entry["status"] == "violated" for entry in payload["constraints"])
 
 
-def test_star_vector_matches_push_through(graphs):
+def test_star_probability_matches_push_through(graphs):
     # the stated consistency oracle: push a response distribution through B,
     # build the joint, and read the star terms back exactly
     dag = graphs["iv"]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,19 @@ def test_build_functional_system_cost_guard(graphs):
         with pytest.raises(ColumnLimitError) as info:
             build_functional_system(dag, district, column_limit=10)
         assert info.value.estimate == columns
+
+
+def test_cost_guard_refuses_a_huge_response_space_at_once():
+    from obscon import ColumnLimitError
+
+    # 3 ** (10 ** 8) columns: computing that power alone takes seconds
+    dag = parse_graph("var X 100000000\nvar A 3\nedge X A\n")
+    (district,) = [d for d in dag.districts() if d.members == ("A",)]
+    start = time.perf_counter()
+    with pytest.raises(ColumnLimitError) as info:
+        build_functional_system(dag, district)
+    assert time.perf_counter() - start < 1
+    assert info.value.estimate is None
 
 
 # pinned SHA-256 of repr((col_labels, col_outcomes)) of the district system

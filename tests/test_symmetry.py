@@ -196,6 +196,28 @@ def test_group_orders():
         assert group_order(generators) == order, members
 
 
+# SHA-256 of repr(list(row_symmetries(dag, system))): the proposals and
+# their order, which test_group_orders does not see
+@pytest.mark.parametrize("text, members, count, digest", [
+    (BELL_CHSH, ("A", "B"), 7,
+     "b82cbdf2dc8f9aad6fdf53da9f998dd98f14b5e04c2cb9ed04eed6fe01af92fb"),
+    (BELL_I3322, ("A", "B"), 11,
+     "07d87be3e9c0db3db43fd698b90b14713bae8704c0789028f2cdfc31ecaf3bc2"),
+    (FIXTURE_GRAPHS["bell_tripartite"], ("V1", "V2", "V3"), 12,
+     "9fe3debc45a29a03960294c8d5dd9c4d32a9eb64abc8974c86bdf9940539dbf4"),
+    (FIXTURE_GRAPHS["nested_pair_left"], ("V2", "V4"), 8,
+     "abbcf59cf9ba892c250f3006b93576bac3b9d254375a53f76c93f0c3bc2e3168"),
+    (FIXTURE_GRAPHS["mixed_cdegree"], ("V2", "V4", "V5"), 8,
+     "201137f17a06849030b6ba18eb08f7d2d82321f8607724884370b274e2f01f98"),
+], ids=["chsh", "i3322", "bell_tripartite", "nested_pair_left", "mixed_cdegree"])
+def test_proposal_lists(text, members, count, digest):
+    (dag, system), = [(d, s) for d, s in derived_systems(text)
+                      if s.district.members == members]
+    proposals = list(row_symmetries(dag, system))
+    assert len(proposals) == count
+    assert sha256(repr(proposals).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("text, sizes", [
     (BELL_CHSH, [8, 16]),
     # Collins & Gisin, J. Phys. A 37, 1775 (2004)
