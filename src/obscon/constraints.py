@@ -234,28 +234,49 @@ def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
     return ineq_flags, eq_flags
 
 
-def _derive_district(dag: HiddenDag, district, column_limit) -> DistrictResult:
+def _derive_district(dag: HiddenDag, district, column_limit,
+                     converted: dict) -> DistrictResult:
     """Build a district's system, convert its columns to facets, flag the rows.
 
     A lone variable without observed parents can only produce simplex facets,
     so it is skipped: no system and no constraints.
+
+    ``converted`` maps each column set met so far (the exact column tuple and
+    the block sizes) to the constraints derived from it. The facets, the
+    flags and the terms are functions of that key alone, so a district of the
+    same shape as an earlier one reuses its constraints and skips the
+    conversion. ``derive_all`` makes the dict, and it lives for that one call.
     """
-    system, constraints = None, []
+    system, constraints = None, ()
     if len(district.members) > 1 or dag.observed_parents(district.members):
         system = build_functional_system(dag, district, column_limit)
-        hrep = v_to_h(VRep(tuple(system.columns_as_points())),
-                      symmetries=row_symmetries(dag, system))
-        ineq_flags, eq_flags = flag_nontrivial(hrep, system.block_sizes)
-        for relation, rows, flags in (("<=", hrep.ineq, ineq_flags),
-                                      ("=", hrep.eq, eq_flags)):
-            for (coeffs, rhs), (flagged, witness) in zip(rows, flags):
-                terms = tuple((row, c) for row, c in enumerate(coeffs) if c != 0)
-                constraints.append(Constraint(terms, relation, rhs, flagged, witness))
-    return DistrictResult(district.members, district.c_degree, system, tuple(constraints))
+        points = tuple(system.columns_as_points())
+        key = (points, system.block_sizes)
+        constraints = converted.get(key)
+        if constraints is None:
+            hrep = v_to_h(VRep(points), symmetries=row_symmetries(dag, system))
+            constraints = converted[key] = _to_constraints(hrep, system.block_sizes)
+    return DistrictResult(district.members, district.c_degree, system, constraints)
+
+
+def _to_constraints(hrep: HRep, block_sizes: Sequence[int]) -> tuple[Constraint, ...]:
+    """The rows of ``hrep`` as sparse constraints, flagged over the blocks."""
+    ineq_flags, eq_flags = flag_nontrivial(hrep, block_sizes)
+    constraints = []
+    for relation, rows, flags in (("<=", hrep.ineq, ineq_flags), ("=", hrep.eq, eq_flags)):
+        for (coeffs, rhs), (flagged, witness) in zip(rows, flags):
+            terms = tuple((row, c) for row, c in enumerate(coeffs) if c != 0)
+            constraints.append(Constraint(terms, relation, rhs, flagged, witness))
+    return tuple(constraints)
 
 
 def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> DerivationResult:
-    """Run the full derivation pipeline on a hidden-variable DAG."""
+    """Run the full derivation pipeline on a hidden-variable DAG.
+
+    Districts of one shape share a conversion (see ``_derive_district``)
+    through a dict made here, which lives for this call only: two calls on
+    one graph each convert every distinct column set.
+    """
     import time
 
     options = options or DeriveOptions()
@@ -278,8 +299,9 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
         merged = True
 
     ci = tuple(enumerate_ci(working, options.max_ci_size))
+    converted = {}
     records = tuple(
-        _derive_district(working, district, options.column_limit)
+        _derive_district(working, district, options.column_limit, converted)
         for district in working.districts()
     )
 
@@ -300,7 +322,8 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
         "caveat": FLAG_CAVEAT,
     }
     if options.timings:
-        meta["timings"] = {"derive_seconds": time.monotonic() - t0}
+        meta["timings"] = {"derive_seconds": time.monotonic() - t0,
+                           "conversions": len(converted)}
     graph_text = dag.to_text()
     return DerivationResult(
         fingerprint=hashlib.sha256(graph_text.encode()).hexdigest(),

@@ -9,6 +9,7 @@ derives from it, so outputs are reproducible bit for bit.
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -369,8 +370,15 @@ def parse_graph(text: str) -> HiddenDag:
                 if len(fields) != 3:
                     raise GraphParseError("expected 'var <name> <cardinality>'", lineno)
                 name, card = fields[1], fields[2]
-                # isdigit alone admits digits such as '²' that int() rejects
-                if not (card.isascii() and card.isdigit()) or int(card) < 2:
+                # isdigit alone admits digits such as '²' that int() rejects,
+                # and int() refuses more digits than the interpreter's limit
+                digits = card.isascii() and card.isdigit()
+                limit = sys.get_int_max_str_digits()
+                if digits and limit and len(card) > limit:
+                    raise GraphParseError(
+                        f"cardinality of {name!r} has more than {limit} digits", lineno
+                    )
+                if not digits or int(card) < 2:
                     raise GraphParseError(
                         f"observed variable {name!r} needs an integer cardinality >= 2",
                         lineno,

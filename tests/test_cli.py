@@ -1,10 +1,13 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,8 @@ import obscon
 
 from obscon.cli import main
 from obscon.fixtures import FIXTURE_GRAPHS, FIXTURE_TABLES
+
+from oracles import sparse_dag
 
 
 @pytest.fixture()
@@ -84,6 +89,17 @@ def test_superscript_cardinality_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert "line 1" in err and "cardinality" in err
+
+
+def test_cardinality_over_the_int_digit_limit_exits_2(tmp_path, capsys):
+    # int() refuses a string of more than sys.get_int_max_str_digits() digits
+    path = tmp_path / "huge.graph"
+    path.write_text(f"var X {'9' * 5000}\nvar A 2\nedge X A\n")
+    for command in (["info", str(path)], ["derive", str(path)]):
+        code = main(command)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 1" in err and f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
 @pytest.mark.parametrize("command", ["derive", "check"])
@@ -576,14 +592,16 @@ def test_derive_to_stdout_matches_the_output_file(examples, tmp_path, capsys):
     assert to_stdout.err.startswith("14 constraints, 12 inequalities")
 
 
-def test_derive_timings_adds_only_derive_seconds(examples, tmp_path):
+def test_derive_timings_adds_only_the_timings_entry(examples, tmp_path):
     graph = path_of(examples, "iv.graph")
     plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
     assert main(["derive", graph, "-o", str(plain)]) == 0
     assert main(["derive", graph, "--timings", "-o", str(timed)]) == 0
     payload = json.loads(timed.read_text())
     timings = payload["meta"].pop("timings")
-    assert list(timings) == ["derive_seconds"] and timings["derive_seconds"] >= 0
+    assert list(timings) == ["derive_seconds", "conversions"]
+    # {Z} is skipped, so only {X,Y} is converted
+    assert timings["derive_seconds"] >= 0 and timings["conversions"] == 1
     assert payload == json.loads(plain.read_text())
 
 
@@ -596,6 +614,49 @@ def test_check_reports_a_violated_ci_statement(examples, tmp_path, capsys):
     assert code == 1
     assert out[0] == "[violated] CI V1,V2 _||_ V4,V5 | V3 (margin 1/4)"
     assert out[-1] == "model falsified"
+
+
+def sparse_support_csv(dag, rng, size=200):
+    """A table on ``size`` random configurations with random integer weights."""
+    names = dag.observed_names()
+    support = sorted({tuple(rng.randrange(dag.cardinality(n)) for n in names)
+                      for _ in range(size)})
+    weights = [rng.randint(1, 9) for _ in support]
+    total = sum(weights)
+    lines = [",".join(names) + ",prob"]
+    lines += [",".join(map(str, config)) + f",{Fraction(w, total)}"
+              for config, w in zip(support, weights)]
+    return "\n".join(lines) + "\n"
+
+
+# 18-variable sparse DAGs whose 14 district systems have only 5 (seed 1) and
+# 4 (seed 2) distinct column sets: SHA-256 of `derive -o`, `derive --texts
+# -o` and `check --json` (with the check's exit code), as written before
+# districts of one shape shared a conversion
+REPEATED_SHAPE_DIGESTS = {
+    1: ("160cfdfdc0ae310730e602f427347c9884d533c98b6fd02d5ec73c4ddcc198dd",
+        "c20e720624c07dad6eb6fa3bd416cc979ded9e4c4416d910156d589f88cf9239",
+        "8d546ebe4bfbe6abf99c68d33eac34a5b4acc692de439bb7f6353753e624507f", 1),
+    2: ("cf013ee6704d564778866b7e5402109c15973788a2f223d106716779816e65b5",
+        "f3e169c6faf99797a46508584129babb01da7790bc536ba58367ead28122e181",
+        "f875d923f13300b85094471e5f0dfaef992fa85d4b6ced69a08a8c168525ecbf", 1),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPEATED_SHAPE_DIGESTS))
+def test_repeated_district_shapes_write_pinned_bytes(tmp_path, capsys, seed):
+    derive_digest, texts_digest, check_digest, check_code = REPEATED_SHAPE_DIGESTS[seed]
+    dag = sparse_dag(random.Random(seed))
+    graph, table = tmp_path / "sparse.graph", tmp_path / "sparse.csv"
+    graph.write_text(dag.to_text())
+    table.write_text(sparse_support_csv(dag, random.Random(seed)))
+    plain, texts, report = (tmp_path / name for name in ("d.json", "t.json", "c.json"))
+    assert main(["derive", str(graph), "-o", str(plain)]) == 0
+    assert main(["derive", str(graph), "--texts", "-o", str(texts)]) == 0
+    assert main(["check", str(graph), str(table), "--json", str(report)]) == check_code
+    capsys.readouterr()
+    got = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (plain, texts, report)]
+    assert got == [derive_digest, texts_digest, check_digest]
 
 
 # -- fuzzed CLI contract ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -26,18 +27,22 @@ from obscon.constraints import (
     report_to_json,
     result_to_json,
 )
-from obscon.response import Configuration, star_probability
+from obscon.response import ColumnLimitError, Configuration, star_probability
 from obscon.tables import TableError, parse_table
+from obscon.transform import normalize
 
 from obscon.fixtures import FIXTURE_GRAPHS
 
 from conftest import BELL_CHSH, BELL_I3322
+from test_bench_spans import BENCH_DIR
 from oracles import (
     coeff_vector,
     evaluate_by_scan,
     multiply,
     positive_simplex_point,
+    random_dag,
     simplex_product_extreme_points,
+    sparse_dag,
     structural_model_table,
 )
 
@@ -557,6 +562,89 @@ def test_schema2_json_loses_nothing(name):
         assert matrix == fs.matrix
         flags = [(c.flagged, c.witness) for c in record.constraints]
         assert [(c["flagged"], c["witness"]) for c in entry["constraints"]] == flags
+
+
+def counting_v_to_h(monkeypatch):
+    """Wrap the ``v_to_h`` that ``derive_all`` calls; returns the list of the
+    point tuples it is called with."""
+    calls = []
+
+    def counted(v, **kwargs):
+        calls.append(v.points)
+        return v_to_h(v, **kwargs)
+
+    monkeypatch.setattr(obscon.constraints, "v_to_h", counted)
+    return calls
+
+
+# sparse 18-variable DAGs whose 14 district systems repeat shapes; seed 0
+# has a 256-column district whose conversion takes minutes, and seed 3 fails
+# the structural conditions
+REPEATED_SHAPE_SEEDS = (1, 2)
+
+
+@pytest.mark.parametrize("seed", REPEATED_SHAPE_SEEDS)
+def test_districts_of_one_shape_share_one_conversion(monkeypatch, seed):
+    calls = counting_v_to_h(monkeypatch)
+    result = derive_all(sparse_dag(random.Random(seed)), DeriveOptions(timings=True))
+    keys = [(tuple(r.system.columns_as_points()), r.block_sizes)
+            for r in result.districts if not r.skipped]
+    assert len(calls) == len(set(calls)) == len(set(keys)) < len(keys)
+    assert set(calls) == {points for points, _ in keys}
+    assert result.meta["timings"]["conversions"] == len(calls)
+
+
+def test_timings_count_the_conversions_of_each_bench_workload(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import WORKLOADS
+
+    got = {}
+    for name, workload in WORKLOADS.items():
+        options = DeriveOptions(merge=workload.merge, timings=True)
+        result = derive_all(parse_graph(workload.graph.text()), options)
+        derived = sum(not record.skipped for record in result.districts)
+        got[name] = (result.meta["timings"]["conversions"], derived)
+    assert got == {"sparse14": (3, 10), "i3322": (1, 1), "mixed_check": (2, 2)}
+
+
+def test_each_derive_all_converts_again(monkeypatch):
+    calls = counting_v_to_h(monkeypatch)
+    dag = sparse_dag(random.Random(REPEATED_SHAPE_SEEDS[0]))
+    first = derive_all(dag)
+    converted = len(calls)
+    second = derive_all(dag)
+    assert len(calls) == 2 * converted and calls[:converted] == calls[converted:]
+    assert first == second
+
+
+def test_every_record_matches_a_fresh_conversion_of_its_own_system(monkeypatch):
+    # a reused conversion is the one a district's own columns would get
+    calls = counting_v_to_h(monkeypatch)
+    rng = random.Random(4242)
+    dags = [random_dag(rng, exogenous_latents=exogenous)
+            for exogenous in (False, True) for _ in range(50)]
+    dags += [sparse_dag(random.Random(seed)) for seed in REPEATED_SHAPE_SEEDS]
+    derived = 0
+    for dag in dags:
+        dag, _ = normalize(dag)
+        done = len(calls)
+        try:  # the limit keeps merged districts small: 21 random graphs go over it
+            result = derive_all(dag, DeriveOptions(merge=True, column_limit=256))
+        except ColumnLimitError:
+            del calls[done:]
+            continue
+        for record in result.districts:
+            if record.skipped:
+                continue
+            derived += 1
+            fs = record.system
+            fresh = v_to_h(VRep(tuple(fs.columns_as_points())))
+            ineq_flags, eq_flags = flag_nontrivial(fresh, fs.block_sizes)
+            assert record.hrep == fresh, dag.to_text()
+            flags = [(c.flagged, c.witness) for c in record.constraints]
+            assert flags == ineq_flags + eq_flags
+    assert derived > 120 and len(calls) < derived
 
 
 def test_evaluate_reuses_the_derived_graph(graphs, monkeypatch):
