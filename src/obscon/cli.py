@@ -304,6 +304,10 @@ def cmd_emit_examples(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "derive" and args.format == "cdd" and (args.texts or args.timings):
+        parser.error("--texts and --timings apply to --format json only")
+    if args.command == "rewrite" and (args.c_set or args.d_set) and not args.replace:
+        parser.error("--c-set and --d-set apply to --replace only")
     if args.emit_examples:
         handler = cmd_emit_examples
     elif not args.command:

@@ -30,7 +30,6 @@ from .response import (
     FunctionalSystem,
     build_functional_system,
     row_symmetries,
-    star_factors,
     star_keys,
     star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
     star_scaled,
@@ -102,8 +101,7 @@ class DistrictResult(Record):
 
     def texts(self, dag: HiddenDag | None, mode: str) -> tuple[str, ...]:
         """Each constraint rendered as ``render`` does, labelling each row once."""
-        labels = _row_labels(self.system, dag, mode, range(self.system.n_rows))
-        term_texts = _TermTexts(labels)
+        term_texts = _TermTexts(_row_labels(self.system, dag, mode))
         return tuple(_join_terms(c, term_texts) for c in self.constraints)
 
 
@@ -180,6 +178,10 @@ def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
     enumeration is needed. Returns (ineq_flags, eq_flags) lists of
     (flagged, witness_index_or_None).
 
+    A witness is the index of a vertex of the product, counted with the first
+    block fastest, and the smallest such index at which the row attains its
+    max; for an equality whose max equals its rhs, its min instead.
+
     The flags are relative to ``v_to_h``'s canonical chart, the affine hull's
     leftmost pivot columns in row-label order. Another representative of a
     row modulo the equalities can flag differently: over 12 charts, CHSH's
@@ -188,49 +190,31 @@ def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
     dim = sum(block_sizes)
     if h.dim != dim:
         raise ValueError(f"H-representation has dim {h.dim}, blocks sum to {dim}")
-    offsets = []
-    start = 0
-    for size in block_sizes:
-        offsets.append((start, start + size))
-        start += size
 
-    def block_extremes(coeffs):
-        max_sum, min_sum = 0, 0
-        argmax, argmin = [], []
-        for lo, hi in offsets:
-            seg = coeffs[lo:hi]
-            mx = max(seg)
-            mn = min(seg)
-            max_sum += mx
-            min_sum += mn
-            argmax.append(seg.index(mx))
-            argmin.append(seg.index(mn))
-        return max_sum, argmax, min_sum, argmin
-
-    def point_index(choices):
-        index = 0
+    def extreme(coeffs, pick):
+        """The row's ``pick`` (max or min) over the vertices, and the first
+        vertex attaining it."""
+        value = witness = start = 0
         stride = 1
-        for choice, size in zip(choices, block_sizes):
-            index += choice * stride
+        for size in block_sizes:
+            seg = coeffs[start:start + size]
+            best = pick(seg)
+            value += best
+            witness += seg.index(best) * stride
+            start += size
             stride *= size
-        return index
+        return value, witness
 
     ineq_flags = []
     for coeffs, rhs in h.ineq:
-        max_sum, argmax, _, _ = block_extremes(coeffs)
-        if max_sum > rhs:
-            ineq_flags.append((True, point_index(argmax)))
-        else:
-            ineq_flags.append((False, None))
+        top, witness = extreme(coeffs, max)
+        ineq_flags.append((True, witness) if top > rhs else (False, None))
     eq_flags = []
     for coeffs, rhs in h.eq:
-        max_sum, argmax, min_sum, argmin = block_extremes(coeffs)
-        if max_sum != rhs:
-            eq_flags.append((True, point_index(argmax)))
-        elif min_sum != rhs:
-            eq_flags.append((True, point_index(argmin)))
-        else:
-            eq_flags.append((False, None))
+        value, witness = extreme(coeffs, max)
+        if value == rhs:
+            value, witness = extreme(coeffs, min)
+        eq_flags.append((True, witness) if value != rhs else (False, None))
     return ineq_flags, eq_flags
 
 
@@ -288,21 +272,22 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
             f"({'; '.join(line for line in report.lines())}); run normalize first"
         )
     working = dag
-    merged = False
-    if any(d.c_degree > 1 for d in dag.districts()):
+    districts = dag.districts()
+    merged = any(d.c_degree > 1 for d in districts)
+    if merged:
         if not options.merge:
             raise ConditionsError(
                 "some district has c-degree > 1; rerun with merge enabled "
                 "(results are then valid but possibly incomplete)"
             )
         working, _ = merge_district_latents(dag)
-        merged = True
+        districts = working.districts()
 
     ci = tuple(enumerate_ci(working, options.max_ci_size))
     converted = {}
     records = tuple(
         _derive_district(working, district, options.column_limit, converted)
-        for district in working.districts()
+        for district in districts
     )
 
     meta = {
@@ -339,29 +324,25 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
 # -- rendering -------------------------------------------------------------
 
 
-def _row_labels(system: FunctionalSystem, dag: HiddenDag | None, mode: str,
-                rows) -> dict[int, str]:
-    """The labels of ``rows`` over star or observable probability terms."""
-    if mode not in ("star", "observable"):
+def _row_labels(system: FunctionalSystem, dag: HiddenDag | None, mode: str) -> list[str]:
+    """Every row's label over star or observable probability terms.
+
+    An observable label is the row's identifying product, read from the same
+    ``star_keys`` that ``evaluate`` reads.
+    """
+    if mode == "star":
+        return [f"P*({w1.render()}{'|' + w2.render() if w2.items else ''})"
+                for w1, w2 in system.row_labels]
+    if mode != "observable":
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "observable" and dag is None:
+    if dag is None:
         raise ValueError("observable mode needs the graph")
-    factors = star_factors(dag, system.district) if mode == "observable" else []
-    labels = {}
-    for row in rows:
-        w1, w2 = system.row_labels[row]
-        if mode == "star":
-            given = f"|{w2.render()}" if w2.items else ""
-            labels[row] = f"P*({w1.render()}{given})"
-            continue
-        values = dict(w1.items)
-        values.update(w2.items)
-        parts = []
-        for member, cond in factors:
-            given = "|" + ",".join(f"{name}={values[name]}" for name in cond) if cond else ""
-            parts.append(f"P({member}={values[member]}{given})")
-        labels[row] = "*".join(parts)
-    return labels
+    factors = []  # per identifying factor, its text in each row
+    for cond, joint, _, joint_keys in star_keys(dag, system.district, system.row_labels):
+        bar = "|" if cond else ""
+        factors.append([f"P({joint[-1]}={key[-1]}{bar}{','.join(map('{}={}'.format, cond, key))})"
+                        for key in joint_keys])
+    return ["*".join(parts) for parts in zip(*factors)]
 
 
 class _TermTexts(dict):
@@ -392,8 +373,7 @@ def _join_terms(constraint: Constraint, term_texts: _TermTexts) -> str:
 def render(constraint: Constraint, system: FunctionalSystem,
            dag: HiddenDag | None = None, mode: str = "star") -> str:
     """Pretty-print a constraint over star or observable probability terms."""
-    rows = [row for row, _ in constraint.terms]
-    return _join_terms(constraint, _TermTexts(_row_labels(system, dag, mode, rows)))
+    return _join_terms(constraint, _TermTexts(_row_labels(system, dag, mode)))
 
 
 # -- evaluation ------------------------------------------------------------

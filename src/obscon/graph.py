@@ -213,7 +213,7 @@ class HiddenDag:
         member index, with members sorted canonically.
         """
         observed = self.observed_names()
-        dsu = {name: name for name in observed}
+        dsu = {v.name: v.name for v in self.variables}
 
         def find(x):
             while dsu[x] != x:
@@ -226,23 +226,20 @@ class HiddenDag:
             if ra != rb:
                 dsu[ra] = rb
 
+        # each latent joins the component of its observed children
         for u in self.latent_names():
-            ch = self.observed_children(u)
-            for a, b in zip(ch, ch[1:]):
-                union(a, b)
-        groups: dict[str, list[str]] = {}
+            for child in self.observed_children(u):
+                union(child, u)
+        # observed names come in canonical order, so each group's members do,
+        # and the groups come ordered by their first member
+        groups: dict[str, tuple[list[str], list[str]]] = {}
         for name in observed:
-            groups.setdefault(find(name), []).append(name)
-
-        result = []
-        for members in groups.values():
-            members = self.sort_observed(members)
-            latents = tuple(
-                u for u in self.latent_names() if set(self.observed_children(u)) & set(members)
-            )
-            result.append(District(members=members, latents=latents))
-        result.sort(key=lambda d: self._index[d.members[0]])
-        return result
+            groups.setdefault(find(name), ([], []))[0].append(name)
+        for u in self.latent_names():
+            if find(u) in groups:  # a latent without observed children is in none
+                groups[find(u)][1].append(u)
+        return [District(tuple(members), tuple(latents))
+                for members, latents in groups.values()]
 
     def c_degree(self, district: District) -> int:
         if district not in self.districts():

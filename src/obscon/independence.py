@@ -242,35 +242,30 @@ def enumerate_ci(dag: HiddenDag, max_condition_size: int | None = None) -> list[
         for z in _minimal_separators(g, g.index[wi], g.index[wj], max_condition_size):
             facts.setdefault(z, set()).add((min(wi, wj), max(wi, wj)))
 
-    statements: list[CIStatement] = []
+    statements = set()
     for z, pairs in facts.items():
-        partners: dict[str, frozenset[str]] = {}
+        partners: dict[str, set[str]] = {}
         for wi, wj in pairs:
-            partners.setdefault(wi, frozenset())
-            partners.setdefault(wj, frozenset())
-            partners[wi] |= {wj}
-            partners[wj] |= {wi}
-        merged = set()
-        for var, rhs in partners.items():
-            lhs = frozenset(v for v in partners if partners[v] == rhs)
-            merged.add((lhs, rhs))
+            partners.setdefault(wi, set()).add(wj)
+            partners.setdefault(wj, set()).add(wi)
         given = g.names_of(z)
-        for lhs, rhs in merged:
-            statements.append(make_statement(dag, lhs, rhs, given))
+        statements |= {
+            make_statement(dag, [v for v in partners if partners[v] == rhs], rhs, given)
+            for rhs in partners.values()
+        }
 
     # greedy cover: keep a statement only if it contributes a new pair
-    statements = sorted(
-        set(statements),
-        key=lambda s: (-len(s.pairs()), s.given, s.lhs, s.rhs),
+    ranked = sorted(
+        ((s.pairs(), s) for s in statements),
+        key=lambda entry: (-len(entry[0]), entry[1].given, entry[1].lhs, entry[1].rhs),
     )
     all_pairs = {p for z in facts.values() for p in z}
     covered: set[tuple[str, str]] = set()
     kept = []
-    for stmt in statements:
-        fresh = stmt.pairs() - covered
-        if fresh:
+    for pairs, stmt in ranked:
+        if not pairs <= covered:
             kept.append(stmt)
-            covered |= stmt.pairs()
+            covered |= pairs
     kept.sort(key=lambda s: (s.given, s.lhs, s.rhs))
     assert covered == all_pairs
     return kept

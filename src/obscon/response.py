@@ -335,12 +335,11 @@ def star_keys(dag: HiddenDag, district: District,
     ``star_factors``: C, C + (W,), and each row's values of C (the key of
     its conditioning mass) and of C + (W,) (the key of its joint mass).
     Built once per system, so a table is then read by key lookups alone.
+
+    These keys are the one place where the factors meet the rows: ``check``
+    evaluates them, and ``--texts`` writes its observable labels from them.
     """
-    rows = []
-    for w1, w2 in labels:
-        values = dict(w1.items)
-        values.update(w2.items)
-        rows.append(values)
+    rows = [dict(w1.items + w2.items) for w1, w2 in labels]
     keys = []
     for member, cond in star_factors(dag, district):
         given = [tuple([values[name] for name in cond]) for values in rows]

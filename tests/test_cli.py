@@ -134,6 +134,29 @@ def test_size_flags_out_of_range_exit_2(examples, capsys, command, flag, value):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--texts", "--timings"])
+def test_derive_cdd_refuses_json_only_flags(examples, tmp_path, capsys, flag):
+    out = tmp_path / "iv.cdd"
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", path_of(examples, "iv.graph"), "--format", "cdd", flag,
+              "-o", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [["--normalize"], ["--merge-latents"], ["--hlp", "Z", "Y"],
+                                  ["--face-split", "U"]])
+@pytest.mark.parametrize("sets", [["--c-set", "X"], ["--d-set", "Y"],
+                                  ["--c-set", "X", "--d-set", "Y"]])
+def test_rewrite_refuses_sets_without_replace(examples, capsys, mode, sets):
+    with pytest.raises(SystemExit) as exc:
+        main(["rewrite", path_of(examples, "iv.graph"), *mode, *sets])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and sets[0] in captured.err
+
+
 def test_max_ci_size_zero_keeps_marginal_independences(tmp_path, capsys):
     path = tmp_path / "pair.graph"
     path.write_text("var A 2\nvar B 2\n")
@@ -643,6 +666,80 @@ REPEATED_SHAPE_DIGESTS = {
 }
 
 
+# SHA-256 of `derive -o`, `derive --texts -o` and `derive --format cdd -o` on
+# every bundled graph but Bell (with --merge where a district has c-degree 2)
+# and on the inline CHSH and I3322 Bell graphs
+DERIVE_DIGESTS = {
+    "iv": ("eb3adb7046a5550656c744fe6411c9c28093fffbdcc75dd6c93302005001c94b",
+           "a1da5ba02b97d1e9503ca3ebe060e5e23483c8d18cbd06b45193baee693629d8",
+           "0bc05426b3fe944d1e4b1879b2b35feb571bfd747f587c59cfe73bd317542eda"),
+    "iv_sequential": ("cd360700096e39d807dcb74390067857fd0503d041e86740a8a3705ad8d098b1",
+                      "0700eaf95881b203849caab7e61b1439df2079d9b7f6fc6334f7e9216e32d04a",
+                      "cb75798074b04cbbd790dff776f453cf67848a196e2219237fe6928e315220c4"),
+    "nested_pair_left": ("631cfadfdec53368b7b7f0c5bb00b63747b7df05e7af6c898439a604cbcdc9a0",
+                         "9e697fc6ba345ae9ff04bd2128628ea14944f8c5ae56fb5c296eacdac282c460",
+                         "2d6a9c795db98729a3818a6e192538f6ca4fda2f9d0814ac69da9f068a13fa74"),
+    "nested_pair_right": ("fb64aad185249e5d6a542bb9c77f9e65611785c6f7ed1239bae9d3ec2dbce76d",
+                          "bad76195ceb22bd9b67e349b3ca63567d1263412f06f863f2f99bd375dca1c1d",
+                          "9b3d8628578a6d0a469d4b152234e2dc9845b9d0a66d3b2978b4f725aa48fd9f"),
+    "frontdoor": ("21fbcff59e4ff5535501cb92efac21c6c9de3021c1e10ae083776d1f5604929a",
+                  "4e3928a2cd40ebc893d6cf0a50a0970600691327b282139bc11bcdea4d4e25ae",
+                  "463af17bc7a3df535fe6a919ba04eae4d736a51451de21633b912a41a93530a4"),
+    "mixed_cdegree": ("4a376ba0f094b35899095c791bc1fb882f2e204aa6d57875278ab3f2dba6035c",
+                      "22003cdcc806e9eb565e46615ef84ef26e535b27f1c87be5ab96933d8c64d27f",
+                      "d1f0830a459d468d8db8b2ec748e203858cb1928bdb0c3cf5d232c4006502e9c"),
+    "triangle": ("7f1346254a2eab35e09776dc4db8e7d3cdac290b1eed4e74486800509339d094",
+                 "426450168275584cf52cf8650efeaf89900aa3c9145861920e80b29ca17b2bf6",
+                 "edd3409c6c6d3f256e873718e08aeabac11067fdc9c88448164b7b6d928198c1"),
+    "BELL_CHSH": ("a52a884100e597440b393c5be9166f610874759ac06dca2e6915bd6c058f12f7",
+                  "4dbb6d41c229fe0485d249dfbf22713e10529d73cc9a0caa27ed553706d0e12f",
+                  "75df74e386a56de402db05e1acf53125a8ca508464eb94e85fba211d59097808"),
+    "BELL_I3322": ("1f1bb3c1a9ae69b83b0756c17731b11cf0b760b788e9450fbdba3d56d32346aa",
+                   "92d4f8cf33e038426674ca47b5062a062c282a4b8f5cc62399cb45d7856219cc",
+                   "c1444e1b124f836aa4f285613f47b279688a36a79f618e8e6be8c572748cb3ff"),
+}
+
+# SHA-256 of `check --json` on each bundled table, and the check's exit code
+CHECK_DIGESTS = {
+    "triangle_wolfe": ("b6a78e4d45188887f93ba22babeb8b3bd74e36553116fc78a8a9f5b0187eca7d", 0),
+    "iv_violator": ("a84f73de3b48f4c61a8f391b995eaaf60a4ed80efe434149734652bf52efda62", 1),
+    "iv_model": ("d829c791c9f950aca7f1c4c1bd89d02beee28c2241fd9af25a1be868d7cf1fca", 0),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DERIVE_DIGESTS))
+def test_derive_outputs_match_golden_digests(examples, tmp_path, capsys, name):
+    import conftest
+
+    graph = examples / f"{name}.graph"
+    if name.startswith("BELL_"):
+        graph = tmp_path / f"{name}.graph"
+        graph.write_text(getattr(conftest, name))
+    merge = ["--merge"] if name in ("mixed_cdegree", "triangle") else []
+    got = []
+    for flags in ([], ["--texts"], ["--format", "cdd"]):
+        out = tmp_path / "out"
+        assert main(["derive", str(graph), *merge, *flags, "-o", str(out)]) == 0
+        got.append(_sha256(out))
+    capsys.readouterr()
+    assert tuple(got) == DERIVE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
+def test_check_json_matches_golden_digests(examples, tmp_path, capsys, name):
+    graph_name = FIXTURE_TABLES[name][0]
+    merge = ["--merge"] if graph_name == "triangle" else []
+    report = tmp_path / "report.json"
+    code = main(["check", path_of(examples, f"{graph_name}.graph"),
+                 path_of(examples, f"{name}.csv"), *merge, "--json", str(report)])
+    capsys.readouterr()
+    assert (_sha256(report), code) == CHECK_DIGESTS[name]
+
+
 @pytest.mark.parametrize("seed", sorted(REPEATED_SHAPE_DIGESTS))
 def test_repeated_district_shapes_write_pinned_bytes(tmp_path, capsys, seed):
     derive_digest, texts_digest, check_digest, check_code = REPEATED_SHAPE_DIGESTS[seed]
@@ -655,7 +752,7 @@ def test_repeated_district_shapes_write_pinned_bytes(tmp_path, capsys, seed):
     assert main(["derive", str(graph), "--texts", "-o", str(texts)]) == 0
     assert main(["check", str(graph), str(table), "--json", str(report)]) == check_code
     capsys.readouterr()
-    got = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (plain, texts, report)]
+    got = [_sha256(path) for path in (plain, texts, report)]
     assert got == [derive_digest, texts_digest, check_digest]
 
 

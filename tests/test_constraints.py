@@ -153,6 +153,43 @@ def test_flag_witness_violates(graphs):
             assert value != constraint.rhs
 
 
+@pytest.mark.parametrize("block_sizes", [(2, 3, 1), (1, 4), (3, 2), (2, 2, 2)])
+def test_flag_nontrivial_matches_a_vertex_scan(block_sizes):
+    # the witness is the first vertex (first block fastest) at the row's max,
+    # or, for an equality whose max is its rhs, the first vertex at its min
+    rng = random.Random(sum(block_sizes) * 10 + len(block_sizes))
+    points = simplex_product_extreme_points(block_sizes)
+    dim = sum(block_sizes)
+
+    def values(coeffs):
+        return [int(sum(c * x for c, x in zip(coeffs, point))) for point in points]
+
+    ineq, eq = [], []
+    for _ in range(40):
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(dim))
+        low, high = min(values(coeffs)), max(values(coeffs))
+        ineq.append((coeffs, rng.randint(low - 1, high + 1)))
+        eq.append((coeffs, rng.choice((low, high, high, rng.randint(low - 1, high + 1)))))
+    for _ in range(5):  # constant on each block, so on every vertex
+        coeffs = tuple(c for size in block_sizes for c in [rng.randint(-3, 3)] * size)
+        eq += [(coeffs, values(coeffs)[0]), (coeffs, values(coeffs)[0] + 1)]
+
+    def scan(coeffs, rhs, equality):
+        seen = values(coeffs)
+        if max(seen) > rhs or (equality and max(seen) != rhs):
+            return True, seen.index(max(seen))
+        if equality and min(seen) != rhs:
+            return True, seen.index(min(seen))
+        return False, None
+
+    ineq_flags, eq_flags = flag_nontrivial(HRep(tuple(ineq), tuple(eq)), block_sizes)
+    assert ineq_flags == [scan(c, rhs, False) for c, rhs in ineq]
+    assert eq_flags == [scan(c, rhs, True) for c, rhs in eq]
+    # every branch is met: unflagged rows, and equalities flagged at their min
+    assert {f for f, _ in ineq_flags} == {f for f, _ in eq_flags} == {True, False}
+    assert any(max(values(c)) == rhs != min(values(c)) for c, rhs in eq)
+
+
 def test_derive_requires_conditions():
     dag = parse_graph(
         "var Z 2\nvar X 2\nvar Y 2\nlatent U1\nlatent U2\n"

@@ -157,6 +157,26 @@ def test_districts_partition_property():
             assert len(homes) == 1
 
 
+def test_districts_carry_the_latents_over_their_members():
+    # graphs that fail the conditions too: nested latents, childless latents
+    rng = random.Random(23)
+    failing = 0
+    for exogenous in (False, True):
+        for _ in range(60):
+            dag = random_dag(rng, exogenous_latents=exogenous)
+            failing += not validate_conditions(dag).ok
+            districts = dag.districts()
+            firsts = [dag.index(d.members[0]) for d in districts]
+            assert firsts == sorted(firsts)
+            for d in districts:
+                assert list(d.members) == sorted(d.members, key=dag.index)
+                assert d.latents == tuple(
+                    u for u in dag.latent_names()
+                    if set(dag.observed_children(u)) & set(d.members)
+                )
+    assert failing
+
+
 def test_c_degree_examples(graphs):
     seven = graphs["seven_var"]
     by_members = {d.members: d for d in seven.districts()}
