@@ -16,8 +16,9 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter, mul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._record import Record
 from ._version import __version__ as _version
@@ -396,13 +397,21 @@ class CheckPlan(NamedTuple):
     """One derived district as ``evaluate`` reads it.
 
     ``stars`` holds the marginal keys of every row of the system
-    (``response.star_keys``). Each entry of ``rows`` is one constraint as
-    (row getter, coefficients, rhs, is an equality, constraint, star text);
-    the getter picks the constraint's rows out of the scaled star vector.
+    (``response.star_keys``). The district's constraints share one list of
+    distinct (star, coefficient) pairs: ``take`` picks each pair's star out
+    of the scaled star vector with the common denominator appended at index
+    K, one past the last row, and ``coeffs`` holds the pairs' coefficients;
+    a nonzero rhs is the pair (K, -rhs). A table then costs one product per
+    pair. Each entry of ``rows`` is one constraint as (pair getter, is an
+    equality, bitmask of its star rows, its satisfied record, its
+    not-evaluable record); the getter picks the constraint's products, whose
+    sum is its value minus its rhs, times the denominator.
     """
 
     district_index: int
     stars: tuple
+    take: Callable
+    coeffs: tuple
     rows: tuple
 
 
@@ -416,13 +425,21 @@ def _row_getter(rows: tuple[int, ...]):
 
 def _check_plan(index: int, record: DistrictResult, dag: HiddenDag) -> CheckPlan:
     """The plan of the district ``result.districts[index]`` of a derivation on ``dag``."""
+    scale_row = record.system.n_rows  # the denominator's index in the scaled stars
+    terms = [c.terms + (((scale_row, -c.rhs),) if c.rhs else ()) for c in record.constraints]
+    distinct = dict.fromkeys(chain.from_iterable(terms))
+    slot = dict(zip(distinct, range(len(distinct))))  # (star row, coeff) -> its product
+    picked, coeffs = zip(*distinct) if distinct else ((), ())
+    bits = [0 if row == scale_row else 1 << row for row in picked]
     rows = []
-    for constraint, text in zip(record.constraints, record.star_texts):
-        picked, coeffs = zip(*constraint.terms) if constraint.terms else ((), ())
-        rows.append((_row_getter(picked), coeffs, constraint.rhs,
-                     constraint.relation == "=", constraint, text))
+    for constraint, text, pairs in zip(record.constraints, record.star_texts, terms):
+        slots = tuple(map(slot.__getitem__, pairs))
+        rows.append((_row_getter(slots), constraint.relation == "=",
+                     sum(map(bits.__getitem__, slots)),
+                     ConstraintStatus(index, constraint, text, "satisfied", _ZERO),
+                     ConstraintStatus(index, constraint, text, "not_evaluable", None)))
     stars = star_keys(dag, record.system.district, record.system.row_labels)
-    return CheckPlan(index, stars, tuple(rows))
+    return CheckPlan(index, stars, _row_getter(picked), coeffs, tuple(rows))
 
 
 class CIStatus(NamedTuple):
@@ -489,37 +506,50 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
     """Check every derived constraint and CI statement against a joint table.
 
     Reads each district's ``CheckPlan``, built on the derivation's first
-    check and kept: the star terms come from the table's cached marginals by
-    the plan's keys, over one common denominator, so a row is summed and
-    compared with the tolerance in integers, and only a positive margin is
-    a Fraction.
+    check and kept. The star terms come from the table's cached marginals
+    by the plan's keys, over one common denominator; each distinct
+    (star, coefficient) pair of the district is multiplied once, and a
+    constraint is the integer sum of its pairs' products. A row that is
+    slack or not evaluable gets the plan's prebuilt record, and only a
+    positive margin is a new Fraction. ``tolerance`` defaults to 1e-9 for
+    a table read from decimals and 0 otherwise; a negative one raises
+    ``ValueError``.
     """
     if table.variables != dag.observed_names():
         raise ValueError("table variables do not match the graph")
     if tolerance is None:
         tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
+    elif tolerance < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
     statuses = []
     add = statuses.append
     make = ConstraintStatus._make  # skips the keyword-capable __new__
-    for index, stars, rows in result.check_plans:
+    for index, stars, take, coeffs, rows in result.check_plans:
         scale, scaled = star_scaled(table, stars)
         limit = tol_num * scale
-        missing = None in scaled
-        for get, coeffs, rhs, is_eq, constraint, text in rows:
-            values = get(scaled)
-            if missing and None in values:
-                add(make((index, constraint, text, "not_evaluable", None)))
+        missing = 0  # bitmask of the rows that are not evaluable
+        if None in scaled:
+            for row, value in enumerate(scaled):
+                if value is None:
+                    missing |= 1 << row
+                    scaled[row] = 0
+        scaled.append(scale)
+        products = list(map(mul, coeffs, take(scaled)))
+        for get, is_eq, mask, satisfied, unevaluable in rows:
+            if mask & missing:
+                add(unevaluable)
                 continue
             # the row's value minus its rhs, times scale
-            gap = sum(map(mul, coeffs, values)) - rhs * scale
+            gap = sum(get(products))
             if is_eq:
                 gap = abs(gap)
-            if gap > 0:
+            if gap <= 0:  # most rows are slack
+                add(satisfied)
+            else:
                 status = "violated" if gap * tol_den > limit else "satisfied"
-                add(make((index, constraint, text, status, Fraction(gap, scale))))
-            else:  # most rows are slack
-                add(make((index, constraint, text, "satisfied", _ZERO)))
+                add(make((index, satisfied.constraint, satisfied.text, status,
+                          Fraction(gap, scale))))
 
     ci_statuses = []
     for stmt in result.ci_statements:

@@ -197,6 +197,7 @@ def parse_table(text: str, dag: HiddenDag) -> JointTable:
             f"header must be {', '.join(names)}, prob (canonical order); got {', '.join(header)}"
         )
     probs: dict[tuple[int, ...], Fraction] = {}
+    seen = set()  # every parsed configuration, zero-probability rows too
     decimal_source = False
     for row in rows[1:]:
         if len(row) != len(names) + 1:
@@ -205,8 +206,9 @@ def parse_table(text: str, dag: HiddenDag) -> JointTable:
             config = tuple(int(cell) for cell in row[:-1])
         except ValueError as exc:
             raise TableError(f"non-integer value in row {row!r}") from exc
-        if config in probs:
+        if config in seen:
             raise TableError(f"duplicate configuration {config}")
+        seen.add(config)
         p, was_decimal = _parse_prob(row[-1])
         decimal_source = decimal_source or was_decimal
         if p != 0:

@@ -554,6 +554,22 @@ def structural_model_table(dag: HiddenDag, rng: random.Random,
     return joint
 
 
+def decimal_csv(dag, probs, places=12):
+    """``probs`` rounded to ``places`` decimals (the largest entry absorbs the
+    rounding) and written as a decimal CSV table."""
+    unit = Fraction(1, 10 ** places)
+    rounded = {k: round(p / unit) * unit for k, p in probs.items()}
+    top = max(rounded, key=rounded.get)
+    rounded[top] += 1 - sum(rounded.values())
+    lines = [",".join(dag.observed_names()) + ",prob"]
+    for config, p in sorted(rounded.items()):
+        if p:
+            digits = f"{p.numerator * 10 ** places // p.denominator:0{places + 1}d}"
+            lines.append(",".join(map(str, config))
+                         + f",{digits[:-places]}.{digits[-places:]}")
+    return "\n".join(lines) + "\n"
+
+
 # -- products of simplices ----------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ import obscon
 from obscon.cli import main
 from obscon.fixtures import FIXTURE_GRAPHS, FIXTURE_TABLES
 
-from oracles import sparse_dag
+from oracles import decimal_csv, sparse_dag, structural_model_table
 
 
 @pytest.fixture()
@@ -502,6 +503,18 @@ def test_check_zero_tolerance_accepted(examples, capsys):
     assert "model consistent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rows", [("0,0,1,0", "0,0,1,1/2"), ("0,0,1,1/2", "0,0,1,0")])
+def test_check_duplicate_configuration_exits_5(examples, tmp_path, capsys, rows):
+    # a zero-probability row is a configuration too, in either order
+    table = tmp_path / "dup.csv"
+    table.write_text("\n".join(["Z,X,Y,prob", *rows, "1,1,1,1/2"]) + "\n")
+    code = main(["check", path_of(examples, "iv.graph"), str(table)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err.splitlines() == ["error: duplicate configuration (0, 0, 1)"]
+    assert captured.out == ""
+
+
 def test_check_oversized_decimal_cell_exits_5(examples, tmp_path, capsys):
     table = tmp_path / "tiny.csv"
     table.write_text("Z,X,Y,prob\n0,0,0,1e-300000\n1,1,1,1\n")
@@ -738,6 +751,70 @@ def test_check_json_matches_golden_digests(examples, tmp_path, capsys, name):
                  path_of(examples, f"{name}.csv"), *merge, "--json", str(report)])
     capsys.readouterr()
     assert (_sha256(report), code) == CHECK_DIGESTS[name]
+
+
+def _check_table_csv(dag, kind, rng):
+    """A table for ``check``: a structural model's joint rounded to decimals,
+    random weights on three configurations, or random weights on all."""
+    if kind == "decimal":
+        return decimal_csv(dag, structural_model_table(dag, rng))
+    if kind == "sparse":
+        return sparse_support_csv(dag, rng, size=3)
+    names = dag.observed_names()
+    configs = list(product(*(range(dag.cardinality(n)) for n in names)))
+    weights = [rng.randint(1, 997) for _ in configs]
+    total = sum(weights)
+    lines = [",".join(names) + ",prob"]
+    lines += [",".join(map(str, config)) + f",{Fraction(w, total)}"
+              for config, w in zip(configs, weights)]
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of `check --json` and the exit code on tables that
+# `_check_table_csv` writes: decimal (the 1e-9 tolerance), sparse
+# (not-evaluable rows) and dense (checked under --tolerance 1/50, so some
+# positive margins on mixed_cdegree are tolerated)
+TABLE_CHECK_DIGESTS = {
+    ("BELL_I3322", "decimal"): (
+        "38257716ecb7b04e87a54e265b428945acace8ce6dc84c760594cfbef63132f3", 0),
+    ("BELL_I3322", "dense"): (
+        "dff70edd6c9a61d9e441ef4e5fbe542b7e16d9cf65e8a7039f801f25009a8bf0", 1),
+    ("BELL_I3322", "sparse"): (
+        "db81d7ac0899d7e8abd81e917afb13561a62b5e1b5ada7465b5fbcef309af0a0", 1),
+    ("mixed_cdegree", "decimal"): (
+        "f2d5528cfb41ff3f5319b3396de23dc81ce08a9a0d37ae1fc615d265a5f88572", 0),
+    ("mixed_cdegree", "dense"): (
+        "20e037dfabfbcf702147b8a89476746d9264ae37ee24b82bfcf7413cf9d5c318", 1),
+    ("mixed_cdegree", "sparse"): (
+        "d56b42f48aa8cf1f7c811d41a6a6006a5a5cdd4e386dbcfdaad0ec5a092deae4", 1),
+}
+
+
+@pytest.mark.parametrize("graph_name, kind", sorted(TABLE_CHECK_DIGESTS))
+def test_check_json_on_written_tables_matches_golden_digests(tmp_path, capsys, graph_name, kind):
+    import conftest
+
+    text = FIXTURE_GRAPHS.get(graph_name) or getattr(conftest, graph_name)
+    graph, table, report = (tmp_path / name for name in ("g.graph", "t.csv", "r.json"))
+    graph.write_text(text)
+    dag = obscon.parse_graph(text)
+    table.write_text(_check_table_csv(dag, kind, random.Random(f"check-{graph_name}-{kind}")))
+    merge = ["--merge"] if graph_name == "mixed_cdegree" else []
+    tolerance = ["--tolerance", "1/50"] if kind == "dense" else []
+    code = main(["check", str(graph), str(table), *merge, *tolerance, "--json", str(report)])
+    capsys.readouterr()
+    doc = json.loads(report.read_text())
+    statuses = {row["status"] for row in doc["constraints"]}
+    if kind == "decimal":
+        assert doc["tolerance"] == "1/1000000000"
+    elif kind == "sparse":
+        assert "not_evaluable" in statuses
+    elif graph_name == "mixed_cdegree":
+        # I3322's star terms are products P(a|x) P(b|y), so every row holds
+        # there with margin 0 (ROADMAP item 1)
+        assert any(row["status"] == "satisfied" and row["margin"] != "0/1"
+                   for row in doc["constraints"])
+    assert (_sha256(report), code) == TABLE_CHECK_DIGESTS[graph_name, kind]
 
 
 @pytest.mark.parametrize("seed", sorted(REPEATED_SHAPE_DIGESTS))

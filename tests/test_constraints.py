@@ -27,7 +27,7 @@ from obscon.constraints import (
     report_to_json,
     result_to_json,
 )
-from obscon.response import ColumnLimitError, Configuration, star_probability
+from obscon.response import ColumnLimitError, Configuration, star_probability, star_scaled
 from obscon.tables import TableError, parse_table
 from obscon.transform import normalize
 
@@ -37,6 +37,7 @@ from conftest import BELL_CHSH, BELL_I3322
 from test_bench_spans import BENCH_DIR
 from oracles import (
     coeff_vector,
+    decimal_csv,
     evaluate_by_scan,
     multiply,
     positive_simplex_point,
@@ -350,29 +351,25 @@ def test_evaluate_tolerance(graphs):
     assert not loose.falsified
 
 
+def test_evaluate_rejects_negative_tolerance(graphs):
+    # a negative tolerance would report the CI statements' zero margins violated
+    dag = graphs["mixed_cdegree"]
+    result = derive_all(dag, DeriveOptions(merge=True))
+    configs = list(product(*(range(dag.cardinality(n)) for n in dag.observed_names())))
+    table = JointTable.from_dict(dag, {c: Fraction(1, len(configs)) for c in configs})
+    assert not evaluate(result, dag, table, Fraction(0)).falsified
+    with pytest.raises(ValueError, match="tolerance"):
+        evaluate(result, dag, table, Fraction(-1, 100))
+
+
 # two roots feeding one child: the CI statement A _||_ B has an empty given
 TWO_ROOTS = "var A 2\nvar B 3\nvar Y 2\nedge A Y\nedge B Y\n"
 
 
-def _decimal_csv(dag, probs, places=12):
-    """``probs`` rounded to ``places`` decimals (the largest entry absorbs the
-    rounding) and written as a decimal CSV table."""
-    unit = Fraction(1, 10 ** places)
-    rounded = {k: round(p / unit) * unit for k, p in probs.items()}
-    top = max(rounded, key=rounded.get)
-    rounded[top] += 1 - sum(rounded.values())
-    lines = [",".join(dag.observed_names()) + ",prob"]
-    for config, p in sorted(rounded.items()):
-        if p:
-            digits = f"{p.numerator * 10 ** places // p.denominator:0{places + 1}d}"
-            lines.append(",".join(map(str, config))
-                         + f",{digits[:-places]}.{digits[-places:]}")
-    return "\n".join(lines) + "\n"
-
-
 def _random_tables(dag, rng):
     """(kind, table) pairs: a model table, dense and sparse random tables,
-    and a rounded model table read from decimals."""
+    a rounded model table read from decimals, and a dense table whose
+    weights exceed 2**64."""
     configs = list(product(*(range(dag.cardinality(n)) for n in dag.observed_names())))
     model = structural_model_table(dag, rng)
     dense_w = {c: rng.randint(1, 997) for c in configs}
@@ -383,7 +380,10 @@ def _random_tables(dag, rng):
         total = sum(weights.values())
         yield kind, JointTable.from_dict(
             dag, {c: Fraction(w, total) for c, w in weights.items()})
-    yield "decimal", parse_table(_decimal_csv(dag, model), dag)
+    yield "decimal", parse_table(decimal_csv(dag, model), dag)
+    wide_w = {c: rng.randint(2 ** 64, 2 ** 65) for c in configs}
+    total = sum(wide_w.values())
+    yield "wide", JointTable.from_dict(dag, {c: Fraction(w, total) for c, w in wide_w.items()})
 
 
 SCAN_GRAPHS = {
@@ -413,7 +413,10 @@ def test_evaluate_matches_scan_reference(name):
                 s.status for s in fast.constraint_statuses)
             if kind == "decimal":
                 assert fast.tolerance == Fraction(1, 10 ** 9)
-    assert set(statuses) == {"structural", "dense", "sparse", "decimal"}
+            if kind == "wide":  # no fixed-width integer could hold these
+                assert max(max(star_scaled(table, plan.stars)[1])
+                           for plan in result.check_plans) > 2 ** 64
+    assert set(statuses) == {"structural", "dense", "sparse", "decimal", "wide"}
     assert statuses["structural"] == {"satisfied"}
     if name != "triangle":  # its star terms are unconditional marginals
         assert "not_evaluable" in statuses["sparse"]
@@ -449,11 +452,21 @@ def test_check_plan_is_built_once_and_reused(name, monkeypatch):
 
     check_plan = obscon.constraints._check_plan
     monkeypatch.setattr(obscon.constraints, "_check_plan", counted)
-    table_a, table_b = _split_tables(dag, random.Random(f"reuse-{name}"))
-    reports = [evaluate(result, dag, table) for table in (table_a, table_b, table_a)]
+    rng = random.Random(f"reuse-{name}")
+    table_a, table_b = _split_tables(dag, rng)
+    model = JointTable.from_dict(dag, structural_model_table(dag, rng))
+    if name == "iv":
+        violator = parse_table(IV_VIOLATOR, dag)
+    else:
+        configs = list(product(*(range(dag.cardinality(n)) for n in dag.observed_names())))
+        weights = {c: rng.randint(1, 997) for c in configs}
+        total = sum(weights.values())
+        violator = JointTable.from_dict(dag, {c: Fraction(w, total) for c, w in weights.items()})
+    tables = (table_a, table_b, table_a, model, violator, model)
+    reports = [evaluate(result, dag, table) for table in tables]
     derived = [index for index, record in enumerate(result.districts) if record.system]
     assert built == derived
-    for table, report in zip((table_a, table_b, table_a), reports):
+    for table, report in zip(tables, reports):
         fresh = evaluate(derive_all(dag, options), dag, table)
         assert report == fresh
         assert json.dumps(report_to_json(report)) == json.dumps(report_to_json(fresh))
@@ -464,6 +477,10 @@ def test_check_plan_is_built_once_and_reused(name, monkeypatch):
     ]
     assert unevaluable[0] and unevaluable[1] and unevaluable[0] != unevaluable[1]
     assert unevaluable[2] == unevaluable[0]
+    # the records a model table shares are not changed by a violating table
+    assert {s.status for s in reports[3].constraint_statuses} == {"satisfied"}
+    assert any(s.status == "violated" for s in reports[4].constraint_statuses)
+    assert reports[5] == reports[3]
     assert documents == [
         json.dumps(result_to_json(result, dag, texts=texts)) for texts in (False, True)
     ]
