@@ -23,7 +23,6 @@ from .polyhedra import (
     HRep,
     UnboundedPolytopeError,
     VRep,
-    h_to_v,
     v_to_h,
 )
 from .response import (
@@ -94,7 +93,6 @@ __all__ = [
     "evaluate",
     "exogenize",
     "flag_nontrivial",
-    "h_to_v",
     "hlp_add_edge",
     "load_graph",
     "load_table",

@@ -514,6 +514,14 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
     positive margin is a new Fraction. ``tolerance`` defaults to 1e-9 for
     a table read from decimals and 0 otherwise; a negative one raises
     ``ValueError``.
+
+    Known gap (ROADMAP item 1): the star terms use ``star_factors``, which
+    conditions each member on its observed ancestors among the district's
+    members and their observed parents. A Bell-type star is then the
+    product P(a|x)·P(b|y), so no district row of CHSH, I3322 or the
+    tripartite Bell scenario can come out violated. The fix waits for a
+    benchmark change that also rewrites the copy of this rule in
+    ``bench/gate.py``.
     """
     if table.variables != dag.observed_names():
         raise ValueError("table variables do not match the graph")

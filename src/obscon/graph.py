@@ -183,24 +183,14 @@ class HiddenDag:
 
     def observed_ancestors(self, s: Iterable[str]) -> frozenset[str]:
         """Reflexive closure of the observed-parent relation over ``s``."""
-        names = list(s)
-        for name in names:
+        frontier = list(s)
+        for name in frontier:
             if not self.is_observed(name):
                 raise ValueError(f"{name!r} is not an observed variable")
-        return self._closure(names, self.is_observed)
-
-    def ancestors(self, s: Iterable[str]) -> frozenset[str]:
-        """Reflexive ancestor closure through all variables, latents included."""
-        return self._closure([self.variable(n).name for n in s], lambda name: True)
-
-    def _closure(self, names: list[str], follow) -> frozenset[str]:
-        """``names`` and every variable reached from them by stepping to a
-        parent that passes ``follow``."""
-        seen = set(names)
-        frontier = list(seen)
+        seen = set(frontier)
         while frontier:
             for p in self._parents[frontier.pop()]:
-                if follow(p) and p not in seen:
+                if p not in seen and self.is_observed(p):
                     seen.add(p)
                     frontier.append(p)
         return frozenset(seen)
@@ -240,14 +230,6 @@ class HiddenDag:
                 groups[find(u)][1].append(u)
         return [District(tuple(members), tuple(latents))
                 for members, latents in groups.values()]
-
-    def c_degree(self, district: District) -> int:
-        if district not in self.districts():
-            raise ValueError(f"{district} is not a district of this graph")
-        return district.c_degree
-
-    def graph_c_degree(self) -> int:
-        return max((d.c_degree for d in self.districts()), default=1)
 
     def topological_order(self) -> tuple[str, ...]:
         """Kahn's algorithm, preferring latents and then declaration order.

@@ -1,13 +1,13 @@
-"""Exact polyhedral computation: V/H representations and their conversion.
+"""Exact polyhedral computation: V/H representations and the vertex-to-facet conversion.
 
 Everything is exact and no floating point appears anywhere. Points may be
 rational (``fractions.Fraction``) or integer; each row is scaled to coprime
 integers as it enters the linear algebra, which then runs on Python ints
 only. One fraction-free Gauss-Jordan kernel (``_echelon``) does all of the
 elimination: it finds the affine hull's pivot columns and equality rows,
-the particular solution and null space of an equality system, and, in
-``_basis_inverse``, the independent rows and the inverse that start double
-description and turn each facet orbit's keys back into rays.
+the null space of a point's tight rows, and, in ``_basis_inverse``, the
+independent rows and the inverse that start double description and turn
+each facet orbit's keys back into rays.
 
 The vertex-to-facet conversion is double description (``extreme_rays``). It
 inserts the constraint rows in lexicographic order, the "lexmin" rule of
@@ -114,13 +114,6 @@ class HRep(NamedTuple):
                 return len(rows[0][0])
         return 0
 
-    @classmethod
-    def from_rows(cls, ineq, eq) -> "HRep":
-        """Canonicalize arbitrary rational rows into an HRep."""
-        canon_ineq = sorted({_canon_ineq(c, r) for c, r in ineq})
-        canon_eq = sorted({_canon_eq(c, r) for c, r in eq})
-        return cls(tuple(canon_ineq), tuple(canon_eq))
-
     def to_cdd(self) -> str:
         """Conventional polyhedral text format: rows are (b, -H), eq rows first."""
         rows = list(self.eq) + list(self.ineq)
@@ -150,11 +143,6 @@ def _integerize(vec) -> Row:
     vec = [x if isinstance(x, int) else Fraction(x) for x in vec]
     denom = lcm(*(x.denominator for x in vec))
     return tuple(_primitive([x.numerator * (denom // x.denominator) for x in vec]))
-
-
-def _canon_ineq(coeffs, rhs) -> tuple[Row, int]:
-    row = _integerize(list(coeffs) + [rhs])
-    return row[:-1], row[-1]
 
 
 def _canon_eq(coeffs, rhs) -> tuple[Row, int]:
@@ -633,58 +621,3 @@ def v_to_h(v: VRep, progress=None, symmetries=()) -> HRep:
             coeffs[col] = value
         ineqs.append((tuple(coeffs), -a0))
     return HRep(ineq=tuple(sorted(set(ineqs))), eq=tuple(eq_rows))
-
-
-def h_to_v(h: HRep) -> VRep:
-    """Vertices of a bounded polytope given in H-representation.
-
-    Raises ``UnboundedPolytopeError`` when a ray or line is found and
-    ``ValueError`` when the polytope is empty.
-    """
-    dim = h.dim
-    reduced, pivots = _echelon([(*coeffs, rhs) for coeffs, rhs in h.eq])
-    if dim in pivots:  # a pivot in the rhs column: 0 = 1
-        raise ValueError("equality system is inconsistent; empty polytope")
-    x0 = [Fraction(0)] * dim
-    for row, p in zip(reduced, pivots):
-        x0[p] = Fraction(row[dim], row[p])
-    basis = _null_basis(reduced, pivots, dim)
-    t = len(basis)
-
-    reduced_rows = []
-    for coeffs, rhs in h.ineq:
-        shift = rhs - sum(c * x for c, x in zip(coeffs, x0))
-        proj = [sum(c * x for c, x in zip(coeffs, vec)) for vec in basis]
-        if all(v == 0 for v in proj):
-            if shift < 0:
-                raise ValueError("inconsistent inequalities; empty polytope")
-            continue
-        reduced_rows.append((proj, shift))
-    if t == 0:
-        return VRep((tuple(x0),))
-
-    cone_rows = [_integerize([-shift] + proj) for proj, shift in reduced_rows]
-    cone_rows.append(tuple([-1] + [0] * t))
-    try:
-        rays = extreme_rays(cone_rows)
-    except UnboundedPolytopeError as exc:
-        raise UnboundedPolytopeError(
-            "polyhedron contains a line; not a bounded polytope"
-        ) from exc
-
-    vertices = set()
-    for ray in rays:
-        s, z = ray[0], ray[1:]
-        if s == 0:
-            if any(v != 0 for v in z):
-                raise UnboundedPolytopeError("polyhedron has a recession ray")
-            continue
-        scaled = [Fraction(v, s) for v in z]
-        point = tuple(
-            x0[j] + sum(scaled[i] * basis[i][j] for i in range(t))
-            for j in range(dim)
-        )
-        vertices.add(point)
-    if not vertices:
-        raise ValueError("empty polytope")
-    return VRep(tuple(sorted(vertices)))

@@ -161,12 +161,6 @@ class FunctionalSystem(NamedTuple):
         n_blocks = len(self.col_outcomes[0])
         return (self.n_rows // n_blocks,) * n_blocks
 
-    @property
-    def row_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Row indices grouped by w2 configuration: consecutive runs of a block size."""
-        n1 = self.block_sizes[0]
-        return tuple(tuple(range(start, start + n1)) for start in range(0, self.n_rows, n1))
-
     def columns_as_points(self) -> list[tuple[int, ...]]:
         """Columns of B as 0/1 vectors; the V-representation generators."""
         n1 = self.block_sizes[0]
@@ -177,11 +171,6 @@ class FunctionalSystem(NamedTuple):
                 point[block * n1 + outcome] = 1
             points.append(tuple(point))
         return points
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """B as dense 0/1 rows."""
-        return tuple(zip(*self.columns_as_points()))
 
     def to_json(self) -> dict:
         return {
@@ -317,6 +306,13 @@ def star_factors(dag: HiddenDag, district: District) -> list[tuple[str, tuple[st
     The factor for member W conditions on every variable that is a parent of
     the district or a co-member, is an observed ancestor of W, and is not W
     itself.
+
+    This rule is not Tian's c-component factorisation (ROADMAP item 1). On a
+    Bell-type district it gives a product, P(a|x)·P(b|y) on CHSH, which is
+    always local, so ``check`` cannot report a violated district row on
+    CHSH, I3322 or the tripartite Bell scenario. The fix waits for a
+    benchmark change that also rewrites the copy of this rule in
+    ``bench/gate.py``.
     """
     members = set(district.members)
     pool = dag.observed_parents(members) | members

@@ -80,9 +80,11 @@ def _approximate(numerator: int, denominator: int) -> str:
 class JointTable(Record):
     """A joint distribution over ``variables``, checked on construction.
 
-    Equality, hashing and the repr see ``variables``, ``cardinalities``,
-    ``probs`` and ``decimal_source``; the integer masses over
-    ``denominator`` and the marginal cache are derived from them.
+    Each probability is an ``int`` or a ``Fraction``; other types, floats
+    included, raise ``TableError``. Equality, hashing and the repr see
+    ``variables``, ``cardinalities``, ``probs`` and ``decimal_source``; the
+    integer masses over ``denominator`` and the marginal cache are derived
+    from them.
     """
 
     __slots__ = ("variables", "cardinalities", "probs", "decimal_source",
@@ -97,9 +99,12 @@ class JointTable(Record):
             for value, card in zip(config, cardinalities):
                 if not 0 <= value < card:
                     raise TableError(f"value {value} out of range in {config}")
+            if not isinstance(p, (int, Fraction)):
+                raise TableError(
+                    f"probability for {config} is a {type(p).__name__}, not an int or Fraction")
             if p < 0:
                 raise TableError(f"negative probability for {config}")
-        exact = [(config, Fraction(p)) for config, p in probs.items() if p]
+        exact = [(config, p) for config, p in probs.items() if p]
         denominator = lcm(*(p.denominator for _, p in exact))
         scaled = tuple(
             (config, p.numerator * (denominator // p.denominator))
@@ -113,14 +118,6 @@ class JointTable(Record):
         self._set(variables=variables, cardinalities=cardinalities, probs=probs,
                   decimal_source=decimal_source, denominator=denominator,
                   _scaled=scaled, _marginals={})
-
-    @classmethod
-    def from_dict(cls, dag: HiddenDag, probs: Mapping[tuple[int, ...], Fraction],
-                  decimal_source: bool = False) -> "JointTable":
-        names = dag.observed_names()
-        cards = tuple(dag.cardinality(n) for n in names)
-        cleaned = {tuple(k): Fraction(v) for k, v in probs.items() if v != 0}
-        return cls(names, cards, cleaned, decimal_source)
 
     def _column(self, name: str) -> int:
         try:
@@ -164,15 +161,6 @@ class JointTable(Record):
         names = sorted(assignment, key=self._column)
         mass = self.marginal(names).get(tuple(assignment[n] for n in names), 0)
         return Fraction(mass, self.denominator)
-
-    def conditional(self, target: Mapping[str, int], given: Mapping[str, int]):
-        """P(target | given), or None when the conditioning event has mass 0."""
-        denom = self.prob(given)
-        if denom == 0:
-            return None
-        joint = dict(given)
-        joint.update(target)
-        return self.prob(joint) / denom
 
 
 def _parse_prob(text: str) -> tuple[Fraction, bool]:

@@ -71,13 +71,6 @@ def _require_conditions(dag: HiddenDag, rule: str) -> None:
         )
 
 
-def replay(dag: HiddenDag, log: RewriteLog) -> HiddenDag:
-    """Re-apply a rewrite log to its input graph."""
-    for step in log.steps:
-        dag = _apply_edits(dag, step.edits)
-    return dag
-
-
 def exogenize(dag: HiddenDag) -> tuple[HiddenDag, RewriteLog]:
     """Reroute edges into latents until every latent is parentless.
 

@@ -10,6 +10,14 @@ marginalizes finite latent variables directly, the vertices of a product of
 simplices, dense views of a district system (B r, coefficient rows, response
 encoding, the columns that realize a row), and an evaluation that scans the
 whole table for every probability it needs.
+
+The last section holds test helpers that the program itself never runs: an
+H-to-V conversion, the round-trip reference for ``v_to_h``; canonical HRep
+and table builders from plain rows and dicts; a system's dense 0/1 matrix;
+the ancestor closure through latents that the d-separation oracles read;
+and a replay of a rewrite log from its documented edit format. The H-to-V
+conversion runs on the package's exact elimination and double description
+kernels, so it checks the facet step of ``v_to_h``, not those kernels.
 """
 
 from __future__ import annotations
@@ -28,6 +36,17 @@ from obscon.constraints import (
 )
 from obscon.graph import HiddenDag, Variable, parse_graph
 from obscon.independence import d_separated, make_statement
+from obscon.polyhedra import (
+    HRep,
+    Row,
+    UnboundedPolytopeError,
+    VRep,
+    _canon_eq,
+    _echelon,
+    _integerize,
+    _null_basis,
+    extreme_rays,
+)
 from obscon.response import build_functional_system, star_factors
 from obscon.tables import JointTable
 
@@ -314,7 +333,7 @@ def extreme_rays_full_scan(rows, progress=None):
 
 def path_d_separated(dag: HiddenDag, a: set, b: set, z: set) -> bool:
     """Enumerate every simple path and apply the blocking rules per node."""
-    z_anc = dag.ancestors(z) if z else frozenset()
+    z_anc = ancestors(dag, z) if z else frozenset()
     names = [v.name for v in dag.variables]
     neighbors = {n: set() for n in names}
     for p, c in dag.edges:
@@ -410,7 +429,7 @@ def minimal_separators_by_scan(dag: HiddenDag, wi: str, wj: str, cap: int) -> li
     Every candidate lies in that ancestor closure, so An({wi, wj} | Z) is the
     closure itself and one dict-of-sets moral graph of it answers every test.
     """
-    relevant = dag.ancestors((wi, wj))
+    relevant = ancestors(dag, (wi, wj))
     moral = {v: set() for v in relevant}
     for child in relevant:
         parents = dag.parents(child)
@@ -614,7 +633,7 @@ def multiply(system, r) -> list[Fraction]:
         raise ValueError("response vector has wrong length")
     return [
         sum((value * coeff for value, coeff in zip(row, r)), Fraction(0))
-        for row in system.matrix
+        for row in system_matrix(system)
     ]
 
 
@@ -696,3 +715,118 @@ def evaluate_by_scan(result: DerivationResult, dag: HiddenDag, table: JointTable
         status = "violated" if margin > tolerance else "satisfied"
         ci_statuses.append(CIStatus(stmt, status, margin))
     return ViolationReport(tuple(statuses), tuple(ci_statuses), tolerance)
+
+
+# -- test helpers the program does not run ------------------------------------
+
+
+def h_to_v(h: HRep) -> VRep:
+    """Vertices of a bounded polytope given in H-representation.
+
+    Raises ``UnboundedPolytopeError`` when a ray or line is found and
+    ``ValueError`` when the polytope is empty.
+    """
+    dim = h.dim
+    reduced, pivots = _echelon([(*coeffs, rhs) for coeffs, rhs in h.eq])
+    if dim in pivots:  # a pivot in the rhs column: 0 = 1
+        raise ValueError("equality system is inconsistent; empty polytope")
+    x0 = [Fraction(0)] * dim
+    for row, p in zip(reduced, pivots):
+        x0[p] = Fraction(row[dim], row[p])
+    basis = _null_basis(reduced, pivots, dim)
+    t = len(basis)
+
+    reduced_rows = []
+    for coeffs, rhs in h.ineq:
+        shift = rhs - sum(c * x for c, x in zip(coeffs, x0))
+        proj = [sum(c * x for c, x in zip(coeffs, vec)) for vec in basis]
+        if all(v == 0 for v in proj):
+            if shift < 0:
+                raise ValueError("inconsistent inequalities; empty polytope")
+            continue
+        reduced_rows.append((proj, shift))
+    if t == 0:
+        return VRep((tuple(x0),))
+
+    cone_rows = [_integerize([-shift] + proj) for proj, shift in reduced_rows]
+    cone_rows.append(tuple([-1] + [0] * t))
+    try:
+        rays = extreme_rays(cone_rows)
+    except UnboundedPolytopeError as exc:
+        raise UnboundedPolytopeError(
+            "polyhedron contains a line; not a bounded polytope"
+        ) from exc
+
+    vertices = set()
+    for ray in rays:
+        s, z = ray[0], ray[1:]
+        if s == 0:
+            if any(v != 0 for v in z):
+                raise UnboundedPolytopeError("polyhedron has a recession ray")
+            continue
+        scaled = [Fraction(v, s) for v in z]
+        point = tuple(
+            x0[j] + sum(scaled[i] * basis[i][j] for i in range(t))
+            for j in range(dim)
+        )
+        vertices.add(point)
+    if not vertices:
+        raise ValueError("empty polytope")
+    return VRep(tuple(sorted(vertices)))
+
+
+def _canon_ineq(coeffs, rhs) -> tuple[Row, int]:
+    row = _integerize(list(coeffs) + [rhs])
+    return row[:-1], row[-1]
+
+
+def hrep_from_rows(ineq, eq) -> HRep:
+    """Canonicalize arbitrary rational rows into an HRep."""
+    canon_ineq = sorted({_canon_ineq(c, r) for c, r in ineq})
+    canon_eq = sorted({_canon_eq(c, r) for c, r in eq})
+    return HRep(tuple(canon_ineq), tuple(canon_eq))
+
+
+def table_from_dict(dag: HiddenDag, probs: dict, decimal_source: bool = False) -> JointTable:
+    """A table over the graph's observed variables from {configuration: probability}."""
+    names = dag.observed_names()
+    cards = tuple(dag.cardinality(n) for n in names)
+    cleaned = {tuple(k): Fraction(v) for k, v in probs.items() if v != 0}
+    return JointTable(names, cards, cleaned, decimal_source)
+
+
+def system_matrix(system) -> tuple[tuple[int, ...], ...]:
+    """B as dense 0/1 rows."""
+    return tuple(zip(*system.columns_as_points()))
+
+
+def ancestors(dag: HiddenDag, names) -> frozenset[str]:
+    """Reflexive ancestor closure through all variables, latents included."""
+    seen = {dag.variable(n).name for n in names}
+    frontier = list(seen)
+    while frontier:
+        for parent in dag.parents(frontier.pop()):
+            if parent not in seen:
+                seen.add(parent)
+                frontier.append(parent)
+    return frozenset(seen)
+
+
+def replay(dag: HiddenDag, log) -> HiddenDag:
+    """A rewrite log's primitive edits applied in order to its input graph,
+    read from the edit format that ``RewriteStep`` documents."""
+    variables, edges = list(dag.variables), set(dag.edges)
+    for step in log.steps:
+        for op, *args in step.edits:
+            if op == "add_edge":
+                edges.add(tuple(args))
+            elif op == "remove_edge":
+                edges.discard(tuple(args))
+            elif op == "remove_var":
+                variables = [v for v in variables if v.name != args[0]]
+                edges = {e for e in edges if args[0] not in e}
+            elif op == "add_latent":
+                variables.append(Variable(args[0], "latent"))
+            else:
+                raise ValueError(f"unknown edit {op!r}")
+    return HiddenDag(variables, edges)

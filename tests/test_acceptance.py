@@ -20,13 +20,11 @@ import pytest
 
 from obscon import (
     DeriveOptions,
-    JointTable,
     VRep,
     build_functional_system,
     d_separated,
     derive_all,
     evaluate,
-    h_to_v,
     parse_graph,
     v_to_h,
 )
@@ -36,12 +34,15 @@ from oracles import (
     coeff_vector,
     facet_witness_beyond,
     feasible_nonneg,
+    h_to_v,
     in_hull,
     path_d_separated,
     positive_simplex_point,
     random_dag,
     random_simplex_point,
     structural_model_table,
+    system_matrix,
+    table_from_dict,
 )
 
 
@@ -209,7 +210,7 @@ def test_criterion_02_iv_b_matrix(graphs):
     t0 = time.monotonic()
     dag = graphs["iv"]
     fs = build_functional_system(dag, dag.districts()[1])
-    assert [list(row) for row in fs.matrix] == IV_B_MATRIX
+    assert [list(row) for row in system_matrix(fs)] == IV_B_MATRIX
     labels = [(w1["X"], w1["Y"], w2["Z"]) for w1, w2 in fs.row_labels]
     assert labels == [
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
@@ -356,7 +357,7 @@ def test_criterion_07_triangle_merged(graphs):
     dag = graphs["triangle"]
     result = derive_all(dag, DeriveOptions(merge=True))
     assert result.flagged_count == 0
-    wolfe = JointTable.from_dict(dag, {
+    wolfe = table_from_dict(dag, {
         (0, 0, 0): Fraction(1, 2),
         (1, 1, 1): Fraction(1, 2),
     })
@@ -544,7 +545,7 @@ def test_criterion_10_soundness():
         merge = any(d.c_degree > 1 for d in dag.districts())
         result = derive_all(dag, DeriveOptions(merge=merge))
         for _ in range(100):
-            table = JointTable.from_dict(dag, structural_model_table(dag, rng))
+            table = table_from_dict(dag, structural_model_table(dag, rng))
             report = evaluate(result, dag, table)
             assert not report.falsified, name
             assert all(
@@ -560,7 +561,7 @@ def test_criterion_11_iv_completeness():
     result = derive_all(dag)
     record = district_record(result, ("X", "Y"))
     fs = record.system
-    matrix = [[Fraction(v) for v in row] for row in fs.matrix]
+    matrix = [[Fraction(v) for v in row] for row in system_matrix(fs)]
     matrix.append([Fraction(1)] * fs.n_cols)
 
     rng = random.Random(987)
@@ -589,7 +590,7 @@ def test_criterion_11_iv_completeness():
         assert sum(solution) == 1
         for row_index in range(fs.n_rows):
             got = sum(
-                Fraction(fs.matrix[row_index][j]) * solution[j]
+                matrix[row_index][j] * solution[j]
                 for j in range(fs.n_cols)
             )
             assert got == stars[row_index]

@@ -18,6 +18,7 @@ import obscon
 from obscon.cli import main
 from obscon.fixtures import FIXTURE_GRAPHS, FIXTURE_TABLES
 
+from conftest import BELL_CHSH
 from oracles import decimal_csv, sparse_dag, structural_model_table
 
 
@@ -341,6 +342,22 @@ def test_check_violator_exits_1(examples, capsys):
     assert code == 1
     assert "model falsified" in out
     assert "[violated] P*(X=0,Y=1|Z=0) + P*(X=0,Y=0|Z=1) <= 1" in out
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: star factors by observed ancestors")
+def test_check_pr_box_on_chsh_exits_1(tmp_path, capsys):
+    # the PR box: uniform settings and a XOR b = xy, so CHSH reaches 4
+    # against the local bound 2; no local hidden-variable model gives it
+    graph = tmp_path / "chsh.graph"
+    graph.write_text(BELL_CHSH)
+    table = tmp_path / "pr_box.csv"
+    table.write_text("X,Y,A,B,prob\n" + "".join(
+        f"{x},{y},{a},{b},1/8\n"
+        for x, y, a, b in product(range(2), repeat=4) if a ^ b == x * y))
+    code = main(["check", str(graph), str(table)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert any(line.startswith("[violated] ") and "P*(" in line for line in out.splitlines())
 
 
 def test_check_bad_table_exits_5(examples, tmp_path, capsys):

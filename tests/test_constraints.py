@@ -12,7 +12,6 @@ from obscon import (
     ConditionsError,
     DeriveOptions,
     HRep,
-    JointTable,
     VRep,
     derive_all,
     evaluate,
@@ -39,12 +38,15 @@ from oracles import (
     coeff_vector,
     decimal_csv,
     evaluate_by_scan,
+    hrep_from_rows,
     multiply,
     positive_simplex_point,
     random_dag,
     simplex_product_extreme_points,
     sparse_dag,
     structural_model_table,
+    system_matrix,
+    table_from_dict,
 )
 
 
@@ -72,7 +74,7 @@ def test_flag_iv(graphs):
 
 def test_flag_axioms_never_flagged():
     # plain nonnegativity rows are implied by the simplex itself
-    h = HRep.from_rows(
+    h = hrep_from_rows(
         [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)], []
     )
     ineq_flags, eq_flags = flag_nontrivial(h, [3])
@@ -81,7 +83,7 @@ def test_flag_axioms_never_flagged():
 
 
 def test_flag_block_sum_rows_unflagged():
-    h = HRep.from_rows([], [((1, 1, -0, 0), 1), ((0, 0, 1, 1), 1)])
+    h = hrep_from_rows([], [((1, 1, -0, 0), 1), ((0, 0, 1, 1), 1)])
     _, eq_flags = flag_nontrivial(h, [2, 2])
     assert all(not f for f, _ in eq_flags)
 
@@ -266,7 +268,7 @@ def test_render_modes_agree_numerically(graphs):
     # probability for any table
     dag = graphs["frontdoor"]
     rng = random.Random(3)
-    table = JointTable.from_dict(dag, structural_model_table(dag, rng))
+    table = table_from_dict(dag, structural_model_table(dag, rng))
     result = derive_all(dag)
     for record in result.districts:
         if record.skipped:
@@ -278,9 +280,8 @@ def test_render_modes_agree_numerically(graphs):
             values.update(w2.items)
             product = Fraction(1)
             for member, cond in star_factors(dag, record.system.district):
-                product *= table.conditional(
-                    {member: values[member]}, {n: values[n] for n in cond}
-                )
+                given = {n: values[n] for n in cond}
+                product *= table.prob({**given, member: values[member]}) / table.prob(given)
             assert product == star_probability(
                 table, dag, record.system.district, w1, w2
             )
@@ -291,7 +292,7 @@ def test_evaluate_model_table_consistent(graphs):
     result = derive_all(dag)
     rng = random.Random(101)
     for _ in range(10):
-        table = JointTable.from_dict(dag, structural_model_table(dag, rng))
+        table = table_from_dict(dag, structural_model_table(dag, rng))
         report = evaluate(result, dag, table)
         assert not report.falsified
         assert all(s.status == "satisfied" for s in report.constraint_statuses)
@@ -310,7 +311,7 @@ def test_evaluate_violator_margin_one(graphs):
 def test_evaluate_wolfe_on_merged_triangle(graphs):
     dag = graphs["triangle"]
     result = derive_all(dag, DeriveOptions(merge=True))
-    table = JointTable.from_dict(dag, {
+    table = table_from_dict(dag, {
         (0, 0, 0): Fraction(1, 2),
         (1, 1, 1): Fraction(1, 2),
     })
@@ -322,7 +323,7 @@ def test_evaluate_wolfe_on_merged_triangle(graphs):
 
 def test_evaluate_not_evaluable(graphs):
     dag = graphs["iv"]
-    table = JointTable.from_dict(dag, {(0, 0, 0): Fraction(1)})
+    table = table_from_dict(dag, {(0, 0, 0): Fraction(1)})
     report = evaluate(derive_all(dag), dag, table)
     assert any(s.status == "not_evaluable" for s in report.constraint_statuses)
     assert not report.falsified
@@ -337,7 +338,7 @@ def test_evaluate_ci_violation(graphs):
     for v1 in (0, 1):
         for v3 in (0, 1):
             probs[(v1, v1, v3, v1, v1)] = Fraction(1, 4)
-    table = JointTable.from_dict(dag, probs)
+    table = table_from_dict(dag, probs)
     report = evaluate(result, dag, table)
     assert any(s.status == "violated" for s in report.ci_statuses)
     assert report.falsified
@@ -356,7 +357,7 @@ def test_evaluate_rejects_negative_tolerance(graphs):
     dag = graphs["mixed_cdegree"]
     result = derive_all(dag, DeriveOptions(merge=True))
     configs = list(product(*(range(dag.cardinality(n)) for n in dag.observed_names())))
-    table = JointTable.from_dict(dag, {c: Fraction(1, len(configs)) for c in configs})
+    table = table_from_dict(dag, {c: Fraction(1, len(configs)) for c in configs})
     assert not evaluate(result, dag, table, Fraction(0)).falsified
     with pytest.raises(ValueError, match="tolerance"):
         evaluate(result, dag, table, Fraction(-1, 100))
@@ -375,15 +376,15 @@ def _random_tables(dag, rng):
     dense_w = {c: rng.randint(1, 997) for c in configs}
     support = rng.sample(configs, rng.randint(2, 3))
     sparse_w = {c: rng.randint(1, 9) for c in support}
-    yield "structural", JointTable.from_dict(dag, model)
+    yield "structural", table_from_dict(dag, model)
     for kind, weights in (("dense", dense_w), ("sparse", sparse_w)):
         total = sum(weights.values())
-        yield kind, JointTable.from_dict(
+        yield kind, table_from_dict(
             dag, {c: Fraction(w, total) for c, w in weights.items()})
     yield "decimal", parse_table(decimal_csv(dag, model), dag)
     wide_w = {c: rng.randint(2 ** 64, 2 ** 65) for c in configs}
     total = sum(wide_w.values())
-    yield "wide", JointTable.from_dict(dag, {c: Fraction(w, total) for c, w in wide_w.items()})
+    yield "wide", table_from_dict(dag, {c: Fraction(w, total) for c, w in wide_w.items()})
 
 
 SCAN_GRAPHS = {
@@ -433,7 +434,7 @@ def _split_tables(dag, rng):
     for support in ([c for c in configs if c[0] == 0], [c for c in configs if c[0] != 0]):
         weights = {c: rng.randint(1, 9) for c in support}
         total = sum(weights.values())
-        tables.append(JointTable.from_dict(
+        tables.append(table_from_dict(
             dag, {c: Fraction(w, total) for c, w in weights.items()}))
     return tables
 
@@ -454,14 +455,14 @@ def test_check_plan_is_built_once_and_reused(name, monkeypatch):
     monkeypatch.setattr(obscon.constraints, "_check_plan", counted)
     rng = random.Random(f"reuse-{name}")
     table_a, table_b = _split_tables(dag, rng)
-    model = JointTable.from_dict(dag, structural_model_table(dag, rng))
+    model = table_from_dict(dag, structural_model_table(dag, rng))
     if name == "iv":
         violator = parse_table(IV_VIOLATOR, dag)
     else:
         configs = list(product(*(range(dag.cardinality(n)) for n in dag.observed_names())))
         weights = {c: rng.randint(1, 997) for c in configs}
         total = sum(weights.values())
-        violator = JointTable.from_dict(dag, {c: Fraction(w, total) for c, w in weights.items()})
+        violator = table_from_dict(dag, {c: Fraction(w, total) for c, w in weights.items()})
     tables = (table_a, table_b, table_a, model, violator, model)
     reports = [evaluate(result, dag, table) for table in tables]
     derived = [index for index, record in enumerate(result.districts) if record.system]
@@ -613,7 +614,7 @@ def test_schema2_json_loses_nothing(name):
         assert all(not key.startswith("text_") for c in entry["constraints"] for key in c)
         hrep, matrix = dense_from_json(entry)
         assert hrep == record.hrep
-        assert matrix == fs.matrix
+        assert matrix == system_matrix(fs)
         flags = [(c.flagged, c.witness) for c in record.constraints]
         assert [(c["flagged"], c["witness"]) for c in entry["constraints"]] == flags
 
@@ -714,7 +715,7 @@ def test_evaluate_reuses_the_derived_graph(graphs, monkeypatch):
 
     monkeypatch.setattr(obscon.constraints, "parse_graph", refuse)
     rng = random.Random(5)
-    table = JointTable.from_dict(dag, structural_model_table(dag, rng))
+    table = table_from_dict(dag, structural_model_table(dag, rng))
     report = evaluate(result, dag, table)
     assert not report.falsified
     assert {s.district_index for s in report.constraint_statuses} == {
@@ -747,6 +748,6 @@ def test_star_probability_matches_push_through(graphs):
     for row, (w1, w2) in enumerate(fs.row_labels):
         z = w2["Z"]
         probs[(z, w1["X"], w1["Y"])] = pushed[row] * pz[z]
-    table = JointTable.from_dict(dag, probs)
+    table = table_from_dict(dag, probs)
     for row, (w1, w2) in enumerate(fs.row_labels):
         assert star_probability(table, dag, fs.district, w1, w2) == pushed[row]

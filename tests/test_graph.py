@@ -180,18 +180,11 @@ def test_districts_carry_the_latents_over_their_members():
 def test_c_degree_examples(graphs):
     seven = graphs["seven_var"]
     by_members = {d.members: d for d in seven.districts()}
-    assert seven.c_degree(by_members[("B", "D", "F")]) == 2
-    assert seven.c_degree(by_members[("G",)]) == 1
+    assert by_members[("B", "D", "F")].c_degree == 2
+    assert by_members[("G",)].c_degree == 1
     triangle = graphs["triangle"]
     (district,) = triangle.districts()
-    assert triangle.c_degree(district) == 3
-
-
-def test_c_degree_foreign_district_rejected(graphs):
-    iv = parse_graph(IV_TEXT)
-    foreign = graphs["seven_var"].districts()[0]
-    with pytest.raises(ValueError):
-        iv.c_degree(foreign)
+    assert district.c_degree == 3
 
 
 def test_validate_conditions_c1():

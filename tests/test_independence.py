@@ -9,6 +9,7 @@ from obscon import d_separated, enumerate_ci, parse_graph
 from obscon.independence import _bitgraph, _minimal_separators
 
 from oracles import (
+    ancestors,
     enumerate_ci_exhaustive,
     minimal_separators_by_scan,
     path_d_separated,
@@ -165,7 +166,7 @@ def test_enumerate_ci_sparse_18_variables(sparse18):
     observed = sparse18.observed_names()
     separable = set()
     for a, b in combinations(observed, 2):
-        closure = sparse18.ancestors({a, b})
+        closure = ancestors(sparse18, {a, b})
         rest = {w for w in observed if w in closure and w not in (a, b)}
         if d_separated(sparse18, {a}, {b}, rest):
             separable.add((min(a, b), max(a, b)))

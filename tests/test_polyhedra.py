@@ -11,7 +11,6 @@ from obscon import (
     UnboundedPolytopeError,
     VRep,
     derive_all,
-    h_to_v,
     parse_graph,
     v_to_h,
 )
@@ -23,6 +22,8 @@ from oracles import (
     _rank,
     extreme_rays_full_scan,
     facet_witness_beyond,
+    h_to_v,
+    hrep_from_rows,
     in_hull,
     simplex_product_extreme_points,
 )
@@ -88,7 +89,7 @@ def test_cube_h_to_v():
         row = [0, 0, 0]
         row[i] = -1
         ineq.append((tuple(row), 0))
-    h = HRep.from_rows(ineq, [])
+    h = hrep_from_rows(ineq, [])
     v = h_to_v(h)
     assert len(v.points) == 8
     assert all(all(x in (0, 1) for x in p) for p in v.points)
@@ -97,26 +98,26 @@ def test_cube_h_to_v():
 def test_simplex_h_to_v():
     ineq = [(tuple(-1 if j == i else 0 for j in range(4)), 0) for i in range(4)]
     eq = [((1, 1, 1, 1), 1)]
-    v = h_to_v(HRep.from_rows(ineq, eq))
+    v = h_to_v(hrep_from_rows(ineq, eq))
     assert sorted(v.points) == sorted(
         tuple(Fraction(1 if j == i else 0) for j in range(4)) for i in range(4)
     )
 
 
 def test_h_to_v_unbounded_detected():
-    h = HRep.from_rows([((-1, 0), 0), ((0, -1), 0)], [])
+    h = hrep_from_rows([((-1, 0), 0), ((0, -1), 0)], [])
     with pytest.raises(UnboundedPolytopeError):
         h_to_v(h)
 
 
 def test_h_to_v_line_detected():
-    h = HRep.from_rows([((1, 0), 1), ((-1, 0), 0)], [])
+    h = hrep_from_rows([((1, 0), 1), ((-1, 0), 0)], [])
     with pytest.raises(UnboundedPolytopeError):
         h_to_v(h)
 
 
 def test_h_to_v_empty_detected():
-    h = HRep.from_rows([((1,), 0), ((-1,), -1)], [])
+    h = hrep_from_rows([((1,), 0), ((-1,), -1)], [])
     with pytest.raises(ValueError):
         h_to_v(h)
 

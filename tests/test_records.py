@@ -5,7 +5,8 @@ state (``JointTable``, ``DistrictResult``, ``DerivationResult``) are plain
 classes. Either way a record builds positionally or by keyword, refuses
 attribute assignment, compares by its field values, hashes as the tuple of
 them, prints as ``Name(field=value, ...)`` and copies and pickles. Importing the package loads
-neither ``dataclasses`` nor ``inspect``.
+neither ``dataclasses`` nor ``inspect``, and the package exports exactly the
+names pinned here.
 """
 
 import copy
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+import obscon
 from obscon import (
     CIStatement,
     ConditionReport,
@@ -204,6 +206,7 @@ def test_vrep_rejects_bad_input(points, message):
     ({(2,): 1}, "value 2 out of range in (2,)"),
     ({(0,): Fraction(-1, 2), (1,): Fraction(3, 2)}, "negative probability for (0,)"),
     ({(0,): Fraction(1, 2)}, "probabilities sum to 1/2, expected 1"),
+    ({(0,): 0.5, (1,): Fraction(1, 2)}, "probability for (0,) is a float, not an int or Fraction"),
 ])
 def test_joint_table_rejects_bad_input(probs, message):
     with pytest.raises(TableError) as exc:
@@ -222,3 +225,27 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     module_file, loaded = proc.stdout.splitlines()
     assert module_file.startswith(os.path.abspath(SRC))
     assert loaded == "[]"
+
+
+# the public surface: a name leaves or joins the package only with this list
+PUBLIC_NAMES = {
+    "__version__",
+    "CIStatement", "ColumnLimitError", "ConditionReport", "ConditionsError",
+    "Configuration", "Constraint", "DerivationResult", "DeriveOptions", "District",
+    "FunctionalSystem", "GraphParseError", "GraphStructureError", "HRep", "HiddenDag",
+    "JointTable", "ResponseSpec", "RewriteError", "RewriteLog", "TableError",
+    "UnboundedPolytopeError", "VRep", "Variable", "ViolationReport",
+    "absorb_nested_latents", "build_functional_system", "d_separated", "derive_all",
+    "enumerate_ci", "eval_response", "evaluate", "exogenize", "flag_nontrivial",
+    "hlp_add_edge", "load_graph", "load_table", "merge_district_latents", "normalize",
+    "parse_graph", "parse_table", "render", "replace_latent_with_edges",
+    "response_levels", "star_probability", "strong_face_split", "v_to_h",
+    "validate_conditions",
+}
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(obscon.__all__) == len(set(obscon.__all__))
+    assert set(obscon.__all__) == PUBLIC_NAMES
+    for name in obscon.__all__:
+        assert hasattr(obscon, name), name

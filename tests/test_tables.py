@@ -55,11 +55,6 @@ def test_prob_matches_brute_force_sum():
         for _ in range(12):
             target = random_assignment(rng, table)
             assert table.prob(target) == scan_prob(table, target), target
-            given = random_assignment(rng, table)
-            denom = scan_prob(table, given)
-            want = None if denom == 0 else scan_prob(table, {**given, **target}) / denom
-            if not set(target) & set(given):
-                assert table.conditional(target, given) == want
         assert table.prob({}) == 1
 
 
@@ -98,8 +93,6 @@ def test_unknown_variable_raises():
     for _ in range(2):  # before and after the cache holds entries
         with pytest.raises(TableError, match="unknown variable 'C'"):
             table.prob({"A": 0, "C": 1})
-        with pytest.raises(TableError, match="unknown variable 'C'"):
-            table.conditional({"A": 0}, {"C": 1})
         assert table.prob({"A": 0}) == Fraction(1, 2)
 
 
