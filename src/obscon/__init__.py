@@ -29,10 +29,7 @@ from .response import (
     ColumnLimitError,
     Configuration,
     FunctionalSystem,
-    ResponseSpec,
     build_functional_system,
-    eval_response,
-    response_levels,
     star_probability,
 )
 from .tables import JointTable, TableError, load_table, parse_table
@@ -76,7 +73,6 @@ __all__ = [
     "HRep",
     "HiddenDag",
     "JointTable",
-    "ResponseSpec",
     "RewriteError",
     "RewriteLog",
     "TableError",
@@ -89,7 +85,6 @@ __all__ = [
     "d_separated",
     "derive_all",
     "enumerate_ci",
-    "eval_response",
     "evaluate",
     "exogenize",
     "flag_nontrivial",
@@ -102,7 +97,6 @@ __all__ = [
     "parse_table",
     "render",
     "replace_latent_with_edges",
-    "response_levels",
     "star_probability",
     "strong_face_split",
     "v_to_h",

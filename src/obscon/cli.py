@@ -5,14 +5,15 @@ found a violation, 2 graph parse or read error, 3 structural-condition or
 c-degree error, 4 cost guard tripped, 5 distribution (parse or read) or
 tolerance error, 70 internal
 error (a bug: one ``error:`` line, no traceback), 74 output error (``derive
--o``, ``check --json`` or ``--emit-examples`` could not write: one ``error:``
-line naming the path).
+-o``, ``check --json``, ``--emit-examples`` or stdout could not be written:
+one ``error:`` line naming the path, or none if stderr is closed too).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, NoReturn, TextIO
@@ -126,7 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_failed(path: str, exc: OSError) -> NoReturn:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    try:
+        sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
+    except (AttributeError, OSError):  # stderr is closed (None) or failing too
+        pass
     raise SystemExit(EXIT_IO)
 
 
@@ -140,9 +144,38 @@ def _write(path: str, emit: Callable[[TextIO], object]) -> None:
 
 
 def _dump_json(doc, fh: TextIO) -> None:
-    """Stream ``doc`` to ``fh`` as indented JSON, without building the string."""
-    json.dump(doc, fh, indent=2)
+    """Stream ``doc`` to ``fh`` as indented JSON, without building the string.
+
+    The chunks go in one ``writelines`` call, so a wrapped stdout
+    (``_Stdout``) is entered once, not once per chunk.
+    """
+    fh.writelines(json.JSONEncoder(indent=2).iterencode(doc))
     fh.write("\n")
+
+
+class _Stdout:
+    """Stands in for ``sys.stdout`` while a command runs.
+
+    A method call on it that fails with ``OSError`` points fd 1 at the null
+    device, so that the flush at exit cannot fail again, and exits through
+    ``_write_failed``. An ``OSError`` raised anywhere else is not stdout's
+    and stays an internal error.
+    """
+
+    def __init__(self, stream: TextIO):
+        self.stream = stream
+
+    def __getattr__(self, name: str):
+        method = getattr(self.stream, name)
+
+        def guarded(*args):
+            try:
+                return method(*args)
+            except OSError as exc:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+                _write_failed("stdout", exc)
+
+        return guarded
 
 
 def _read(path: str, load, code: int, *args):
@@ -320,14 +353,23 @@ def main(argv=None) -> int:
             "derive": cmd_derive,
             "check": cmd_check,
         }[args.command]
+    # sys.stdout is None when fd 1 was closed at startup; print() then skips
+    stdout = sys.stdout
+    if stdout is not None:
+        sys.stdout = _Stdout(stdout)
     try:
-        return handler(args)
+        code = handler(args)
+        if stdout is not None:
+            sys.stdout.flush()  # a failed write shows here at the latest
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except Exception as exc:  # a bug, not an input error: never exit 1
         message = " ".join(str(exc).split())
         print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -226,19 +226,21 @@ def _derive_district(dag: HiddenDag, district, column_limit,
     A lone variable without observed parents can only produce simplex facets,
     so it is skipped: no system and no constraints.
 
-    ``converted`` maps each column set met so far (the exact column tuple and
-    the block sizes) to the constraints derived from it. The facets, the
-    flags and the terms are functions of that key alone, so a district of the
-    same shape as an earlier one reuses its constraints and skips the
-    conversion. ``derive_all`` makes the dict, and it lives for that one call.
+    ``converted`` maps each column set met so far, keyed by its columns'
+    outcome indices and its block sizes, to the constraints derived from it.
+    Given the block sizes, the outcome indices fix the 0/1 points and are
+    fixed by them. The facets, the flags and the terms are functions of that
+    key alone, so a district of the same shape as an earlier one reuses its
+    constraints and skips the conversion, and builds no points.
+    ``derive_all`` makes the dict, and it lives for that one call.
     """
     system, constraints = None, ()
     if len(district.members) > 1 or dag.observed_parents(district.members):
         system = build_functional_system(dag, district, column_limit)
-        points = tuple(system.columns_as_points())
-        key = (points, system.block_sizes)
+        key = (system.col_outcomes, system.block_sizes)
         constraints = converted.get(key)
         if constraints is None:
+            points = tuple(system.columns_as_points())
             hrep = v_to_h(VRep(points), symmetries=row_symmetries(dag, system))
             constraints = converted[key] = _to_constraints(hrep, system.block_sizes)
     return DistrictResult(district.members, district.c_degree, system, constraints)

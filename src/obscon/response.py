@@ -5,10 +5,11 @@ variable order):
 
 * Configurations of an ordered variable list enumerate with the FIRST
   variable moving fastest (odometer with the leftmost wheel spinning).
-* A response level for W with parents (P1..Pk) encodes the function table as
-  a base-|W| numeral read most-significant-digit first, digit j being the
-  output on the j-th parent configuration, where parent configurations are
-  ranked lexicographically with the LAST parent fastest.
+* A response function of W with observed parents (P1..Pk), in variable
+  order, is the tuple of its outputs on the parent configurations ranked
+  with the LAST parent fastest. Its level is that tuple's index in the
+  order of ``product(range(|W|), repeat=D)``, D the number of parent
+  configurations: a base-|W| numeral read most-significant digit first.
 * Rows of B are (w1, w2) pairs, grouped by w2 configuration (w2 outermost).
 * Columns of B are joint response assignments, grouped by the row of the
   first w2 block they are compatible with (in row order) and ordered within a
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import District, HiddenDag, validate_conditions
 from .tables import JointTable
@@ -76,58 +77,6 @@ def enumerate_configs(names: Sequence[str], cards: Sequence[int]) -> list[Config
         Configuration.make(names, values[::-1])
         for values in product(*[range(c) for c in reversed(cards)])
     ]
-
-
-class ResponseSpec(NamedTuple):
-    """Shape of the response variable for one observed variable."""
-
-    variable: str
-    cardinality: int
-    parent_order: tuple[str, ...]
-    parent_cards: tuple[int, ...]
-
-    @property
-    def parent_domain_size(self) -> int:
-        return math.prod(self.parent_cards)
-
-    @property
-    def level_count(self) -> int:
-        return self.cardinality ** self.parent_domain_size
-
-    def config_index(self, parent_config: Mapping[str, int] | Configuration) -> int:
-        """Rank of a parent configuration, last parent fastest."""
-        index = 0
-        for name, card in zip(self.parent_order, self.parent_cards):
-            value = parent_config[name]
-            if not 0 <= value < card:
-                raise ValueError(f"value {value} for {name} out of range")
-            index = index * card + value
-        return index
-
-
-def response_levels(dag: HiddenDag, w: str) -> ResponseSpec:
-    """Response variable shape for ``w``: |W| ** (product of parent cardinalities)."""
-    parents = dag.sort_observed(dag.observed_parents([w]))
-    return ResponseSpec(
-        variable=w,
-        cardinality=dag.cardinality(w),
-        parent_order=parents,
-        parent_cards=tuple(dag.cardinality(p) for p in parents),
-    )
-
-
-def eval_response(spec: ResponseSpec, level: int,
-                  parent_config: Mapping[str, int] | Configuration) -> int:
-    """Output of response function ``level`` on ``parent_config``.
-
-    Decodes ``level`` as a base-|W| numeral, most significant digit first;
-    digit j is the output on the j-th parent configuration.
-    """
-    if not 0 <= level < spec.level_count:
-        raise ValueError(f"level {level} out of range for {spec.variable}")
-    j = spec.config_index(parent_config)
-    power = spec.cardinality ** (spec.parent_domain_size - 1 - j)
-    return (level // power) % spec.cardinality
 
 
 class FunctionalSystem(NamedTuple):
@@ -184,9 +133,10 @@ class FunctionalSystem(NamedTuple):
         }
 
 
-def external_parents(dag: HiddenDag, district: District) -> tuple[str, ...]:
-    members = set(district.members)
-    return dag.sort_observed(dag.observed_parents(members) - members)
+def member_parents(dag: HiddenDag, w: str) -> tuple[str, ...]:
+    """The observed parents of ``w`` in variable order: its response
+    function's inputs."""
+    return dag.sort_observed(dag.observed_parents([w]))
 
 
 def build_functional_system(dag: HiddenDag, district: District,
@@ -201,46 +151,49 @@ def build_functional_system(dag: HiddenDag, district: District,
             f"{district.c_degree}; merge its latents first"
         )
     members = district.members
-    specs = [response_levels(dag, m) for m in members]
+    parents = [member_parents(dag, m) for m in members]
+    cards = [dag.cardinality(m) for m in members]
+    domains = [math.prod(map(dag.cardinality, ps)) for ps in parents]
     # each factor |W| ** e has |W| >= 2, so an exponent past the limit's bit
     # length is over the limit alone: stop before computing a huge power,
     # and name the count exactly only up to the limit squared
     n_cols = 1
-    for spec in specs:
-        if spec.parent_domain_size > column_limit.bit_length() or n_cols > column_limit ** 2:
+    for card, domain in zip(cards, domains):
+        if domain > column_limit.bit_length() or n_cols > column_limit ** 2:
             raise ColumnLimitError(None, column_limit)
-        n_cols *= spec.level_count
+        n_cols *= card ** domain
     if n_cols > column_limit:
         raise ColumnLimitError(n_cols if n_cols <= column_limit ** 2 else None, column_limit)
 
+    # a member's functions in level order, each the tuple of its outputs by
+    # parent configuration; both orders are product's, last place fastest
+    tables = [list(product(range(card), repeat=domain)) for card, domain in zip(cards, domains)]
+    ranks = [{config: j for j, config in enumerate(product(*map(range, map(dag.cardinality, ps))))}
+             for ps in parents]
     # members in topological order, so each one's parents are set before it
-    position = {m: i for i, m in enumerate(members)}
-    steps = [(m, position[m], specs[position[m]])
-             for m in dag.topological_order() if m in position]
-    w2 = external_parents(dag, district)
-    w1_configs = enumerate_configs(members, [dag.cardinality(m) for m in members])
+    order = [members.index(m) for m in dag.topological_order() if m in members]
+    w2 = dag.sort_observed(dag.observed_parents(members) - set(members))
+    w1_configs = enumerate_configs(members, cards)
     w2_configs = enumerate_configs(w2, [dag.cardinality(p) for p in w2])
     w1_index = {cfg.values(): i for i, cfg in enumerate(w1_configs)}
 
     columns = []
     # joint response levels with the first member fastest
-    for reversed_levels in product(*[range(spec.level_count) for spec in reversed(specs)]):
+    for reversed_levels in product(*[range(len(table)) for table in reversed(tables)]):
         levels = reversed_levels[::-1]
         outcomes = []
         for w2c in w2_configs:
             values = dict(w2c.items)
-            for member, i, spec in steps:
-                values[member] = eval_response(spec, levels[i], values)
+            for i in order:
+                config = tuple([values[p] for p in parents[i]])
+                values[members[i]] = tables[i][levels[i]][ranks[i][config]]
             outcomes.append(w1_index[tuple(values[m] for m in members)])
         columns.append((levels, tuple(outcomes)))
     # group by the first w2 block's row; the stable sort keeps level order within
     columns.sort(key=lambda column: column[1][0])
-    return FunctionalSystem(
-        district=district,
-        row_labels=tuple((w1c, w2c) for w2c in w2_configs for w1c in w1_configs),
-        col_labels=tuple(levels for levels, _ in columns),
-        col_outcomes=tuple(outcomes for _, outcomes in columns),
-    )
+    col_labels, col_outcomes = zip(*columns)
+    row_labels = tuple((w1c, w2c) for w2c in w2_configs for w1c in w1_configs)
+    return FunctionalSystem(district, row_labels, col_labels, col_outcomes)
 
 
 def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
@@ -270,7 +223,7 @@ def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
     cards = [dag.cardinality(name) for name in names]
     rows = [w1.values() + w2.values() for w1, w2 in system.row_labels]
     index = {row: r for r, row in enumerate(rows)}
-    parents = {m: response_levels(dag, m).parent_order for m in members}
+    parents = {m: member_parents(dag, m) for m in members}
 
     # an external parent has no condition: its one configuration is ()
     for name in system.w2_order + members:

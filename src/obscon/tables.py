@@ -77,6 +77,12 @@ def _approximate(numerator: int, denominator: int) -> str:
     return f"about {mantissa:.5f}e{power}"
 
 
+def _check_range(config: tuple[int, ...], cardinalities: Sequence[int]) -> None:
+    for value, card in zip(config, cardinalities):
+        if not 0 <= value < card:
+            raise TableError(f"value {value} out of range in {config}")
+
+
 class JointTable(Record):
     """A joint distribution over ``variables``, checked on construction.
 
@@ -96,9 +102,7 @@ class JointTable(Record):
         for config, p in probs.items():
             if len(config) != len(variables):
                 raise TableError("configuration arity mismatch")
-            for value, card in zip(config, cardinalities):
-                if not 0 <= value < card:
-                    raise TableError(f"value {value} out of range in {config}")
+            _check_range(config, cardinalities)
             if not isinstance(p, (int, Fraction)):
                 raise TableError(
                     f"probability for {config} is a {type(p).__name__}, not an int or Fraction")
@@ -201,6 +205,8 @@ def parse_table(text: str, dag: HiddenDag) -> JointTable:
         decimal_source = decimal_source or was_decimal
         if p != 0:
             probs[config] = p
+        else:  # JointTable range-checks the rows it keeps, so check the others
+            _check_range(config, cards)
     return JointTable(names, cards, probs, decimal_source)
 
 

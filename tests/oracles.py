@@ -7,9 +7,11 @@ d-separation checker, a CI enumeration that tries every subset of the other
 observed variables, a per-pair scan for minimal separators over the subsets
 of the pair's observed ancestors, a structural-model sampler that
 marginalizes finite latent variables directly, the vertices of a product of
-simplices, dense views of a district system (B r, coefficient rows, response
-encoding, the columns that realize a row), and an evaluation that scans the
-whole table for every probability it needs.
+simplices, the reference response encoding (a level decoded as a base-|W|
+numeral, and a district system assembled cell by cell from it), dense views
+of a district system (B r, coefficient rows, response encoding, the columns
+that realize a row), and an evaluation that scans the whole table for every
+probability it needs.
 
 The last section holds test helpers that the program itself never runs: an
 H-to-V conversion, the round-trip reference for ``v_to_h``; canonical HRep
@@ -22,10 +24,12 @@ kernels, so it checks the facet step of ``v_to_h``, not those kernels.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from typing import Mapping, NamedTuple
 
 from obscon.constraints import (
     CIStatus,
@@ -47,7 +51,7 @@ from obscon.polyhedra import (
     _null_basis,
     extreme_rays,
 )
-from obscon.response import build_functional_system, star_factors
+from obscon.response import Configuration, build_functional_system, star_factors
 from obscon.tables import JointTable
 
 
@@ -603,6 +607,96 @@ def simplex_product_extreme_points(block_sizes) -> list[tuple[Fraction, ...]]:
             vec += [Fraction(int(k == choice)) for k in range(size)]
         points.append(tuple(vec))
     return points
+
+
+# -- the reference response encoding -------------------------------------------
+
+
+class ResponseSpec(NamedTuple):
+    """Shape of the response variable for one observed variable."""
+
+    variable: str
+    cardinality: int
+    parent_order: tuple[str, ...]
+    parent_cards: tuple[int, ...]
+
+    @property
+    def parent_domain_size(self) -> int:
+        return math.prod(self.parent_cards)
+
+    @property
+    def level_count(self) -> int:
+        return self.cardinality ** self.parent_domain_size
+
+    def config_index(self, parent_config: Mapping[str, int] | Configuration) -> int:
+        """Rank of a parent configuration, last parent fastest."""
+        index = 0
+        for name, card in zip(self.parent_order, self.parent_cards):
+            value = parent_config[name]
+            if not 0 <= value < card:
+                raise ValueError(f"value {value} for {name} out of range")
+            index = index * card + value
+        return index
+
+
+def response_levels(dag: HiddenDag, w: str) -> ResponseSpec:
+    """Response variable shape for ``w``: |W| ** (product of parent cardinalities)."""
+    parents = dag.sort_observed(dag.observed_parents([w]))
+    return ResponseSpec(
+        variable=w,
+        cardinality=dag.cardinality(w),
+        parent_order=parents,
+        parent_cards=tuple(dag.cardinality(p) for p in parents),
+    )
+
+
+def eval_response(spec: ResponseSpec, level: int,
+                  parent_config: Mapping[str, int] | Configuration) -> int:
+    """Output of response function ``level`` on ``parent_config``.
+
+    Decodes ``level`` as a base-|W| numeral, most significant digit first;
+    digit j is the output on the j-th parent configuration.
+    """
+    if not 0 <= level < spec.level_count:
+        raise ValueError(f"level {level} out of range for {spec.variable}")
+    j = spec.config_index(parent_config)
+    power = spec.cardinality ** (spec.parent_domain_size - 1 - j)
+    return (level // power) % spec.cardinality
+
+
+def reference_system(dag: HiddenDag, district):
+    """A district system's (row_labels, col_labels, col_outcomes), assembled
+    cell by cell with ``eval_response`` in the order ``obscon.response``
+    documents: rows (w1, w2) with w2 outermost and the first variable of each
+    fastest; columns by joint level with the first member's level fastest,
+    then stably sorted by their row in the first w2 block."""
+    members = district.members
+    specs = [response_levels(dag, m) for m in members]
+    members_set = set(members)
+    w2 = dag.sort_observed(dag.observed_parents(members_set) - members_set)
+
+    def configs(names):
+        return [Configuration.make(names, values[::-1])
+                for values in product(*[range(dag.cardinality(n)) for n in reversed(names)])]
+
+    w1_configs, w2_configs = configs(members), configs(w2)
+    order = [m for m in dag.topological_order() if m in members_set]
+    columns = []
+    for reversed_levels in product(*[range(spec.level_count) for spec in reversed(specs)]):
+        levels = reversed_levels[::-1]
+        outcomes = []
+        for w2c in w2_configs:
+            values = w2c.as_dict()
+            for m in order:
+                i = members.index(m)
+                values[m] = eval_response(specs[i], levels[i], values)
+            w1 = Configuration.make(members, [values[m] for m in members])
+            outcomes.append(w1_configs.index(w1))
+        columns.append((levels, tuple(outcomes)))
+    columns.sort(key=lambda column: column[1][0])
+    return (tuple((w1, w2c) for w2c in w2_configs for w1 in w1_configs),
+            tuple(levels for levels, _ in columns),
+            tuple(outcomes for _, outcomes in columns))
 
 
 # -- dense views of a district system -----------------------------------------

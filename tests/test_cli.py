@@ -368,6 +368,18 @@ def test_check_bad_table_exits_5(examples, tmp_path, capsys):
     assert "sum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [7, -1])
+@pytest.mark.parametrize("prob", ["0", "1"])
+def test_check_out_of_range_row_exits_5(examples, tmp_path, capsys, value, prob):
+    # a zero-probability row is range-checked as any other row
+    table = tmp_path / "table.csv"
+    model = (examples / "iv_model.csv").read_text().rstrip("\n")
+    table.write_text(f"{model}\n0,{value},0,{prob}\n")
+    code = main(["check", path_of(examples, "iv.graph"), str(table)])
+    assert code == 5
+    assert f"error: value {value} out of range in (0, {value}, 0)" in capsys.readouterr().err
+
+
 def test_check_wolfe_triangle_consistent(examples, capsys):
     code = main([
         "check", path_of(examples, "triangle.graph"), "--merge",
@@ -577,6 +589,66 @@ def test_internal_error_has_its_own_exit_code(examples, capsys, monkeypatch):
     assert code == obscon.cli.EXIT_INTERNAL
     assert code not in (0, 1, 2, 3, 4, 5)
     assert err.splitlines() == ["error: internal error: RuntimeError: simulated failure"]
+
+
+def test_an_oserror_off_stdout_stays_internal(examples, capsys, monkeypatch):
+    # only a failed write to stdout is an output error
+    import obscon.cli
+
+    def broken(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(obscon.cli, "evaluate", broken)
+    code = main(["check", path_of(examples, "iv.graph"), path_of(examples, "iv_model.csv")])
+    assert code == obscon.cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("error: internal error: OSError: ")
+
+
+def _obscon_process(args, **kwargs):
+    src = os.path.dirname(os.path.dirname(obscon.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "obscon", *args], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("stderr", ["own pipe", "same pipe"])
+def test_closed_stdout_pipe_exits_74(examples, stderr):
+    # the reader stops after one line, as `| head -1` does; the merged JSON
+    # is far larger than a pipe's buffer
+    args = ["derive", path_of(examples, "mixed_cdegree.graph"), "--merge"]
+    target = subprocess.PIPE if stderr == "own pipe" else subprocess.STDOUT
+    with _obscon_process(args, stdout=subprocess.PIPE, stderr=target, text=True) as proc:
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read() if proc.stderr else ""
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()  # a no-op once the process has exited
+    assert code == 74
+    assert "internal error" not in err and "Traceback" not in err
+    if stderr == "own pipe":
+        assert err.splitlines()[-1].startswith("error: cannot write stdout: ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+def test_stdout_closed_at_startup_is_left_to_print(examples):
+    # with fd 1 closed, sys.stdout is None and print() writes nothing
+    args = ["check", path_of(examples, "iv.graph"), path_of(examples, "iv_violator.csv")]
+    proc = _obscon_process(args, stderr=subprocess.PIPE, text=True,
+                           preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_74(examples):
+    args = ["check", path_of(examples, "iv.graph"), path_of(examples, "iv_model.csv")]
+    with open("/dev/full", "w") as full:
+        proc = _obscon_process(args, stdout=full, stderr=subprocess.PIPE, text=True)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 74
+    assert err.splitlines() == ["error: cannot write stdout: No space left on device"]
 
 
 @pytest.mark.parametrize("name", ["iv", "frontdoor", "mixed_cdegree", "triangle"])

@@ -7,22 +7,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obscon import (
+    ColumnLimitError,
     build_functional_system,
-    eval_response,
+    merge_district_latents,
+    normalize,
     parse_graph,
-    response_levels,
     star_probability,
 )
 from obscon.fixtures import FIXTURE_GRAPHS
 from obscon.response import Configuration, enumerate_configs
 
-from conftest import BELL_I3322
+from conftest import BELL_CHSH, BELL_I3322
 
 from oracles import (
     compatible_responses,
     encode_response,
+    eval_response,
     multiply,
     positive_simplex_point,
+    random_dag,
+    reference_system,
+    response_levels,
     system_matrix,
     table_from_dict,
 )
@@ -221,6 +226,35 @@ def test_build_functional_system_wide_column_order(text, n_blocks, digest):
     assert fs.n_cols == 64 and len(fs.col_outcomes[0]) == n_blocks
     blob = repr((fs.col_labels, fs.col_outcomes)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def _derivable(dag):
+    """``dag`` normalized, with multi-latent districts merged, as ``--merge`` does."""
+    dag, _ = normalize(dag)
+    if any(d.c_degree > 1 for d in dag.districts()):
+        dag, _ = merge_district_latents(dag)
+    return dag
+
+
+def test_build_matches_the_reference_encoding():
+    # the function tables give the systems that eval_response decodes cell by cell
+    texts = [*FIXTURE_GRAPHS.values(), BELL_CHSH, BELL_I3322]
+    rng = random.Random(22)
+    dags = [_derivable(parse_graph(text)) for text in texts]
+    dags += [_derivable(random_dag(rng)) for _ in range(100)]
+    compared = ternary = 0
+    for dag in dags:
+        for district in dag.districts():
+            try:
+                fs = build_functional_system(dag, district, column_limit=2048)
+            except ColumnLimitError:
+                continue
+            got = (fs.row_labels, fs.col_labels, fs.col_outcomes)
+            assert got == reference_system(dag, district), dag.to_text()
+            compared += 1
+            names = district.members + fs.w2_order
+            ternary += fs.n_cols > 2 and any(dag.cardinality(n) == 3 for n in names)
+    assert compared > 300 and ternary > 100
 
 
 def test_column_count_formula(graphs):
