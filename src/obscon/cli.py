@@ -6,12 +6,18 @@ c-degree error, 4 cost guard tripped, 5 distribution (parse or read) or
 tolerance error, 70 internal
 error (a bug: one ``error:`` line, no traceback), 74 output error (``derive
 -o``, ``check --json``, ``--emit-examples`` or stdout could not be written:
-one ``error:`` line naming the path, or none if stderr is closed too).
+one ``error:`` line naming the path, or none if stderr fails too; a failing
+stderr alone exits 74 with no message).
+
+With fd 1 closed at startup, ``derive`` (to stdout) and ``rewrite``, whose
+result goes there, exit 74 with ``error: cannot write stdout``; ``info`` and
+``check`` print nothing there and keep their exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -127,10 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_failed(path: str, exc: OSError) -> NoReturn:
-    try:
-        sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
-    except (AttributeError, OSError):  # stderr is closed (None) or failing too
-        pass
+    """Exit ``EXIT_IO`` after one line on stderr; if that write fails,
+    ``_Guarded`` exits with the same code and no line."""
+    sys.stderr.write(f"error: cannot write {path}: {exc.strerror or exc}\n")
     raise SystemExit(EXIT_IO)
 
 
@@ -147,35 +152,49 @@ def _dump_json(doc, fh: TextIO) -> None:
     """Stream ``doc`` to ``fh`` as indented JSON, without building the string.
 
     The chunks go in one ``writelines`` call, so a wrapped stdout
-    (``_Stdout``) is entered once, not once per chunk.
+    (``_Guarded``) is entered once, not once per chunk.
     """
     fh.writelines(json.JSONEncoder(indent=2).iterencode(doc))
     fh.write("\n")
 
 
-class _Stdout:
-    """Stands in for ``sys.stdout`` while a command runs.
+class _Guarded:
+    """Stands in for ``sys.stdout`` or ``sys.stderr``, as ``name`` says,
+    while a command runs; ``stream`` is None when its fd was closed at
+    startup, and every call then fails with ``EBADF``.
 
-    A method call on it that fails with ``OSError`` points fd 1 at the null
-    device, so that the flush at exit cannot fail again, and exits through
-    ``_write_failed``. An ``OSError`` raised anywhere else is not stdout's
-    and stays an internal error.
+    A method call on it that fails with ``OSError`` exits ``EXIT_IO``. For
+    stdout it first points fd 1 at the null device, so that the flush at
+    exit cannot fail again, and exits through ``_write_failed``; for stderr,
+    where that message would go, it exits without one. An ``OSError``
+    raised anywhere else is not the stream's and stays an internal error.
     """
 
-    def __init__(self, stream: TextIO):
+    def __init__(self, stream: TextIO | None, name: str):
         self.stream = stream
+        self.name = name
 
-    def __getattr__(self, name: str):
-        method = getattr(self.stream, name)
+    def __getattr__(self, attr: str):
+        method = None if self.stream is None else getattr(self.stream, attr)
 
         def guarded(*args):
             try:
+                if method is None:
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 return method(*args)
             except OSError as exc:
+                if self.name == "stderr":
+                    raise SystemExit(EXIT_IO) from None
                 os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
                 _write_failed("stdout", exc)
 
         return guarded
+
+
+def _stdout() -> TextIO:
+    """``sys.stdout``, for a command whose result goes there: unlike
+    ``print()``, a write fails when fd 1 was closed at startup."""
+    return sys.stdout or _Guarded(None, "stdout")
 
 
 def _read(path: str, load, code: int, *args):
@@ -242,7 +261,7 @@ def cmd_rewrite(args) -> int:
     except (RewriteError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONS
-    sys.stdout.write(out.to_text())
+    _stdout().write(out.to_text())
     if log is not None:
         for line in log.lines():
             print(line, file=sys.stderr)
@@ -286,7 +305,7 @@ def cmd_derive(args) -> int:
     dag, result = _derive(args)
     if args.output == "-":
         print(result.summary(), file=sys.stderr)
-        _write_derivation(sys.stdout, args, dag, result)
+        _write_derivation(_stdout(), args, dag, result)
     else:
         _write(args.output, lambda fh: _write_derivation(fh, args, dag, result))
         print(result.summary())
@@ -353,23 +372,26 @@ def main(argv=None) -> int:
             "derive": cmd_derive,
             "check": cmd_check,
         }[args.command]
-    # sys.stdout is None when fd 1 was closed at startup; print() then skips
-    stdout = sys.stdout
+    # sys.stdout is None when fd 1 was closed at startup: print() then skips
+    # it, as info and check rely on, and _stdout() fails
+    saved = stdout, stderr = sys.stdout, sys.stderr
     if stdout is not None:
-        sys.stdout = _Stdout(stdout)
+        sys.stdout = _Guarded(stdout, "stdout")
+    sys.stderr = _Guarded(stderr, "stderr")
     try:
-        code = handler(args)
-        if stdout is not None:
-            sys.stdout.flush()  # a failed write shows here at the latest
-        return code
-    except SystemExit as exc:
+        try:
+            code = handler(args)
+            if stdout is not None:
+                sys.stdout.flush()  # a failed write shows here at the latest
+            return code
+        except Exception as exc:  # a bug, not an input error: never exit 1
+            message = " ".join(str(exc).split())
+            print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+            return EXIT_INTERNAL
+    except SystemExit as exc:  # a failing stderr exits from a handler above too
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    except Exception as exc:  # a bug, not an input error: never exit 1
-        message = " ".join(str(exc).split())
-        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
     finally:
-        sys.stdout = stdout
+        sys.stdout, sys.stderr = saved
 
 
 if __name__ == "__main__":

@@ -28,8 +28,10 @@ from .independence import CIStatement, enumerate_ci
 from .polyhedra import HRep, VRep, v_to_h
 from .response import (
     DEFAULT_COLUMN_LIMIT,
+    Configuration,
     FunctionalSystem,
     build_functional_system,
+    member_parents,
     row_symmetries,
     star_keys,
     star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
@@ -219,31 +221,53 @@ def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
     return ineq_flags, eq_flags
 
 
-def _derive_district(dag: HiddenDag, district, column_limit,
+def _derive_district(dag: HiddenDag, district, column_limit, built: dict,
                      converted: dict) -> DistrictResult:
     """Build a district's system, convert its columns to facets, flag the rows.
 
     A lone variable without observed parents can only produce simplex facets,
     so it is skipped: no system and no constraints.
 
+    ``built`` maps each local shape met so far to its system. The shape is
+    the cardinalities of the members and of the external parents (both in
+    canonical order), each member's observed parents as positions in that
+    list, and the members' topological order as positions:
+    ``build_functional_system`` reads nothing else, so a district of a known
+    shape is not built again. It takes the earlier system's ``col_labels``
+    and ``col_outcomes`` as they are, and its ``row_labels`` with the names
+    replaced position by position.
+
     ``converted`` maps each column set met so far, keyed by its columns'
     outcome indices and its block sizes, to the constraints derived from it.
     Given the block sizes, the outcome indices fix the 0/1 points and are
     fixed by them. The facets, the flags and the terms are functions of that
-    key alone, so a district of the same shape as an earlier one reuses its
-    constraints and skips the conversion, and builds no points.
-    ``derive_all`` makes the dict, and it lives for that one call.
+    key alone, so a district with the column set of an earlier one (of its
+    shape or not) reuses its constraints and skips the conversion, and
+    builds no points.
+    ``derive_all`` makes both dicts, and they live for that one call.
     """
     system, constraints = None, ()
-    if len(district.members) > 1 or dag.observed_parents(district.members):
-        system = build_functional_system(dag, district, column_limit)
+    members, parents = district.members, dag.observed_parents(district.members)
+    if len(members) > 1 or parents:
+        w2 = dag.sort_observed(parents - set(members))
+        position = {name: i for i, name in enumerate(members + w2)}
+        shape = (len(members), tuple(map(dag.cardinality, position)),
+                 tuple(tuple(map(position.get, member_parents(dag, m))) for m in members),
+                 tuple(position[m] for m in dag.topological_order() if m in members))
+        earlier = built.get(shape)
+        if earlier is None:
+            system = built[shape] = build_functional_system(dag, district, column_limit)
+        else:
+            system = earlier._replace(district=district, row_labels=tuple(
+                (Configuration.make(members, w1c.values()), Configuration.make(w2, w2c.values()))
+                for w1c, w2c in earlier.row_labels))
         key = (system.col_outcomes, system.block_sizes)
         constraints = converted.get(key)
         if constraints is None:
             points = tuple(system.columns_as_points())
             hrep = v_to_h(VRep(points), symmetries=row_symmetries(dag, system))
             constraints = converted[key] = _to_constraints(hrep, system.block_sizes)
-    return DistrictResult(district.members, district.c_degree, system, constraints)
+    return DistrictResult(members, district.c_degree, system, constraints)
 
 
 def _to_constraints(hrep: HRep, block_sizes: Sequence[int]) -> tuple[Constraint, ...]:
@@ -260,9 +284,10 @@ def _to_constraints(hrep: HRep, block_sizes: Sequence[int]) -> tuple[Constraint,
 def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> DerivationResult:
     """Run the full derivation pipeline on a hidden-variable DAG.
 
-    Districts of one shape share a conversion (see ``_derive_district``)
-    through a dict made here, which lives for this call only: two calls on
-    one graph each convert every distinct column set.
+    Districts of one local shape share one build, and districts of one
+    column set share one conversion (see ``_derive_district``), through two
+    dicts made here, which live for this call only: two calls on one graph
+    each build every distinct shape and convert every distinct column set.
     """
     import time
 
@@ -287,9 +312,9 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
         districts = working.districts()
 
     ci = tuple(enumerate_ci(working, options.max_ci_size))
-    converted = {}
+    built, converted = {}, {}
     records = tuple(
-        _derive_district(working, district, options.column_limit, converted)
+        _derive_district(working, district, options.column_limit, built, converted)
         for district in districts
     )
 

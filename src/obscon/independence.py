@@ -16,6 +16,19 @@ graph of A is a subgraph of the moral graph of any ancestral superset. For Z
 inside A, An({a, b} ∪ Z) = A, so one moral graph M of A answers every test:
 Z d-separates a and b iff removing Z cuts a from b in M.
 
+*One moral graph per ancestral set.* H below, the moral graph of A with its
+latents eliminated, depends on A alone, and pairs often share A: every pair
+{a, b} with b an ancestor of a has A = An({a}). ``enumerate_ci`` makes one
+``_Bitgraph`` per call, which keeps each H by A's mask, so each distinct A
+is moralized and eliminated once.
+
+*Merging on masks.* ``enumerate_ci`` groups the pairs by separator mask,
+gives each variable the mask of its partners under that separator, and
+makes one (lhs, rhs, given) mask triple per distinct partner mask, lhs
+being the variables that share it. A ``CIStatement`` is built once per
+distinct triple, since the ranking compares statements by their names,
+and the greedy cover runs on pair masks.
+
 *Latent elimination.* A latent is never conditioned on, so each latent of A
 is removed from M after its neighbours are joined pairwise. A path through a
 removed latent shortcuts to an edge between two of its neighbours, and each
@@ -73,21 +86,8 @@ class CIStatement(NamedTuple):
             text += f" | {','.join(self.given)}"
         return text
 
-    def pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(
-            (min(a, b), max(a, b)) for a in self.lhs for b in self.rhs
-        )
-
     def to_json(self) -> dict:
         return {"lhs": list(self.lhs), "rhs": list(self.rhs), "given": list(self.given)}
-
-
-def make_statement(dag: HiddenDag, lhs, rhs, given) -> CIStatement:
-    lhs = dag.sort_observed(lhs)
-    rhs = dag.sort_observed(rhs)
-    if dag.index(rhs[0]) < dag.index(lhs[0]):
-        lhs, rhs = rhs, lhs
-    return CIStatement(lhs, rhs, dag.sort_observed(given))
 
 
 def d_separated(dag: HiddenDag, a: Iterable[str], b: Iterable[str], z: Iterable[str]) -> bool:
@@ -121,6 +121,9 @@ class _Bitgraph(NamedTuple):
     parents: tuple[int, ...]
     ancestors: tuple[int, ...]  # reflexive, through latents too
     latents: int
+    # ancestral mask -> its moral graph with the latents eliminated; filled
+    # by _minimal_separators and only read once filled
+    eliminated: dict[int, list[int]]
 
     def mask(self, names: Iterable[str]) -> int:
         mask = 0
@@ -146,7 +149,7 @@ def _bitgraph(dag: HiddenDag) -> _Bitgraph:
             closure |= ancestors[p]
         ancestors[i] = closure
     latents = sum(1 << i for i, v in enumerate(dag.variables) if not v.observed)
-    return _Bitgraph(names, index, tuple(parents), tuple(ancestors), latents)
+    return _Bitgraph(names, index, tuple(parents), tuple(ancestors), latents, {})
 
 
 def _bits(mask: int):
@@ -204,11 +207,14 @@ def _minimal_separators(g: _Bitgraph, a: int, b: int, cap: int) -> list[int]:
     """
     a_bit, b_bit = 1 << a, 1 << b
     ancestral = g.ancestors[a] | g.ancestors[b]
-    adjacency = _moral(g, ancestral)
-    for u in _bits(ancestral & g.latents):
-        joined = adjacency[u]
-        for v in _bits(joined):
-            adjacency[v] = (adjacency[v] | joined) & ~(1 << v | 1 << u)
+    adjacency = g.eliminated.get(ancestral)
+    if adjacency is None:
+        adjacency = _moral(g, ancestral)
+        for u in _bits(ancestral & g.latents):
+            joined = adjacency[u]
+            for v in _bits(joined):
+                adjacency[v] = (adjacency[v] | joined) & ~(1 << v | 1 << u)
+        g.eliminated[ancestral] = adjacency
     if adjacency[a] & b_bit:
         return []
     observed = ancestral & ~g.latents
@@ -232,38 +238,45 @@ def enumerate_ci(dag: HiddenDag, max_condition_size: int | None = None) -> list[
     Policy: per pair, keep only the inclusion-minimal conditioning sets; per
     (variable, conditioning set), merge right-hand sides to the maximal set;
     then drop statements whose pairwise content is covered by the rest.
+    The merging runs on index masks; a pair {a, b} of n variables is the two
+    bits a*n + b and b*n + a of a pair mask.
     """
     observed = dag.observed_names()
     if max_condition_size is None:
         max_condition_size = max(0, len(observed) - 2)
     g = _bitgraph(dag)
-    facts: dict[int, set[tuple[str, str]]] = {}
+    n = len(g.names)
+    facts: dict[int, dict[int, int]] = {}  # separator -> variable -> its partners
     for wi, wj in combinations(observed, 2):
-        for z in _minimal_separators(g, g.index[wi], g.index[wj], max_condition_size):
-            facts.setdefault(z, set()).add((min(wi, wj), max(wi, wj)))
+        i, j = g.index[wi], g.index[wj]
+        for z in _minimal_separators(g, i, j, max_condition_size):
+            partners = facts.setdefault(z, {})
+            partners[i] = partners.get(i, 0) | 1 << j
+            partners[j] = partners.get(j, 0) | 1 << i
 
-    statements = set()
-    for z, pairs in facts.items():
-        partners: dict[str, set[str]] = {}
-        for wi, wj in pairs:
-            partners.setdefault(wi, set()).add(wj)
-            partners.setdefault(wj, set()).add(wi)
-        given = g.names_of(z)
-        statements |= {
-            make_statement(dag, [v for v in partners if partners[v] == rhs], rhs, given)
-            for rhs in partners.values()
-        }
+    candidates = set()  # (lhs, rhs, given) masks, the lowest index on the left
+    all_pairs = 0
+    for z, partners in facts.items():
+        sharing: dict[int, int] = {}  # partner mask -> the variables that have it
+        for v, rhs in partners.items():
+            sharing[rhs] = sharing.get(rhs, 0) | 1 << v
+            all_pairs |= rhs << v * n
+        for rhs, lhs in sharing.items():
+            candidates.add((lhs, rhs, z) if lhs & -lhs < rhs & -rhs else (rhs, lhs, z))
 
+    ranked = []
+    for lhs, rhs, z in candidates:
+        pairs = 0
+        for v in _bits(lhs | rhs):
+            pairs |= (rhs if lhs >> v & 1 else lhs) << v * n
+        stmt = CIStatement(g.names_of(lhs), g.names_of(rhs), g.names_of(z))
+        ranked.append((-lhs.bit_count() * rhs.bit_count(), stmt, pairs))
     # greedy cover: keep a statement only if it contributes a new pair
-    ranked = sorted(
-        ((s.pairs(), s) for s in statements),
-        key=lambda entry: (-len(entry[0]), entry[1].given, entry[1].lhs, entry[1].rhs),
-    )
-    all_pairs = {p for z in facts.values() for p in z}
-    covered: set[tuple[str, str]] = set()
+    ranked.sort(key=lambda entry: (entry[0], entry[1].given, entry[1].lhs, entry[1].rhs))
+    covered = 0
     kept = []
-    for pairs, stmt in ranked:
-        if not pairs <= covered:
+    for _, stmt, pairs in ranked:
+        if pairs & ~covered:
             kept.append(stmt)
             covered |= pairs
     kept.sort(key=lambda s: (s.given, s.lhs, s.rhs))

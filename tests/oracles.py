@@ -4,14 +4,15 @@ Everything here is deliberately written from first principles, not by calling
 the code under test: a dictionary simplex over exact rationals, double
 description with the full-scan adjacency test, a path-enumeration
 d-separation checker, a CI enumeration that tries every subset of the other
-observed variables, a per-pair scan for minimal separators over the subsets
-of the pair's observed ancestors, a structural-model sampler that
-marginalizes finite latent variables directly, the vertices of a product of
-simplices, the reference response encoding (a level decoded as a base-|W|
-numeral, and a district system assembled cell by cell from it), dense views
-of a district system (B r, coefficient rows, response encoding, the columns
-that realize a row), and an evaluation that scans the whole table for every
-probability it needs.
+observed variables and writes its statements and their pairs by names
+(``make_statement``, ``statement_pairs``), a per-pair scan for minimal
+separators over the subsets of the pair's observed ancestors, a
+structural-model sampler that marginalizes finite latent variables
+directly, the vertices of a product of simplices, the reference response
+encoding (a level decoded as a base-|W| numeral, and a district system
+assembled cell by cell from it), dense views of a district system (B r,
+coefficient rows, response encoding, the columns that realize a row), and
+an evaluation that scans the whole table for every probability it needs.
 
 The last section holds test helpers that the program itself never runs: an
 H-to-V conversion, the round-trip reference for ``v_to_h``; canonical HRep
@@ -39,7 +40,7 @@ from obscon.constraints import (
     render,
 )
 from obscon.graph import HiddenDag, Variable, parse_graph
-from obscon.independence import d_separated, make_statement
+from obscon.independence import CIStatement, d_separated
 from obscon.polyhedra import (
     HRep,
     Row,
@@ -383,6 +384,19 @@ def path_d_separated(dag: HiddenDag, a: set, b: set, z: set) -> bool:
 # -- CI enumeration over all subsets ------------------------------------------
 
 
+def statement_pairs(stmt: CIStatement) -> frozenset[tuple[str, str]]:
+    """The variable pairs that ``stmt`` separates, each as (min, max) by name."""
+    return frozenset((min(a, b), max(a, b)) for a in stmt.lhs for b in stmt.rhs)
+
+
+def make_statement(dag: HiddenDag, lhs, rhs, given) -> CIStatement:
+    lhs = dag.sort_observed(lhs)
+    rhs = dag.sort_observed(rhs)
+    if dag.index(rhs[0]) < dag.index(lhs[0]):
+        lhs, rhs = rhs, lhs
+    return CIStatement(lhs, rhs, dag.sort_observed(given))
+
+
 def enumerate_ci_exhaustive(dag: HiddenDag, max_condition_size=None) -> list:
     """``enumerate_ci`` by brute force: every subset of the other observed
     variables is a candidate conditioning set, tested with ``d_separated``.
@@ -416,13 +430,13 @@ def enumerate_ci_exhaustive(dag: HiddenDag, max_condition_size=None) -> list:
             lhs = [v for v in partners if partners[v] == rhs]
             candidates.add(make_statement(dag, lhs, rhs, z))
 
-    ordered = sorted(candidates, key=lambda s: (-len(s.pairs()), s.given, s.lhs, s.rhs))
+    ordered = sorted(candidates, key=lambda s: (-len(statement_pairs(s)), s.given, s.lhs, s.rhs))
     covered: set = set()
     kept = []
     for stmt in ordered:
-        if not stmt.pairs() <= covered:
+        if not statement_pairs(stmt) <= covered:
             kept.append(stmt)
-            covered |= stmt.pairs()
+            covered |= statement_pairs(stmt)
     return sorted(kept, key=lambda s: (s.given, s.lhs, s.rhs))
 
 

@@ -651,6 +651,61 @@ def test_full_stdout_exits_74(examples):
     assert err.splitlines() == ["error: cannot write stdout: No space left on device"]
 
 
+class _FailingStream(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("case", ["summary", "read error", "internal error"])
+def test_a_failing_stderr_exits_74(examples, capsys, monkeypatch, case):
+    # whatever goes to stderr first, a failed write there is an output error
+    import obscon.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated failure")
+
+    graph = path_of(examples, "iv.graph")
+    argv = {
+        "summary": ["derive", graph],
+        "read error": ["check", graph, path_of(examples, "missing.csv")],
+        "internal error": ["check", graph, path_of(examples, "iv_model.csv")],
+    }[case]
+    if case == "internal error":
+        monkeypatch.setattr(obscon.cli, "evaluate", broken)
+    monkeypatch.setattr(sys, "stderr", _FailingStream())
+    assert main(argv) == obscon.cli.EXIT_IO == 74
+    assert sys.stderr.getvalue() == ""
+    assert "internal error" not in capsys.readouterr().out
+
+
+@pytest.mark.skipif(os.name != "posix", reason="redirects fd 2 before exec")
+@pytest.mark.parametrize("stderr", ["/dev/full", "closed"])
+def test_failing_stderr_process_exits_74(examples, stderr):
+    if stderr == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    args = ["derive", path_of(examples, "iv.graph")]
+    with open(os.devnull if stderr == "closed" else stderr, "w") as sink:
+        proc = _obscon_process(args, stdout=subprocess.PIPE, stderr=sink, text=True,
+                               preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
+        out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 74 and out == ""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+@pytest.mark.parametrize("command", ["derive", "rewrite"])
+def test_stdout_closed_at_startup_fails_a_command_writing_its_result(examples, command):
+    # derive and rewrite have no result but what they write to stdout
+    args = [command, path_of(examples, "iv.graph")]
+    args += ["--normalize"] if command == "rewrite" else []
+    proc = _obscon_process(args, stderr=subprocess.PIPE, text=True,
+                           preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate(timeout=60)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert proc.returncode == 74
+    assert errors == ["error: cannot write stdout: Bad file descriptor"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["iv", "frontdoor", "mixed_cdegree", "triangle"])
 def test_derive_texts_match_render(examples, tmp_path, name):
     from obscon import DeriveOptions, derive_all, load_graph, parse_graph, render

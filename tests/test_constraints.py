@@ -8,6 +8,7 @@ import pytest
 
 import obscon.constraints
 import obscon.graph
+import obscon.independence
 from obscon import (
     ConditionsError,
     DeriveOptions,
@@ -26,7 +27,14 @@ from obscon.constraints import (
     report_to_json,
     result_to_json,
 )
-from obscon.response import ColumnLimitError, Configuration, star_probability, star_scaled
+from obscon.response import (
+    ColumnLimitError,
+    Configuration,
+    FunctionalSystem,
+    build_functional_system,
+    star_probability,
+    star_scaled,
+)
 from obscon.tables import TableError, parse_table
 from obscon.transform import normalize
 
@@ -700,6 +708,71 @@ def test_every_record_matches_a_fresh_conversion_of_its_own_system(monkeypatch):
             flags = [(c.flagged, c.witness) for c in record.constraints]
             assert flags == ineq_flags + eq_flags
     assert derived > 120 and len(calls) < derived
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name``; returns the list of each call's arguments."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_repeated_shape_gets_the_system_a_fresh_build_gives(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import sparse_graph
+
+    built = counting(monkeypatch, obscon.constraints, "build_functional_system")
+    rng = random.Random(2002)
+    dags = [random_dag(rng, exogenous_latents=exogenous)
+            for exogenous in (False, True) for _ in range(100)]
+    dags += [sparse_dag(random.Random(seed)) for seed in REPEATED_SHAPE_SEEDS]
+    dags += [parse_graph(sparse_graph(seed).text()) for seed in range(5)]
+    # M2's parents are (E, M1) and N2's are (N1, F): the same positions in
+    # another order, so two shapes
+    dags.append(parse_graph(
+        "var E 2\nvar M1 2\nvar M2 2\nvar N1 2\nvar F 2\nvar N2 2\nlatent U1\nlatent U2\n"
+        "edge E M2\nedge M1 M2\nedge N1 N2\nedge F N2\n"
+        "edge U1 M1\nedge U1 M2\nedge U2 N1\nedge U2 N2\n"))
+    reused = 0
+    for dag in dags:
+        dag, _ = normalize(dag)
+        done = len(built)
+        try:
+            result = derive_all(dag, DeriveOptions(merge=True, column_limit=256))
+        except ColumnLimitError:
+            continue
+        for record in result.districts:
+            if record.skipped or record.system.district in [args[1] for args in built[done:]]:
+                continue
+            reused += 1
+            fresh = build_functional_system(result.derived_graph, record.system.district, 256)
+            for field in FunctionalSystem._fields:
+                assert getattr(record.system, field) == getattr(fresh, field), (
+                    dag.to_text(), record.members, field)
+    assert reused > 70
+
+
+def test_sparse14_derives_each_moral_graph_and_shape_once(monkeypatch):
+    # 91 observed pairs have 58 distinct ancestral sets; 10 districts, 3 shapes
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import WORKLOADS
+
+    moral = counting(monkeypatch, obscon.independence, "_moral")
+    built = counting(monkeypatch, obscon.constraints, "build_functional_system")
+    dag = parse_graph(WORKLOADS["sparse14"].graph.text())
+    for _ in range(2):
+        del moral[:], built[:]
+        result = derive_all(dag)
+        assert (len(moral), len(built)) == (58, 3)
+        assert sum(not record.skipped for record in result.districts) == 10
 
 
 def test_evaluate_reuses_the_derived_graph(graphs, monkeypatch):

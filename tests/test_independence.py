@@ -15,6 +15,7 @@ from oracles import (
     path_d_separated,
     random_dag,
     sparse_dag,
+    statement_pairs,
 )
 
 
@@ -170,7 +171,7 @@ def test_enumerate_ci_sparse_18_variables(sparse18):
         rest = {w for w in observed if w in closure and w not in (a, b)}
         if d_separated(sparse18, {a}, {b}, rest):
             separable.add((min(a, b), max(a, b)))
-    assert set().union(*(s.pairs() for s in statements)) == separable
+    assert set().union(*map(statement_pairs, statements)) == separable
 
 
 def listed_separators(dag, a, b, cap):
@@ -234,5 +235,5 @@ def test_enumerate_ci_chain_into_confounded_pair():
     assert time.perf_counter() - start < 5
     assert statements
     for stmt in statements:
-        assert ("A", "B") not in stmt.pairs()
+        assert ("A", "B") not in statement_pairs(stmt)
         assert d_separated(dag, set(stmt.lhs), set(stmt.rhs), set(stmt.given))
