@@ -10,8 +10,9 @@ one ``error:`` line naming the path, or none if stderr fails too; a failing
 stderr alone exits 74 with no message).
 
 With fd 1 closed at startup, ``derive`` (to stdout) and ``rewrite``, whose
-result goes there, exit 74 with ``error: cannot write stdout``; ``info`` and
-``check`` print nothing there and keep their exit codes.
+result goes there, exit 74 with ``error: cannot write stdout``, ``derive``
+before it reads the graph; ``info`` and ``check`` print nothing there and
+keep their exit codes.
 """
 
 from __future__ import annotations
@@ -302,10 +303,13 @@ def _write_derivation(fh: TextIO, args, dag, result) -> None:
 
 
 def cmd_derive(args) -> int:
+    if args.output == "-":
+        stdout = _stdout()
+        stdout.flush()  # with fd 1 closed at startup, exit before deriving
     dag, result = _derive(args)
     if args.output == "-":
         print(result.summary(), file=sys.stderr)
-        _write_derivation(_stdout(), args, dag, result)
+        _write_derivation(stdout, args, dag, result)
     else:
         _write(args.output, lambda fh: _write_derivation(fh, args, dag, result))
         print(result.summary())

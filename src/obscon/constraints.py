@@ -258,9 +258,12 @@ def _derive_district(dag: HiddenDag, district, column_limit, built: dict,
         if earlier is None:
             system = built[shape] = build_functional_system(dag, district, column_limit)
         else:
+            w1_of = {c: Configuration.make(members, c.values())
+                     for c in dict.fromkeys(w1c for w1c, _ in earlier.row_labels)}
+            w2_of = {c: Configuration.make(w2, c.values())
+                     for c in dict.fromkeys(w2c for _, w2c in earlier.row_labels)}
             system = earlier._replace(district=district, row_labels=tuple(
-                (Configuration.make(members, w1c.values()), Configuration.make(w2, w2c.values()))
-                for w1c, w2c in earlier.row_labels))
+                (w1_of[w1c], w2_of[w2c]) for w1c, w2c in earlier.row_labels))
         key = (system.col_outcomes, system.block_sizes)
         constraints = converted.get(key)
         if constraints is None:

@@ -271,66 +271,58 @@ def _inverse(mat):
 def extreme_rays_full_scan(rows, progress=None):
     """Double description as ``obscon.polyhedra.extreme_rays`` specifies it.
 
-    Same lexicographic insertion order (sort the rows; the first full-rank
-    set of sorted rows is the initial cone, the others go in in sorted
-    order), hook calls and output order, but every plus/minus pair that
-    shares at least dim - 2 tight rows is tested against every current
-    ray's tight mask: the pair is adjacent iff no third ray is tight
-    wherever both are. O(|plus| |minus| |rays|) per step. Returns None when
-    the rows do not span.
+    The rows are taken in descending lexicographic order. The first rows of
+    that order that are linearly independent, dim of them, span the
+    initial simplicial cone: its j-th ray is the negated j-th column of
+    their inverse, tight at every one of them but the j-th. Every other row
+    is then inserted in that order. Before its step, an insertion reports
+    (rows in, rows, current rays, rays the row cuts off) to ``progress``;
+    after it, the rays are the zero rays, then the minus rays, then one new
+    ray per adjacent plus/minus pair, plus-major, minus-minor, each list in
+    the order of the current rays.
+
+    Tight sets are sets of row positions, and adjacency is tested by a full
+    scan: a plus/minus pair is adjacent iff it shares at least dim - 2
+    tight rows and no third current ray is tight at all of them.
+    O(|plus| |minus| |rays|) per step. Returns None when the rows do not
+    span.
     """
-    rows = sorted(tuple(r) for r in rows)
-    dim = len(rows[0])
-    basis_idx = []
-    for idx in range(len(rows)):
-        if _rank([rows[i] for i in basis_idx + [idx]]) > len(basis_idx):
-            basis_idx.append(idx)
-            if len(basis_idx) == dim:
-                break
-    if len(basis_idx) < dim:
+    order = sorted((tuple(r) for r in rows), reverse=True)
+    dim = len(order[0])
+    basis = []
+    for position, row in enumerate(order):
+        if len(basis) < dim and _rank([order[i] for i in basis] + [row]) > len(basis):
+            basis.append(position)
+    if len(basis) < dim:
         return None
-    basis_inv = _inverse([rows[i] for i in basis_idx])
+    inverse = _inverse([order[i] for i in basis])
+    rays = [(_primitive([-inverse[i][j] for i in range(dim)]), set(basis) - {basis[j]})
+            for j in range(dim)]
 
-    basis_mask = sum(1 << i for i in basis_idx)
-    rays = []  # [vector, tight-mask]
-    for j in range(dim):
-        vec = _primitive([-basis_inv[i][j] for i in range(dim)])
-        rays.append([vec, basis_mask & ~(1 << basis_idx[j])])
-
-    inserted = dim
-    for k in range(len(rows)):
-        if k in basis_idx:
-            continue
-        bit = 1 << k
-        plus, zero, minus = [], [], []
-        for ray in rays:
-            s = sum(a * b for a, b in zip(rows[k], ray[0]))
-            if s > 0:
-                plus.append((ray, s))
-            elif s < 0:
-                minus.append((ray, s))
-            else:
-                ray[1] |= bit
-                zero.append(ray)
+    others = [position for position in range(len(order)) if position not in basis]
+    for inserted, position in enumerate(others, dim):
+        row = order[position]
+        signs = [sum(a * b for a, b in zip(row, vec)) for vec, _ in rays]
+        plus = [j for j, s in enumerate(signs) if s > 0]
+        minus = [j for j, s in enumerate(signs) if s < 0]
+        zero = [j for j, s in enumerate(signs) if s == 0]
         if progress is not None:
-            progress(inserted, len(rows), len(rays), len(plus))
-        inserted += 1
-
-        masks = [ray[1] for ray in rays]
+            progress(inserted, len(order), len(rays), len(plus))
         new_rays = []
-        for p_ray, sp in plus:
-            for n_ray, sn in minus:
-                common = p_ray[1] & n_ray[1]
-                if common.bit_count() < dim - 2:
+        for p in plus:
+            for m in minus:
+                common = rays[p][1] & rays[m][1]
+                if len(common) < dim - 2:
                     continue
-                if any(common & ~m == 0 and m != p_ray[1] and m != n_ray[1]
-                       for m in masks):
+                if any(common <= tight for r, (_, tight) in enumerate(rays)
+                       if r not in (p, m)):
                     continue
-                vec = _primitive([sp * nv - sn * pv
-                                  for pv, nv in zip(p_ray[0], n_ray[0])])
-                new_rays.append([vec, common | bit])
-        rays = zero + [ray for ray, _ in minus] + new_rays
-    return [ray[0] for ray in rays]
+                vec = _primitive([signs[p] * b - signs[m] * a
+                                  for a, b in zip(rays[p][0], rays[m][0])])
+                new_rays.append((vec, common | {position}))
+        rays = ([(rays[j][0], rays[j][1] | {position}) for j in zero]
+                + [rays[j] for j in minus] + new_rays)
+    return [vec for vec, _ in rays]
 
 
 # -- d-separation by path enumeration ---------------------------------------

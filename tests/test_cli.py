@@ -706,6 +706,21 @@ def test_stdout_closed_at_startup_fails_a_command_writing_its_result(examples, c
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+def test_stdout_closed_at_startup_stops_derive_before_it_derives(examples):
+    # derive_all is replaced by one that leaves a mark on stderr: with
+    # nowhere to write the result, derive must not reach it
+    src = os.path.dirname(os.path.dirname(obscon.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import obscon.cli as cli; "
+            "cli.derive_all = lambda *a: sys.stderr.write('derived\\n'); "
+            "sys.exit(cli.main(['derive', sys.argv[2]]))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src, path_of(examples, "iv.graph")],
+                          stderr=subprocess.PIPE, text=True, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 74
+    assert proc.stderr == "error: cannot write stdout: Bad file descriptor\n"
+
+
 @pytest.mark.parametrize("name", ["iv", "frontdoor", "mixed_cdegree", "triangle"])
 def test_derive_texts_match_render(examples, tmp_path, name):
     from obscon import DeriveOptions, derive_all, load_graph, parse_graph, render

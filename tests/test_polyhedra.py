@@ -413,7 +413,7 @@ def test_bell_i3322_facets_and_dd_counts(monkeypatch):
     assert max([n_rays for _, _, n_rays, _ in steps] + [len(rays)]) == 1223
     # SHA-256 of the exact ray list, order and duplicates included
     assert sha256(repr(rays).encode()).hexdigest() == (
-        "bb86a08342a7e6b8cd9fbd6038183493b6dace9ffe2538edd78ef140059d2072")
+        "8d81076cc59b2beaeb465b6458835a58d7ed9926a0266d4bc12cf36d69345cfb")
 
 
 def test_bell_i3322_derived_hrep_is_plain_dd():
@@ -456,4 +456,4 @@ def test_bell_tripartite_dd_counts(monkeypatch):
     assert max(n_rays for _, _, n_rays, _ in calls) == 51_576
     # SHA-256 of the exact ray list, order and duplicates included
     assert sha256(repr(rays).encode()).hexdigest() == (
-        "f34a05956f44ec889724e5732eb55cd867cfd9d0727e697b9c0ff083b4af138a")
+        "b66860b56fa7d0c8e6ecabc262ee193930db84f07f427eedddeb208d554ec1dc")

@@ -126,12 +126,19 @@ def symmetric_zero_one_points(rng):
             return points, perms
 
 
-def test_forced_orbit_path_on_symmetric_point_sets(monkeypatch):
+def symmetric_cases():
+    """40 symmetric 0/1 point sets, each with its permutations and the
+    points in a shuffled order."""
     rng = random.Random(5150)
-    for rep in range(40):
+    for _ in range(40):
         points, perms = symmetric_zero_one_points(rng)
+        yield points, perms, rng.sample(points, len(points))
+
+
+def test_forced_orbit_path_on_symmetric_point_sets(monkeypatch):
+    for rep, (points, perms, shuffled) in enumerate(symmetric_cases()):
         assert len(polyhedra.point_symmetries(points, perms)) == len(perms)
-        hrep, sizes = orbit_v_to_h(monkeypatch, rng.sample(points, len(points)), perms)
+        hrep, sizes = orbit_v_to_h(monkeypatch, shuffled, perms)
         assert hrep == v_to_h(VRep(tuple(points))), (rep, points, perms)
         assert sum(sizes) == len(hrep.ineq)
 
@@ -183,17 +190,52 @@ def test_path_of_each_bench_district(monkeypatch):
     assert set(got["sparse14"].values()) == {"plain"}
 
 
+def test_pruned_generators_drop_identity_and_repeats():
+    (dag, system), = derived_systems(BELL_I3322)
+    _, generators = verified(dag, system)
+    identity = tuple(range(len(generators[0])))
+    pruned = polyhedra._pruned_generators(generators)
+    padded = [identity] + generators[::-1] + [identity] + generators
+    got = polyhedra._pruned_generators(padded)
+    assert identity not in got and len(set(got)) == len(got)
+    assert polyhedra._pruned_generators(generators + [identity] + generators) == pruned
+    assert polyhedra._pruned_generators([identity, identity]) == []
+
+
+def test_pruned_generators_keep_the_group_of_random_point_sets():
+    # each set also goes in with a conjugate h k h^-1 of two of its
+    # generators appended: a new one makes pruning drop a generator
+    for rep, (points, perms, _) in enumerate(symmetric_cases()):
+        generators = polyhedra.point_symmetries(points, perms)
+        h, k = generators[0], generators[-1]
+        inverse = sorted(range(len(h)), key=h.__getitem__)
+        conjugate = tuple(h[k[i]] for i in inverse)
+        for given in (generators, generators + [conjugate]):
+            pruned = polyhedra._pruned_generators(given)
+            assert set(pruned) <= set(given), rep
+            assert (group_order(pruned) if pruned else 1) == group_order(given), rep
+        identity = tuple(range(len(h)))
+        if conjugate not in generators and identity not in (h, k):
+            distinct = set(generators + [conjugate]) - {identity}
+            assert len(pruned) < len(distinct), rep
+
+
 def test_group_orders():
-    # relabelings of inputs and outputs, and the party swap
-    for text, members, order in ((BELL_CHSH, ("A", "B"), 128),
-                                 (BELL_I3322, ("A", "B"), 4_608),
-                                 (FIXTURE_GRAPHS["mixed_cdegree"], ("V2", "V4", "V5"), 64),
-                                 (FIXTURE_GRAPHS["bell_tripartite"], ("V1", "V2", "V3"),
-                                  3_072)):
+    # relabelings of inputs and outputs, and the party swap; the pruned
+    # generators are some of the verified ones and generate the same group
+    for text, members, order, sizes in (
+            (BELL_CHSH, ("A", "B"), 128, (7, 3)),
+            (BELL_I3322, ("A", "B"), 4_608, (11, 4)),
+            (FIXTURE_GRAPHS["mixed_cdegree"], ("V2", "V4", "V5"), 64, (6, 5)),
+            (FIXTURE_GRAPHS["bell_tripartite"], ("V1", "V2", "V3"), 3_072, (12, 4)),
+            (FIXTURE_GRAPHS["nested_pair_left"], ("V2", "V4"), 256, (8, 4))):
         (dag, system), = [(d, s) for d, s in derived_systems(text)
                           if s.district.members == members]
         _, generators = verified(dag, system)
-        assert group_order(generators) == order, members
+        pruned = polyhedra._pruned_generators(generators)
+        assert set(pruned) <= set(generators), members
+        assert (len(generators), len(pruned)) == sizes, members
+        assert group_order(generators) == group_order(pruned) == order, members
 
 
 # SHA-256 of repr(list(row_symmetries(dag, system))): the proposals and
