@@ -28,11 +28,11 @@ from .independence import CIStatement, enumerate_ci
 from .polyhedra import HRep, VRep, v_to_h
 from .response import (
     DEFAULT_COLUMN_LIMIT,
-    Configuration,
     FunctionalSystem,
     build_functional_system,
-    member_parents,
+    district_shape,
     row_symmetries,
+    shape_row_labels,
     star_keys,
     star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
     star_scaled,
@@ -221,56 +221,35 @@ def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
     return ineq_flags, eq_flags
 
 
-def _derive_district(dag: HiddenDag, district, column_limit, built: dict,
-                     converted: dict) -> DistrictResult:
+def _derive_district(dag: HiddenDag, district, column_limit, derived: dict) -> DistrictResult:
     """Build a district's system, convert its columns to facets, flag the rows.
 
-    A lone variable without observed parents can only produce simplex facets,
-    so it is skipped: no system and no constraints.
+    A lone variable without observed parents (its ``district_shape`` has one
+    name) can only produce simplex facets, so it is skipped: no system and no
+    constraints.
 
-    ``built`` maps each local shape met so far to its system. The shape is
-    the cardinalities of the members and of the external parents (both in
-    canonical order), each member's observed parents as positions in that
-    list, and the members' topological order as positions:
-    ``build_functional_system`` reads nothing else, so a district of a known
-    shape is not built again. It takes the earlier system's ``col_labels``
-    and ``col_outcomes`` as they are, and its ``row_labels`` with the names
-    replaced position by position.
-
-    ``converted`` maps each column set met so far, keyed by its columns'
-    outcome indices and its block sizes, to the constraints derived from it.
-    Given the block sizes, the outcome indices fix the 0/1 points and are
-    fixed by them. The facets, the flags and the terms are functions of that
-    key alone, so a district with the column set of an earlier one (of its
-    shape or not) reuses its constraints and skips the conversion, and
-    builds no points.
-    ``derive_all`` makes both dicts, and they live for that one call.
+    ``derived`` maps each ``district_shape`` met so far to its system and
+    constraints. ``build_functional_system`` and ``row_symmetries`` read the
+    graph only through the shape, and the facets, flags and terms are
+    functions of the columns and blocks that the build gives, so a district
+    of a known shape is neither built nor converted again. It takes the
+    earlier system with its own ``district`` and row labels, and the earlier
+    constraints. ``derive_all`` makes the dict, which lives for that one call.
     """
-    system, constraints = None, ()
-    members, parents = district.members, dag.observed_parents(district.members)
-    if len(members) > 1 or parents:
-        w2 = dag.sort_observed(parents - set(members))
-        position = {name: i for i, name in enumerate(members + w2)}
-        shape = (len(members), tuple(map(dag.cardinality, position)),
-                 tuple(tuple(map(position.get, member_parents(dag, m))) for m in members),
-                 tuple(position[m] for m in dag.topological_order() if m in members))
-        earlier = built.get(shape)
-        if earlier is None:
-            system = built[shape] = build_functional_system(dag, district, column_limit)
-        else:
-            w1_of = {c: Configuration.make(members, c.values())
-                     for c in dict.fromkeys(w1c for w1c, _ in earlier.row_labels)}
-            w2_of = {c: Configuration.make(w2, c.values())
-                     for c in dict.fromkeys(w2c for _, w2c in earlier.row_labels)}
-            system = earlier._replace(district=district, row_labels=tuple(
-                (w1_of[w1c], w2_of[w2c]) for w1c, w2c in earlier.row_labels))
-        key = (system.col_outcomes, system.block_sizes)
-        constraints = converted.get(key)
-        if constraints is None:
-            points = tuple(system.columns_as_points())
-            hrep = v_to_h(VRep(points), symmetries=row_symmetries(dag, system))
-            constraints = converted[key] = _to_constraints(hrep, system.block_sizes)
-    return DistrictResult(members, district.c_degree, system, constraints)
+    names, shape = district_shape(dag, district)
+    if len(names) == 1:
+        return DistrictResult(district.members, district.c_degree, None, ())
+    earlier = derived.get(shape)
+    if earlier is None:
+        system = build_functional_system(dag, district, column_limit)
+        points = tuple(system.columns_as_points())
+        hrep = v_to_h(VRep(points), symmetries=row_symmetries(dag, system))
+        constraints = _to_constraints(hrep, system.block_sizes)
+        derived[shape] = system, constraints
+    else:
+        system, constraints = earlier
+        system = system._replace(district=district, row_labels=shape_row_labels(names, shape))
+    return DistrictResult(district.members, district.c_degree, system, constraints)
 
 
 def _to_constraints(hrep: HRep, block_sizes: Sequence[int]) -> tuple[Constraint, ...]:
@@ -287,10 +266,10 @@ def _to_constraints(hrep: HRep, block_sizes: Sequence[int]) -> tuple[Constraint,
 def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> DerivationResult:
     """Run the full derivation pipeline on a hidden-variable DAG.
 
-    Districts of one local shape share one build, and districts of one
-    column set share one conversion (see ``_derive_district``), through two
-    dicts made here, which live for this call only: two calls on one graph
-    each build every distinct shape and convert every distinct column set.
+    Districts of one local shape share one build and one conversion (see
+    ``_derive_district``), through one dict made here, which lives for this
+    call only: two calls on one graph each build and convert every distinct
+    shape.
     """
     import time
 
@@ -315,9 +294,9 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
         districts = working.districts()
 
     ci = tuple(enumerate_ci(working, options.max_ci_size))
-    built, converted = {}, {}
+    derived = {}
     records = tuple(
-        _derive_district(working, district, options.column_limit, built, converted)
+        _derive_district(working, district, options.column_limit, derived)
         for district in districts
     )
 
@@ -339,7 +318,7 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
     }
     if options.timings:
         meta["timings"] = {"derive_seconds": time.monotonic() - t0,
-                           "conversions": len(converted)}
+                           "conversions": len(derived)}
     graph_text = dag.to_text()
     return DerivationResult(
         fingerprint=hashlib.sha256(graph_text.encode()).hexdigest(),

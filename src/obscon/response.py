@@ -133,15 +133,42 @@ class FunctionalSystem(NamedTuple):
         }
 
 
-def member_parents(dag: HiddenDag, w: str) -> tuple[str, ...]:
-    """The observed parents of ``w`` in variable order: its response
-    function's inputs."""
-    return dag.sort_observed(dag.observed_parents([w]))
+def district_shape(dag: HiddenDag, district: District) -> tuple[tuple[str, ...], tuple]:
+    """A district's names and its local shape: what its system is built from.
+
+    ``names`` is the members, then the external parents, each in canonical
+    order. ``shape`` is the member count, the cardinality of each name, each
+    member's observed parents (its response function's inputs, in canonical
+    order) as positions in ``names``, and the members' topological order as
+    positions. ``build_functional_system`` and ``row_symmetries`` read
+    nothing else of the graph, so districts of one shape have one system up
+    to names, and ``derive_all`` builds and converts each shape once.
+    """
+    members = district.members
+    parents = [dag.sort_observed(dag.observed_parents([m])) for m in members]
+    names = members + dag.sort_observed({p for ps in parents for p in ps} - set(members))
+    position = {name: i for i, name in enumerate(names)}
+    return names, (len(members), tuple(map(dag.cardinality, names)),
+                   tuple(tuple(map(position.get, ps)) for ps in parents),
+                   tuple(position[m] for m in dag.topological_order() if m in members))
+
+
+def shape_row_labels(names: tuple[str, ...], shape: tuple) -> tuple:
+    """The (w1, w2) label of each row of a system of ``district_shape``'s
+    names and shape: w2 outermost, each group listing every w1."""
+    n, cards = shape[0], shape[1]
+    w1_configs = enumerate_configs(names[:n], cards[:n])
+    return tuple((w1c, w2c) for w2c in enumerate_configs(names[n:], cards[n:])
+                 for w1c in w1_configs)
 
 
 def build_functional_system(dag: HiddenDag, district: District,
                             column_limit: int = DEFAULT_COLUMN_LIMIT) -> FunctionalSystem:
-    """Construct the labeled system p = B r for a c-degree-1 district."""
+    """Construct the labeled system p = B r for a c-degree-1 district.
+
+    The graph is read for its structural conditions and the district's
+    ``district_shape``; positions and cardinalities come from the shape.
+    """
     report = validate_conditions(dag)
     if not report.ok:
         raise ValueError("graph violates the structural conditions; normalize it first")
@@ -150,15 +177,14 @@ def build_functional_system(dag: HiddenDag, district: District,
             f"district {{{', '.join(district.members)}}} has c-degree "
             f"{district.c_degree}; merge its latents first"
         )
-    members = district.members
-    parents = [member_parents(dag, m) for m in members]
-    cards = [dag.cardinality(m) for m in members]
-    domains = [math.prod(map(dag.cardinality, ps)) for ps in parents]
+    names, shape = district_shape(dag, district)
+    n, cards, parents, order = shape
+    domains = [math.prod(cards[p] for p in ps) for ps in parents]
     # each factor |W| ** e has |W| >= 2, so an exponent past the limit's bit
     # length is over the limit alone: stop before computing a huge power,
     # and name the count exactly only up to the limit squared
     n_cols = 1
-    for card, domain in zip(cards, domains):
+    for card, domain in zip(cards[:n], domains):
         if domain > column_limit.bit_length() or n_cols > column_limit ** 2:
             raise ColumnLimitError(None, column_limit)
         n_cols *= card ** domain
@@ -167,32 +193,32 @@ def build_functional_system(dag: HiddenDag, district: District,
 
     # a member's functions in level order, each the tuple of its outputs by
     # parent configuration; both orders are product's, last place fastest
-    tables = [list(product(range(card), repeat=domain)) for card, domain in zip(cards, domains)]
-    ranks = [{config: j for j, config in enumerate(product(*map(range, map(dag.cardinality, ps))))}
+    tables = [list(product(range(card), repeat=domain))
+              for card, domain in zip(cards[:n], domains)]
+    ranks = [{config: j for j, config in enumerate(product(*[range(cards[p]) for p in ps]))}
              for ps in parents]
-    # members in topological order, so each one's parents are set before it
-    order = [members.index(m) for m in dag.topological_order() if m in members]
-    w2 = dag.sort_observed(dag.observed_parents(members) - set(members))
-    w1_configs = enumerate_configs(members, cards)
-    w2_configs = enumerate_configs(w2, [dag.cardinality(p) for p in w2])
-    w1_index = {cfg.values(): i for i, cfg in enumerate(w1_configs)}
+    row_labels = shape_row_labels(names, shape)
+    n1 = math.prod(cards[:n])
+    w2_values = [w2c.values() for _, w2c in row_labels[::n1]]  # one per w2 block
+    # a w1 configuration's row in its block, the first member fastest
+    strides = [math.prod(cards[:i]) for i in range(n)]
 
     columns = []
     # joint response levels with the first member fastest
     for reversed_levels in product(*[range(len(table)) for table in reversed(tables)]):
         levels = reversed_levels[::-1]
         outcomes = []
-        for w2c in w2_configs:
-            values = dict(w2c.items)
+        for w2 in w2_values:
+            values = [0] * n + list(w2)
+            # members in topological order, so each one's parents are set before it
             for i in order:
                 config = tuple([values[p] for p in parents[i]])
-                values[members[i]] = tables[i][levels[i]][ranks[i][config]]
-            outcomes.append(w1_index[tuple(values[m] for m in members)])
+                values[i] = tables[i][levels[i]][ranks[i][config]]
+            outcomes.append(sum(map(mul, values, strides)))
         columns.append((levels, tuple(outcomes)))
     # group by the first w2 block's row; the stable sort keeps level order within
     columns.sort(key=lambda column: column[1][0])
     col_labels, col_outcomes = zip(*columns)
-    row_labels = tuple((w1c, w2c) for w2c in w2_configs for w1c in w1_configs)
     return FunctionalSystem(district, row_labels, col_labels, col_outcomes)
 
 
@@ -214,21 +240,18 @@ def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
       to its image's. Transpositions generate every permutation of
       interchangeable members, as in the Bell scenarios' party swaps.
 
+    Positions, cardinalities and parents are read from the district's
+    ``district_shape``, the values of each row from ``system.row_labels``.
     A generator: nothing is built until ``v_to_h`` reads it, which it does
     only for large point sets.
     """
-    members = system.district.members
-    names = members + system.w2_order
-    position = {name: i for i, name in enumerate(names)}
-    cards = [dag.cardinality(name) for name in names]
+    _, (n, cards, parents, _) = district_shape(dag, system.district)
     rows = [w1.values() + w2.values() for w1, w2 in system.row_labels]
     index = {row: r for r, row in enumerate(rows)}
-    parents = {m: member_parents(dag, m) for m in members}
 
     # an external parent has no condition: its one configuration is ()
-    for name in system.w2_order + members:
-        k = position[name]
-        at = [position[p] for p in parents.get(name, ())]
+    for k in [*range(n, len(cards)), *range(n)]:
+        at = parents[k] if k < n else ()
         for config in product(*[range(cards[i]) for i in at]):
             for a in range(cards[k] - 1):
                 swap = {a: a + 1, a + 1: a}
@@ -236,21 +259,19 @@ def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
                     index[row[:k] + (swap[row[k]],) + row[k + 1:]]
                     if row[k] in swap and tuple(row[i] for i in at) == config else r
                     for r, row in enumerate(rows))
-    for i, first in enumerate(members):
-        for second in members[i + 1:]:
+    for first in range(n):
+        for second in range(first + 1, n):
             ext_first, ext_second = (
-                sorted(set(parents[m]) - set(members) - set(parents[o]), key=position.get)
+                sorted({p for p in parents[m] if p >= n} - set(parents[o]))
                 for m, o in ((first, second), (second, first)))
             pairs = [(first, second)] + list(zip(ext_first, ext_second))
-            if len(ext_first) != len(ext_second) or any(
-                    cards[position[a]] != cards[position[b]] for a, b in pairs):
+            if len(ext_first) != len(ext_second) or any(cards[a] != cards[b] for a, b in pairs):
                 continue
-            image = {name: name for name in names}
+            image = list(range(len(cards)))
             for a, b in pairs:
                 image[a], image[b] = b, a
-            if all({image[p] for p in parents[m]} == set(parents[image[m]]) for m in members):
-                target = [position[image[name]] for name in names]
-                yield tuple(index[tuple(map(row.__getitem__, target))] for row in rows)
+            if all({image[p] for p in parents[m]} == set(parents[image[m]]) for m in range(n)):
+                yield tuple(index[tuple(map(row.__getitem__, image))] for row in rows)
 
 
 def star_factors(dag: HiddenDag, district: District) -> list[tuple[str, tuple[str, ...]]]:

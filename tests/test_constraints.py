@@ -32,6 +32,7 @@ from obscon.response import (
     Configuration,
     FunctionalSystem,
     build_functional_system,
+    district_shape,
     star_probability,
     star_scaled,
 )
@@ -650,10 +651,13 @@ REPEATED_SHAPE_SEEDS = (1, 2)
 def test_districts_of_one_shape_share_one_conversion(monkeypatch, seed):
     calls = counting_v_to_h(monkeypatch)
     result = derive_all(sparse_dag(random.Random(seed)), DeriveOptions(timings=True))
-    keys = [(tuple(r.system.columns_as_points()), r.block_sizes)
-            for r in result.districts if not r.skipped]
-    assert len(calls) == len(set(calls)) == len(set(keys)) < len(keys)
+    derived = [r for r in result.districts if not r.skipped]
+    shapes = [district_shape(result.derived_graph, r.system.district)[1] for r in derived]
+    keys = [(tuple(r.system.columns_as_points()), r.block_sizes) for r in derived]
+    assert len(calls) == len(set(calls)) == len(set(shapes)) < len(shapes)
     assert set(calls) == {points for points, _ in keys}
+    # measured, not assumed: the shapes and the column sets pair one to one
+    assert len(set(keys)) == len(set(shapes)) == len(set(zip(shapes, keys)))
     assert result.meta["timings"]["conversions"] == len(calls)
 
 
@@ -757,6 +761,65 @@ def test_a_repeated_shape_gets_the_system_a_fresh_build_gives(monkeypatch):
                 assert getattr(record.system, field) == getattr(fresh, field), (
                     dag.to_text(), record.members, field)
     assert reused > 70
+
+
+# M2's parents are (E, M1) and N2's are (N1, F): the same positions in
+# another order, so two shapes
+TWO_SHAPES = (
+    "var E 2\nvar M1 2\nvar M2 2\nvar N1 2\nvar F 2\nvar N2 2\nlatent U1\nlatent U2\n"
+    "edge E M2\nedge M1 M2\nedge N1 N2\nedge F N2\n"
+    "edge U1 M1\nedge U1 M2\nedge U2 N1\nedge U2 N2\n")
+
+
+def test_district_shape_reads_positions_not_names():
+    dag = parse_graph(TWO_SHAPES)
+    shapes = {d.members: district_shape(dag, d) for d in dag.districts()}
+    assert shapes == {
+        ("E",): (("E",), (1, (2,), ((),), (0,))),
+        ("M1", "M2"): (("M1", "M2", "E"), (2, (2, 2, 2), ((), (2, 0)), (0, 1))),
+        ("N1", "N2"): (("N1", "N2", "F"), (2, (2, 2, 2), ((), (0, 2)), (0, 1))),
+        ("F",): (("F",), (1, (2,), ((),), (0,))),
+    }
+    # {M1, M2} renamed in another graph: the same shape
+    renamed = parse_graph("var P 3\nvar Q 2\nvar R 2\nvar S 2\nlatent V\n"
+                          "edge Q S\nedge R S\nedge V R\nedge V S\n")
+    (district,) = [d for d in renamed.districts() if len(d.members) > 1]
+    assert district_shape(renamed, district) == (("R", "S", "Q"), shapes[("M1", "M2")][1])
+    # declared in the other order, the members swap positions: another shape
+    swapped = parse_graph("var S 2\nvar R 2\nvar Q 2\nlatent V\n"
+                          "edge Q S\nedge R S\nedge V R\nedge V S\n")
+    (district,) = [d for d in swapped.districts() if len(d.members) > 1]
+    assert district_shape(swapped, district)[1] == (2, (2, 2, 2), ((1, 2), ()), (1, 0))
+
+
+def test_each_shape_is_built_and_converted_once(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import WORKLOADS
+
+    built = counting(monkeypatch, obscon.constraints, "build_functional_system")
+    converted = counting_v_to_h(monkeypatch)
+    rng = random.Random(2525)
+    dags = [random_dag(rng, exogenous_latents=exogenous)
+            for exogenous in (False, True) for _ in range(50)]
+    dags += [sparse_dag(random.Random(seed)) for seed in REPEATED_SHAPE_SEEDS]
+    dags.append(parse_graph(WORKLOADS["sparse14"].graph.text()))
+    derived = repeated = 0
+    for dag in dags:
+        dag, _ = normalize(dag)
+        del built[:], converted[:]
+        try:  # at 256 columns, one of these graphs takes 45 s to convert
+            result = derive_all(dag, DeriveOptions(merge=True, column_limit=64, timings=True))
+        except ColumnLimitError:
+            continue
+        shapes = [district_shape(result.derived_graph, record.system.district)[1]
+                  for record in result.districts if not record.skipped]
+        first = list(dict.fromkeys(shapes))
+        assert [district_shape(result.derived_graph, args[1])[1] for args in built] == first
+        assert len(converted) == result.meta["timings"]["conversions"] == len(first)
+        derived += len(shapes)
+        repeated += len(shapes) - len(first)
+    assert derived > 100 and repeated > 25
 
 
 def test_sparse14_derives_each_moral_graph_and_shape_once(monkeypatch):

@@ -213,15 +213,19 @@ def test_joint_table_rejects_bad_input(probs, message):
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # -I ignores PYTHON* variables, -S skips site-packages hooks, -B writes
-    # no bytecode
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import obscon; "
-            "print(obscon.__file__); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # no bytecode; the last line lists what the import loads from outside
+    # obscon and the standard library, which must be nothing
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import obscon; print(obscon.__file__); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+            "print(sorted({name.partition('.')[0] for name in set(sys.modules) - before}"
+            " - {'obscon'} - sys.stdlib_module_names))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, os.path.abspath(SRC)],
                           capture_output=True, text=True, check=True, timeout=60)
-    module_file, loaded = proc.stdout.splitlines()
+    module_file, loaded, outside = proc.stdout.splitlines()
     assert module_file.startswith(os.path.abspath(SRC))
     assert loaded == "[]"
+    assert outside == "[]"
 
 
 # the public surface: a name leaves or joins the package only with this list
