@@ -25,7 +25,7 @@ from ._version import __version__ as _version
 from .graph import HiddenDag, validate_conditions
 from .graph import parse_graph  # noqa: F401  (bound here so a tracer can wrap it)
 from .independence import CIStatement, enumerate_ci
-from .polyhedra import HRep, VRep, v_to_h
+from .polyhedra import HRep, VRep, simplex_product_hrep, v_to_h
 from .response import (
     DEFAULT_COLUMN_LIMIT,
     FunctionalSystem,
@@ -224,9 +224,15 @@ def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
 def _derive_district(dag: HiddenDag, district, column_limit, derived: dict) -> DistrictResult:
     """Build a district's system, convert its columns to facets, flag the rows.
 
-    A lone variable without observed parents (its ``district_shape`` has one
-    name) can only produce simplex facets, so it is skipped: no system and no
-    constraints.
+    Two cases need no conversion, since their facets are the simplex
+    positivity rows. A lone variable without observed parents (its
+    ``district_shape`` has one name) is skipped: no system and no
+    constraints. A system whose columns realize every combination of block
+    outcomes (as many distinct ``col_outcomes`` as ``block_sizes[0]`` to the
+    number of blocks) spans the whole product of simplices: its HRep is
+    ``simplex_product_hrep``'s closed form, which is ``v_to_h``'s HRep of
+    its columns, and it is flagged and reused as a converted one. Every
+    other system is converted by ``v_to_h``.
 
     ``derived`` maps each ``district_shape`` met so far to its system and
     constraints. ``build_functional_system`` and ``row_symmetries`` read the
@@ -242,9 +248,13 @@ def _derive_district(dag: HiddenDag, district, column_limit, derived: dict) -> D
     earlier = derived.get(shape)
     if earlier is None:
         system = build_functional_system(dag, district, column_limit)
-        points = tuple(system.columns_as_points())
-        hrep = v_to_h(VRep(points), symmetries=row_symmetries(dag, system))
-        constraints = _to_constraints(hrep, system.block_sizes)
+        blocks = system.block_sizes
+        if len(set(system.col_outcomes)) == blocks[0] ** len(blocks):
+            hrep = simplex_product_hrep(blocks)
+        else:
+            points = tuple(system.columns_as_points())
+            hrep = v_to_h(VRep(points), symmetries=row_symmetries(dag, system))
+        constraints = _to_constraints(hrep, blocks)
         derived[shape] = system, constraints
     else:
         system, constraints = earlier

@@ -45,7 +45,9 @@ generators become 4, Bell's 12 become 4. One closure walk (``_orbit``)
 both tests that the group is transitive and expands the facet orbits.
 Smaller or less symmetric sets do no group work or take plain double
 description, where the group work would cost more than it saves. Both
-paths return the same canonical HRep.
+paths return the same canonical HRep. All vertices of a product of
+simplices need no conversion: ``simplex_product_hrep`` writes that HRep in
+closed form.
 
 Canonical form of an H-representation: every row is scaled to integer entries
 with gcd 1 (positive scaling only, so inequality orientation is intrinsic),
@@ -620,6 +622,32 @@ def _columns_product(columns: Sequence[Sequence[int]]):
 
 
 # -- conversions -----------------------------------------------------------
+
+
+def simplex_product_hrep(block_sizes: Sequence[int]) -> HRep:
+    """The HRep that ``v_to_h`` gives for all vertices of a product of simplices.
+
+    The blocks are contiguous coordinates, in order, and a vertex is 1 at
+    one coordinate of each block and 0 elsewhere. The hull is the set of
+    nonnegative points whose every block sums to 1, so its rows are known
+    without a conversion: one equality per block (-1 on the block, rhs -1)
+    and, in ``v_to_h``'s chart (every coordinate but the last of its
+    block), ``-x_c <= 0`` for each chart coordinate and, per block of two
+    or more, the last coordinate's positivity as ``sum of the others <= 1``.
+    Rows are sorted as ``v_to_h`` sorts them.
+    """
+    dim = sum(block_sizes)
+    ineq, eq = [], []
+    start = 0
+    for size in block_sizes:
+        stop = start + size
+        eq.append((tuple(-int(start <= c < stop) for c in range(dim)), -1))
+        if size > 1:
+            ineq.append((tuple(int(start <= c < stop - 1) for c in range(dim)), 1))
+            ineq.extend((tuple(-int(c == k) for c in range(dim)), 0)
+                        for k in range(start, stop - 1))
+        start = stop
+    return HRep(ineq=tuple(sorted(ineq)), eq=tuple(sorted(eq)))
 
 
 def v_to_h(v: VRep, progress=None, symmetries=()) -> HRep:

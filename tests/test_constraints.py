@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -27,6 +28,7 @@ from obscon.constraints import (
     report_to_json,
     result_to_json,
 )
+from obscon.polyhedra import simplex_product_hrep
 from obscon.response import (
     ColumnLimitError,
     Configuration,
@@ -629,16 +631,48 @@ def test_schema2_json_loses_nothing(name):
 
 
 def counting_v_to_h(monkeypatch):
-    """Wrap the ``v_to_h`` that ``derive_all`` calls; returns the list of the
-    point tuples it is called with."""
+    """Wrap both conversions that ``derive_all`` calls, ``v_to_h`` and the
+    closed form ``simplex_product_hrep``, as ``obscon.constraints`` binds
+    them; returns the list of calls in order, each ("v_to_h", the points)
+    or ("simplex_product_hrep", the block sizes)."""
     calls = []
 
     def counted(v, **kwargs):
-        calls.append(v.points)
+        calls.append(("v_to_h", v.points))
         return v_to_h(v, **kwargs)
 
+    def closed(block_sizes):
+        calls.append(("simplex_product_hrep", tuple(block_sizes)))
+        return simplex_product_hrep(block_sizes)
+
     monkeypatch.setattr(obscon.constraints, "v_to_h", counted)
+    monkeypatch.setattr(obscon.constraints, "simplex_product_hrep", closed)
     return calls
+
+
+def is_full_product(system) -> bool:
+    """Whether the columns are every vertex of the product of the block
+    simplices; the vertices are listed only when the counts agree."""
+    points = set(system.columns_as_points())
+    return (len(points) == math.prod(system.block_sizes)
+            and points == set(simplex_product_extreme_points(system.block_sizes)))
+
+
+def expected_conversions(result) -> list:
+    """The calls ``counting_v_to_h`` should see: one per distinct shape of
+    the derived districts, in first-met order, by the closed form exactly
+    for the full products and by ``v_to_h`` of the columns otherwise."""
+    first = {}
+    for record in result.districts:
+        if record.skipped:
+            continue
+        shape = district_shape(result.derived_graph, record.system.district)[1]
+        if shape not in first:
+            first[shape] = (
+                ("simplex_product_hrep", record.block_sizes)
+                if is_full_product(record.system)
+                else ("v_to_h", tuple(record.system.columns_as_points())))
+    return list(first.values())
 
 
 # sparse 18-variable DAGs whose 14 district systems repeat shapes; seed 0
@@ -655,10 +689,31 @@ def test_districts_of_one_shape_share_one_conversion(monkeypatch, seed):
     shapes = [district_shape(result.derived_graph, r.system.district)[1] for r in derived]
     keys = [(tuple(r.system.columns_as_points()), r.block_sizes) for r in derived]
     assert len(calls) == len(set(calls)) == len(set(shapes)) < len(shapes)
-    assert set(calls) == {points for points, _ in keys}
+    # each shape converted once, and v_to_h exactly for those not full products
+    assert calls == expected_conversions(result)
+    assert {route for route, _ in calls} == {"v_to_h", "simplex_product_hrep"}
     # measured, not assumed: the shapes and the column sets pair one to one
     assert len(set(keys)) == len(set(shapes)) == len(set(zip(shapes, keys)))
     assert result.meta["timings"]["conversions"] == len(calls)
+
+
+def test_a_full_product_district_never_reaches_double_description(monkeypatch):
+    # W's 256 response functions realize all 2 ** 8 combinations of its
+    # outcomes over the 8 parent configurations
+    text = ("var P0 2\nvar P1 2\nvar P2 2\nvar W 2\n"
+            "edge P0 W\nedge P1 W\nedge P2 W\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full product reached v_to_h")
+
+    monkeypatch.setattr(obscon.constraints, "v_to_h", refuse)
+    result = derive_all(parse_graph(text))
+    (record,) = [r for r in result.districts if not r.skipped]
+    assert record.members == ("W",) and record.block_sizes == (2,) * 8
+    relations = [c.relation for c in record.constraints]
+    assert (relations.count("<="), relations.count("=")) == (16, 8)
+    assert not any(c.flagged for c in record.constraints)
+    assert record.hrep == v_to_h(VRep(tuple(record.system.columns_as_points())))
 
 
 def test_timings_count_the_conversions_of_each_bench_workload(monkeypatch):
@@ -682,6 +737,7 @@ def test_each_derive_all_converts_again(monkeypatch):
     converted = len(calls)
     second = derive_all(dag)
     assert len(calls) == 2 * converted and calls[:converted] == calls[converted:]
+    assert calls[:converted] == expected_conversions(first)
     assert first == second
 
 
@@ -804,7 +860,7 @@ def test_each_shape_is_built_and_converted_once(monkeypatch):
             for exogenous in (False, True) for _ in range(50)]
     dags += [sparse_dag(random.Random(seed)) for seed in REPEATED_SHAPE_SEEDS]
     dags.append(parse_graph(WORKLOADS["sparse14"].graph.text()))
-    derived = repeated = 0
+    derived = repeated = closed = 0
     for dag in dags:
         dag, _ = normalize(dag)
         del built[:], converted[:]
@@ -817,9 +873,12 @@ def test_each_shape_is_built_and_converted_once(monkeypatch):
         first = list(dict.fromkeys(shapes))
         assert [district_shape(result.derived_graph, args[1])[1] for args in built] == first
         assert len(converted) == result.meta["timings"]["conversions"] == len(first)
+        assert converted == expected_conversions(result)
+        closed += sum(route == "simplex_product_hrep" for route, _ in converted)
         derived += len(shapes)
         repeated += len(shapes) - len(first)
     assert derived > 100 and repeated > 25
+    assert closed > 50 and derived - repeated - closed > 5  # both routes are taken
 
 
 def test_sparse14_derives_each_moral_graph_and_shape_once(monkeypatch):

@@ -151,6 +151,14 @@ def test_simplex_product_counts():
         assert sum(p) == 2
 
 
+@pytest.mark.parametrize("sizes", [[size] * blocks for size in (2, 3, 4) for blocks in (1, 2, 3, 4)]
+                         + [[1, 2], [2, 3], [3, 1, 2], [2, 4, 3], [4, 2, 2, 3]])
+def test_simplex_product_hrep_is_v_to_h_of_the_product(sizes):
+    points = simplex_product_extreme_points(sizes)
+    random.Random(len(points)).shuffle(points)
+    assert polyhedra.simplex_product_hrep(sizes) == v_to_h(VRep(tuple(points)))
+
+
 def test_v_to_h_every_input_point_feasible():
     rng = random.Random(101)
     for _ in range(25):
