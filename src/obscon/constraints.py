@@ -32,7 +32,6 @@ from .response import (
     build_functional_system,
     district_shape,
     row_symmetries,
-    shape_row_labels,
     star_keys,
     star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
     star_scaled,
@@ -65,15 +64,13 @@ class Constraint(NamedTuple):
     witness: int | None
 
 
-class DistrictResult(Record):
+class DistrictResult(NamedTuple):
     """One district's derivation; a skipped district has no system."""
 
-    _fields = ("members", "c_degree", "system", "constraints")
-
-    def __init__(self, members: tuple[str, ...], c_degree: int,
-                 system: FunctionalSystem | None, constraints: tuple[Constraint, ...]):
-        self._set(members=members, c_degree=c_degree, system=system,
-                  constraints=constraints)
+    members: tuple[str, ...]
+    c_degree: int
+    system: FunctionalSystem | None
+    constraints: tuple[Constraint, ...]
 
     @property
     def skipped(self) -> bool:
@@ -96,11 +93,6 @@ class DistrictResult(Record):
     def block_sizes(self) -> tuple[int, ...]:
         """The row count of each w2 block of the system; empty when skipped."""
         return () if self.system is None else self.system.block_sizes
-
-    @cached_property
-    def star_texts(self) -> tuple[str, ...]:
-        """Each constraint rendered over star terms, once per derivation."""
-        return self.texts(None, "star")
 
     def texts(self, dag: HiddenDag | None, mode: str) -> tuple[str, ...]:
         """Each constraint rendered as ``render`` does, labelling each row once."""
@@ -235,12 +227,14 @@ def _derive_district(dag: HiddenDag, district, column_limit, derived: dict) -> D
     other system is converted by ``v_to_h``.
 
     ``derived`` maps each ``district_shape`` met so far to its system and
-    constraints. ``build_functional_system`` and ``row_symmetries`` read the
-    graph only through the shape, and the facets, flags and terms are
-    functions of the columns and blocks that the build gives, so a district
-    of a known shape is neither built nor converted again. It takes the
-    earlier system with its own ``district`` and row labels, and the earlier
-    constraints. ``derive_all`` makes the dict, which lives for that one call.
+    constraints. ``build_functional_system`` reads the graph only through
+    the names and shape, which it stores, ``row_symmetries`` reads the
+    shape alone, and the facets, flags and terms are functions of the
+    columns and blocks that the build gives, so a district of a known shape
+    is neither built nor converted again. It takes the earlier system with
+    its own ``names`` (``system._replace(names=names)``), which label its
+    rows, and the earlier constraints. ``derive_all`` makes the dict, which
+    lives for that one call.
     """
     names, shape = district_shape(dag, district)
     if len(names) == 1:
@@ -253,12 +247,12 @@ def _derive_district(dag: HiddenDag, district, column_limit, derived: dict) -> D
             hrep = simplex_product_hrep(blocks)
         else:
             points = tuple(system.columns_as_points())
-            hrep = v_to_h(VRep(points), symmetries=row_symmetries(dag, system))
+            hrep = v_to_h(VRep(points), symmetries=row_symmetries(system))
         constraints = _to_constraints(hrep, blocks)
         derived[shape] = system, constraints
     else:
         system, constraints = earlier
-        system = system._replace(district=district, row_labels=shape_row_labels(names, shape))
+        system = system._replace(names=names)
     return DistrictResult(district.members, district.c_degree, system, constraints)
 
 
@@ -358,7 +352,7 @@ def _row_labels(system: FunctionalSystem, dag: HiddenDag | None, mode: str) -> l
     if dag is None:
         raise ValueError("observable mode needs the graph")
     factors = []  # per identifying factor, its text in each row
-    for cond, joint, _, joint_keys in star_keys(dag, system.district, system.row_labels):
+    for cond, joint, _, joint_keys in star_keys(dag, system.members, system.row_labels):
         bar = "|" if cond else ""
         factors.append([f"P({joint[-1]}={key[-1]}{bar}{','.join(map('{}={}'.format, cond, key))})"
                         for key in joint_keys])
@@ -451,13 +445,13 @@ def _check_plan(index: int, record: DistrictResult, dag: HiddenDag) -> CheckPlan
     picked, coeffs = zip(*distinct) if distinct else ((), ())
     bits = [0 if row == scale_row else 1 << row for row in picked]
     rows = []
-    for constraint, text, pairs in zip(record.constraints, record.star_texts, terms):
+    for constraint, text, pairs in zip(record.constraints, record.texts(None, "star"), terms):
         slots = tuple(map(slot.__getitem__, pairs))
         rows.append((_row_getter(slots), constraint.relation == "=",
                      sum(map(bits.__getitem__, slots)),
                      ConstraintStatus(index, constraint, text, "satisfied", _ZERO),
                      ConstraintStatus(index, constraint, text, "not_evaluable", None)))
-    stars = star_keys(dag, record.system.district, record.system.row_labels)
+    stars = star_keys(dag, record.members, record.system.row_labels)
     return CheckPlan(index, stars, _row_getter(picked), coeffs, tuple(rows))
 
 
@@ -637,8 +631,9 @@ def result_to_json(result: DerivationResult, dag: HiddenDag, texts: bool = False
             "constraints": [constraint_to_json(c) for c in record.constraints],
         }
         if texts and record.system is not None:
+            stars = record.texts(None, "star")
             observable = record.texts(result.derived_graph, "observable")
-            for doc, star, obs in zip(entry["constraints"], record.star_texts, observable):
+            for doc, star, obs in zip(entry["constraints"], stars, observable):
                 doc.update(text_star=star, text_observable=obs)
         districts_json.append(entry)
     return {

@@ -260,17 +260,8 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     cone, and the other rows are inserted in sorted order. The ray list
     therefore depends only on the multiset of rows, not on their input
     order. Requires the rows to have full column rank (a pointed cone);
-    raises ``UnboundedPolytopeError`` otherwise.
-
-    Against ascending ("lexmin") order, this order does the same work on
-    plain I3322 (48 steps, peak 1,223 rays), plain Bell (peak 51,576) and
-    every conversion of the ``mixed_check`` and ``sparse14`` benchmark
-    workloads, and less on the ridges of the orbit path. On I3322's
-    48-point positivity ridge, the rays summed over its steps fall from
-    6,134 to 3,420, the candidate pairs from 8,170 to 5,994, the ANDs from
-    3,481 to 2,780 and the peak from 456 to 378 rays; over Bell's 46
-    ridges the summed rays fall from 73,097 to 58,456, though a few small
-    ridges do more work.
+    raises ``UnboundedPolytopeError`` otherwise. README "Performance
+    notes" compares the work of this order with the ascending one.
 
     Each step splits the rays into plus (cut off), zero and minus rays and
     builds, for every row, the bitset of the current rays tight at it
@@ -280,10 +271,14 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     ``mask_p & mask_n`` leaves only the bits of p and n. The AND stops as
     soon as only those two remain. Adjacency also needs at least
     ``dim - 2`` common rows, so n may miss at most
-    ``slack = popcount(mask_p) - (dim - 2)`` of p's rows. A bit-sliced
-    counter over the minus rays' "missed" bitsets, walking p's rows, finds
-    all such n at once, and only they are tested, in list order. New rays
-    come out plus-major, minus-minor, after the zero and minus rays.
+    ``slack = popcount(mask_p) - (dim - 2)`` of p's rows. Every ray in the
+    list is tight at ``dim - 1`` rows or more (an initial ray at every basis
+    row but one; a new ray at its pair's common rows, at least ``dim - 2``,
+    plus the inserted row; a zero ray gains the inserted row), so slack is
+    at least 1. A bit-sliced counter over the minus rays' "missed" bitsets,
+    walking p's rows, finds all such n at once, and only they are tested,
+    in list order. New rays come out plus-major, minus-minor, after the
+    zero and minus rays.
 
     Witness memo: when a pair (p, n) fails, the highest-indexed third ray
     r left by the AND is tight at every row of ``common = mask_p & mask_n``.
@@ -350,8 +345,6 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
             mask_p = p_ray[1]
             p_rows = _bit_indices(mask_p)
             slack = len(p_rows) - (dim - 2)
-            if slack < 0:
-                continue
             witnesses = []
             last = None  # the witness that last answered for p
             candidates = _within_slack([missed[i] for i in p_rows], minus_set, slack)
@@ -538,12 +531,11 @@ def _facet_orbits(chart: Sequence[tuple], rows: Sequence[Row],
     about itself onto the neighbouring facet h + mu * F, with mu the least
     value keeping every point feasible. A key not seen before starts a new
     orbit, expanded by ``_pruned_generators(generators)``, which generate
-    the same group: on I3322, 4 generators instead of 11 make 2,736 orbit
-    images instead of 7,524 (684 facets times the generators). The orbits,
-    and so the representatives whose ridges are converted, do not depend
-    on the generating set. The facet graph is connected, so every orbit is
-    reached. Each key is turned back into its ray with the inverse of one
-    basis of the rows.
+    the same group with fewer images to key (README "Performance notes"
+    counts them on I3322). The orbits, and so the representatives whose
+    ridges are converted, do not depend on the generating set. The facet
+    graph is connected, so every orbit is reached. Each key is turned back
+    into its ray with the inverse of one basis of the rows.
 
     Needs a hull of dimension at least 2, where ridges are nonempty; a
     group transitive on 32 or more points guarantees it, since all of them

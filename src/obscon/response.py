@@ -11,6 +11,8 @@ variable order):
   order of ``product(range(|W|), repeat=D)``, D the number of parent
   configurations: a base-|W| numeral read most-significant digit first.
 * Rows of B are (w1, w2) pairs, grouped by w2 configuration (w2 outermost).
+  They are fixed by the district's ``district_shape`` names and shape,
+  which is all a ``FunctionalSystem`` stores of them.
 * Columns of B are joint response assignments, grouped by the row of the
   first w2 block they are compatible with (in row order) and ordered within a
   group by joint response level with the first member's level fastest.
@@ -64,51 +66,57 @@ class Configuration(NamedTuple):
     def as_dict(self) -> dict[str, int]:
         return dict(self.items)
 
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.items)
-
     def render(self) -> str:
         return ",".join(f"{n}={v}" for n, v in self.items)
 
 
-def enumerate_configs(names: Sequence[str], cards: Sequence[int]) -> list[Configuration]:
-    """All configurations, first variable fastest. One empty config for no names."""
-    return [
-        Configuration.make(names, values[::-1])
-        for values in product(*[range(c) for c in reversed(cards)])
-    ]
+def _value_tuples(cards: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every value tuple of variables of these cardinalities, first fastest."""
+    return [values[::-1] for values in product(*[range(c) for c in reversed(cards)])]
 
 
 class FunctionalSystem(NamedTuple):
     """The labeled 0/1 system p = B r for one district, stored sparsely.
 
-    Column c of B has a single 1 in each w2 block, in the block's row
-    ``col_outcomes[c][block]`` (an index into the block's w1 configurations).
+    ``names`` and ``shape`` are the district's ``district_shape``: they fix
+    the rows, which are read off them. Column c of B has a single 1 in each
+    w2 block, in the block's row ``col_outcomes[c][block]`` (an index into
+    the block's w1 configurations).
     """
 
-    district: District
-    row_labels: tuple[tuple[Configuration, Configuration], ...]
+    names: tuple[str, ...]  # the members, then the external parents
+    shape: tuple
     col_labels: tuple[tuple[int, ...], ...]  # one response level per member
     col_outcomes: tuple[tuple[int, ...], ...]  # one w1-row index per w2 block
 
     @property
+    def members(self) -> tuple[str, ...]:
+        return self.names[:self.shape[0]]
+
+    @property
     def n_rows(self) -> int:
-        return len(self.row_labels)
+        return math.prod(self.shape[1])
 
     @property
     def n_cols(self) -> int:
         return len(self.col_labels)
 
     @property
-    def w2_order(self) -> tuple[str, ...]:
-        """The district's external parents, as each row's w2 lists them."""
-        return tuple(name for name, _ in self.row_labels[0][1].items)
-
-    @property
     def block_sizes(self) -> tuple[int, ...]:
         """Rows per w2 block; every block lists all w1 configurations."""
-        n_blocks = len(self.col_outcomes[0])
-        return (self.n_rows // n_blocks,) * n_blocks
+        n, cards = self.shape[0], self.shape[1]
+        return (math.prod(cards[:n]),) * math.prod(cards[n:])
+
+    @property
+    def row_labels(self) -> tuple[tuple[Configuration, Configuration], ...]:
+        """The (w1, w2) label of each row, w2 outermost and each group
+        listing every w1; built on each read."""
+        n, cards = self.shape[0], self.shape[1]
+        members, parents = self.names[:n], self.names[n:]
+        w1_configs = [Configuration.make(members, v) for v in _value_tuples(cards[:n])]
+        return tuple((w1c, w2c) for w2c in (Configuration.make(parents, v)
+                                            for v in _value_tuples(cards[n:]))
+                     for w1c in w1_configs)
 
     def columns_as_points(self) -> list[tuple[int, ...]]:
         """Columns of B as 0/1 vectors; the V-representation generators."""
@@ -123,8 +131,8 @@ class FunctionalSystem(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "members": list(self.district.members),
-            "external_parents": list(self.w2_order),
+            "members": list(self.members),
+            "external_parents": list(self.names[self.shape[0]:]),
             "row_labels": [
                 {"w1": a.as_dict(), "w2": b.as_dict()} for a, b in self.row_labels
             ],
@@ -140,9 +148,10 @@ def district_shape(dag: HiddenDag, district: District) -> tuple[tuple[str, ...],
     order. ``shape`` is the member count, the cardinality of each name, each
     member's observed parents (its response function's inputs, in canonical
     order) as positions in ``names``, and the members' topological order as
-    positions. ``build_functional_system`` and ``row_symmetries`` read
-    nothing else of the graph, so districts of one shape have one system up
-    to names, and ``derive_all`` builds and converts each shape once.
+    positions. ``build_functional_system`` reads nothing else of the graph
+    and stores both in its system, where ``row_symmetries`` reads the shape,
+    so districts of one shape have one system up to names, and
+    ``derive_all`` builds and converts each shape once.
     """
     members = district.members
     parents = [dag.sort_observed(dag.observed_parents([m])) for m in members]
@@ -151,15 +160,6 @@ def district_shape(dag: HiddenDag, district: District) -> tuple[tuple[str, ...],
     return names, (len(members), tuple(map(dag.cardinality, names)),
                    tuple(tuple(map(position.get, ps)) for ps in parents),
                    tuple(position[m] for m in dag.topological_order() if m in members))
-
-
-def shape_row_labels(names: tuple[str, ...], shape: tuple) -> tuple:
-    """The (w1, w2) label of each row of a system of ``district_shape``'s
-    names and shape: w2 outermost, each group listing every w1."""
-    n, cards = shape[0], shape[1]
-    w1_configs = enumerate_configs(names[:n], cards[:n])
-    return tuple((w1c, w2c) for w2c in enumerate_configs(names[n:], cards[n:])
-                 for w1c in w1_configs)
 
 
 def build_functional_system(dag: HiddenDag, district: District,
@@ -197,9 +197,7 @@ def build_functional_system(dag: HiddenDag, district: District,
               for card, domain in zip(cards[:n], domains)]
     ranks = [{config: j for j, config in enumerate(product(*[range(cards[p]) for p in ps]))}
              for ps in parents]
-    row_labels = shape_row_labels(names, shape)
-    n1 = math.prod(cards[:n])
-    w2_values = [w2c.values() for _, w2c in row_labels[::n1]]  # one per w2 block
+    w2_values = _value_tuples(cards[n:])  # one per w2 block
     # a w1 configuration's row in its block, the first member fastest
     strides = [math.prod(cards[:i]) for i in range(n)]
 
@@ -219,10 +217,10 @@ def build_functional_system(dag: HiddenDag, district: District,
     # group by the first w2 block's row; the stable sort keeps level order within
     columns.sort(key=lambda column: column[1][0])
     col_labels, col_outcomes = zip(*columns)
-    return FunctionalSystem(district, row_labels, col_labels, col_outcomes)
+    return FunctionalSystem(names, shape, col_labels, col_outcomes)
 
 
-def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
+def row_symmetries(system: FunctionalSystem):
     """Row permutations of B that should map its columns onto themselves.
 
     Yields permutations ``perm`` of the row indices, read as the coordinate
@@ -240,13 +238,13 @@ def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
       to its image's. Transpositions generate every permutation of
       interchangeable members, as in the Bell scenarios' party swaps.
 
-    Positions, cardinalities and parents are read from the district's
-    ``district_shape``, the values of each row from ``system.row_labels``.
-    A generator: nothing is built until ``v_to_h`` reads it, which it does
-    only for large point sets.
+    Positions, cardinalities and parents are read from ``system.shape``,
+    and so are the values of each row: members then external parents, in
+    row order. A generator: nothing is built until ``v_to_h`` reads it,
+    which it does only for large point sets.
     """
-    _, (n, cards, parents, _) = district_shape(dag, system.district)
-    rows = [w1.values() + w2.values() for w1, w2 in system.row_labels]
+    n, cards, parents, _ = system.shape
+    rows = _value_tuples(cards)
     index = {row: r for r, row in enumerate(rows)}
 
     # an external parent has no condition: its one configuration is ()
@@ -274,7 +272,7 @@ def row_symmetries(dag: HiddenDag, system: FunctionalSystem):
                 yield tuple(index[tuple(map(row.__getitem__, image))] for row in rows)
 
 
-def star_factors(dag: HiddenDag, district: District) -> list[tuple[str, tuple[str, ...]]]:
+def star_factors(dag: HiddenDag, members: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
     """Per-member (variable, conditioning set) pairs of the identifying product.
 
     The factor for member W conditions on every variable that is a parent of
@@ -288,16 +286,16 @@ def star_factors(dag: HiddenDag, district: District) -> list[tuple[str, tuple[st
     benchmark change that also rewrites the copy of this rule in
     ``bench/gate.py``.
     """
-    members = set(district.members)
-    pool = dag.observed_parents(members) | members
+    pool = set(members)
+    pool |= dag.observed_parents(pool)
     factors = []
-    for m in district.members:
+    for m in members:
         cond = (pool & dag.observed_ancestors([m])) - {m}
         factors.append((m, dag.sort_observed(cond)))
     return factors
 
 
-def star_keys(dag: HiddenDag, district: District,
+def star_keys(dag: HiddenDag, members: tuple[str, ...],
               labels: Sequence[tuple[Configuration, Configuration]]) -> tuple:
     """The table marginals that the rows of ``labels`` read, as keys.
 
@@ -311,7 +309,7 @@ def star_keys(dag: HiddenDag, district: District,
     """
     rows = [dict(w1.items + w2.items) for w1, w2 in labels]
     keys = []
-    for member, cond in star_factors(dag, district):
+    for member, cond in star_factors(dag, members):
         given = [tuple([values[name] for name in cond]) for values in rows]
         joint = [key + (values[member],) for key, values in zip(given, rows)]
         keys.append((cond, cond + (member,), tuple(given), tuple(joint)))
@@ -360,5 +358,5 @@ def star_probability(table: JointTable, dag: HiddenDag, district: District,
     Returns the product of identifying conditionals, or ``None`` when some
     conditioning event has probability zero (not evaluable).
     """
-    scale, (scaled,) = star_scaled(table, star_keys(dag, district, [(w1, w2)]))
+    scale, (scaled,) = star_scaled(table, star_keys(dag, district.members, [(w1, w2)]))
     return None if scaled is None else Fraction(scaled, scale)

@@ -758,11 +758,11 @@ def scan_prob(table: JointTable, assignment: dict) -> Fraction:
     )
 
 
-def _scan_star(table, dag, district, w1, w2):
+def _scan_star(table, dag, members, w1, w2):
     values = dict(w1.items)
     values.update(w2.items)
     result = Fraction(1)
-    for member, cond in star_factors(dag, district):
+    for member, cond in star_factors(dag, members):
         given = {name: values[name] for name in cond}
         denom = scan_prob(table, given)
         if denom == 0:
@@ -784,7 +784,7 @@ def evaluate_by_scan(result: DerivationResult, dag: HiddenDag, table: JointTable
         if record.system is None:
             continue
         stars = [
-            _scan_star(table, working, record.system.district, w1, w2)
+            _scan_star(table, working, record.members, w1, w2)
             for w1, w2 in record.system.row_labels
         ]
         for c in record.constraints:

@@ -51,3 +51,21 @@ def test_bench_ops_pass_the_gate(monkeypatch):
     expected = gate.expected_statuses(result, workload.graph, table.probs, tolerance)
     doc = runner.check(runner.untraced, dag, result, table.csv)
     assert gate.check_report(doc, expected, table.kind, tolerance) == []
+
+
+def test_bench_selftest_passes(monkeypatch, tmp_path):
+    # the self-test runs the traced ops too, whose hooks read the systems and
+    # HReps; bytecode and traces go nowhere under bench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # the setup-sample interpreters
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import run
+    import selftest
+
+    monkeypatch.setattr(run, "TRACE_DIR", str(tmp_path))
+    affinity = os.sched_getaffinity(0)  # the speed sampler pins this process
+    try:
+        assert selftest.main() == 0
+    finally:
+        os.sched_setaffinity(0, affinity)
+    assert sorted(os.listdir(tmp_path)) == ["chsh.trace", "iv.trace"]

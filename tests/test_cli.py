@@ -368,6 +368,28 @@ def test_check_bad_table_exits_5(examples, tmp_path, capsys):
     assert "sum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("graph, table, code, message", [
+    ("# only a comment\n", None, 2, "graph declares no variables"),
+    ("var A 2\nvar B 2\nedge A\n", None, 2, "line 3: expected 'edge <parent> <child>'"),
+    (None, "", 5, "empty distribution file"),
+    (None, "  \n\n", 5, "empty distribution file"),
+    (None, "Z,X,Y,prob\n0,x,0,1\n", 5, "non-integer value in row ['0', 'x', '0', '1']"),
+], ids=["no-variables", "short-edge", "empty-table", "blank-table", "non-integer-cell"])
+def test_input_error_exit_code_and_message(examples, tmp_path, capsys, graph, table, code,
+                                           message):
+    capsys.readouterr()
+    if table is None:
+        path = tmp_path / "input.graph"
+        path.write_text(graph)
+        args = ["derive", str(path)]
+    else:
+        path = tmp_path / "table.csv"
+        path.write_text(table)
+        args = ["check", path_of(examples, "iv.graph"), str(path)]
+    assert main(args) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", [7, -1])
 @pytest.mark.parametrize("prob", ["0", "1"])
 def test_check_out_of_range_row_exits_5(examples, tmp_path, capsys, value, prob):

@@ -281,6 +281,7 @@ def test_render_modes_agree_numerically(graphs):
     rng = random.Random(3)
     table = table_from_dict(dag, structural_model_table(dag, rng))
     result = derive_all(dag)
+    districts = {d.members: d for d in dag.districts()}
     for record in result.districts:
         if record.skipped:
             continue
@@ -290,11 +291,11 @@ def test_render_modes_agree_numerically(graphs):
             values = dict(w1.items)
             values.update(w2.items)
             product = Fraction(1)
-            for member, cond in star_factors(dag, record.system.district):
+            for member, cond in star_factors(dag, record.members):
                 given = {n: values[n] for n in cond}
                 product *= table.prob({**given, member: values[member]}) / table.prob(given)
             assert product == star_probability(
-                table, dag, record.system.district, w1, w2
+                table, dag, districts[record.members], w1, w2
             )
 
 
@@ -666,7 +667,7 @@ def expected_conversions(result) -> list:
     for record in result.districts:
         if record.skipped:
             continue
-        shape = district_shape(result.derived_graph, record.system.district)[1]
+        shape = record.system.shape
         if shape not in first:
             first[shape] = (
                 ("simplex_product_hrep", record.block_sizes)
@@ -686,7 +687,7 @@ def test_districts_of_one_shape_share_one_conversion(monkeypatch, seed):
     calls = counting_v_to_h(monkeypatch)
     result = derive_all(sparse_dag(random.Random(seed)), DeriveOptions(timings=True))
     derived = [r for r in result.districts if not r.skipped]
-    shapes = [district_shape(result.derived_graph, r.system.district)[1] for r in derived]
+    shapes = [r.system.shape for r in derived]
     keys = [(tuple(r.system.columns_as_points()), r.block_sizes) for r in derived]
     assert len(calls) == len(set(calls)) == len(set(shapes)) < len(shapes)
     # each shape converted once, and v_to_h exactly for those not full products
@@ -808,12 +809,13 @@ def test_a_repeated_shape_gets_the_system_a_fresh_build_gives(monkeypatch):
             result = derive_all(dag, DeriveOptions(merge=True, column_limit=256))
         except ColumnLimitError:
             continue
+        districts = {d.members: d for d in result.derived_graph.districts()}
         for record in result.districts:
-            if record.skipped or record.system.district in [args[1] for args in built[done:]]:
+            if record.skipped or record.members in [args[1].members for args in built[done:]]:
                 continue
             reused += 1
-            fresh = build_functional_system(result.derived_graph, record.system.district, 256)
-            for field in FunctionalSystem._fields:
+            fresh = build_functional_system(result.derived_graph, districts[record.members], 256)
+            for field in FunctionalSystem._fields + ("row_labels",):
                 assert getattr(record.system, field) == getattr(fresh, field), (
                     dag.to_text(), record.members, field)
     assert reused > 70
@@ -868,8 +870,7 @@ def test_each_shape_is_built_and_converted_once(monkeypatch):
             result = derive_all(dag, DeriveOptions(merge=True, column_limit=64, timings=True))
         except ColumnLimitError:
             continue
-        shapes = [district_shape(result.derived_graph, record.system.district)[1]
-                  for record in result.districts if not record.skipped]
+        shapes = [record.system.shape for record in result.districts if not record.skipped]
         first = list(dict.fromkeys(shapes))
         assert [district_shape(result.derived_graph, args[1])[1] for args in built] == first
         assert len(converted) == result.meta["timings"]["conversions"] == len(first)
@@ -933,7 +934,7 @@ def test_star_probability_matches_push_through(graphs):
     # build the joint, and read the star terms back exactly
     dag = graphs["iv"]
     result = derive_all(dag)
-    record = result.districts[1]
+    record, district = result.districts[1], dag.districts()[1]
     fs = record.system
     rng = random.Random(7)
     r = positive_simplex_point(rng, fs.n_cols)
@@ -945,4 +946,4 @@ def test_star_probability_matches_push_through(graphs):
         probs[(z, w1["X"], w1["Y"])] = pushed[row] * pz[z]
     table = table_from_dict(dag, probs)
     for row, (w1, w2) in enumerate(fs.row_labels):
-        assert star_probability(table, dag, fs.district, w1, w2) == pushed[row]
+        assert star_probability(table, dag, district, w1, w2) == pushed[row]

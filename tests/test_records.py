@@ -1,12 +1,12 @@
 """The record classes: their fields, construction, immutability and repr.
 
-Most records are ``typing.NamedTuple`` classes; the few that keep derived
-state (``JointTable``, ``DistrictResult``, ``DerivationResult``) are plain
-classes. Either way a record builds positionally or by keyword, refuses
-attribute assignment, compares by its field values, hashes as the tuple of
-them, prints as ``Name(field=value, ...)`` and copies and pickles. Importing the package loads
-neither ``dataclasses`` nor ``inspect``, and the package exports exactly the
-names pinned here.
+Most records are ``typing.NamedTuple`` classes; the two that keep derived
+state (``JointTable``, ``DerivationResult``) are plain classes. Either way a
+record builds positionally or by keyword, refuses attribute assignment,
+compares by its field values, hashes as the tuple of them, prints as
+``Name(field=value, ...)`` and copies and pickles. Importing the package
+loads neither ``dataclasses`` nor ``inspect``, and the package exports
+exactly the names pinned here.
 """
 
 import copy
@@ -50,8 +50,6 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 REQUIRED = inspect.Parameter.empty
 STATEMENT = CIStatement(("A",), ("B",), ("C",))
 CONSTRAINT = Constraint(((0, 1), (2, -1)), "<=", 0, True, 3)
-DISTRICT = District(("A", "B"), ("U",))
-CONFIG = Configuration((("A", 0), ("B", 1)))
 STEP = RewriteStep("exogenize", "made U exogenous", (("add_edge", "Z", "X"),))
 CI_STATUS = CIStatus(STATEMENT, "satisfied", Fraction(0))
 DISTRICT_RESULT = DistrictResult(("A", "B"), 1, None, (CONSTRAINT,))
@@ -68,9 +66,9 @@ RECORDS = {
     VRep: ((("points", REQUIRED),), (((0, 1), (1, Fraction(1, 2))),)),
     HRep: ((("ineq", REQUIRED), ("eq", REQUIRED)), ((((1, 0), 1),), (((0, 1), 0),))),
     Configuration: ((("items", REQUIRED),), ((("A", 0), ("B", 1)),)),
-    FunctionalSystem: ((("district", REQUIRED), ("row_labels", REQUIRED),
+    FunctionalSystem: ((("names", REQUIRED), ("shape", REQUIRED),
                         ("col_labels", REQUIRED), ("col_outcomes", REQUIRED)),
-                       (DISTRICT, ((CONFIG, Configuration(())),), ((0, 1),), ((0,),))),
+                       (("A", "B"), (2, (2, 2), ((), ()), (0, 1)), ((0, 0),), ((0,),))),
     RewriteStep: ((("rule", REQUIRED), ("description", REQUIRED), ("edits", REQUIRED)),
                   ("exogenize", "made U exogenous", (("add_edge", "Z", "X"),))),
     RewriteLog: ((("steps", ()),), ((STEP,),)),
@@ -160,12 +158,11 @@ def test_derived_state_stays_out_of_equality():
     dag = parse_graph(FIXTURE_GRAPHS["iv"])
     result = derive_all(dag)
     record = result.districts[1]
-    assert record.star_texts is record.star_texts  # cached_property values
-    assert result.check_plans is result.check_plans
+    assert result.check_plans is result.check_plans  # a cached_property value
     fresh = derive_all(dag)
     assert record == fresh.districts[1] and hash(record) == hash(fresh.districts[1])
     assert result == fresh
-    assert "star_texts" not in repr(record) and "check_plans" not in repr(result)
+    assert "check_plans" not in repr(result)
 
 
 @pytest.mark.parametrize("args, message", [

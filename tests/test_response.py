@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from obscon import (
     star_probability,
 )
 from obscon.fixtures import FIXTURE_GRAPHS
-from obscon.response import Configuration, enumerate_configs
+from obscon.response import Configuration
 
 from conftest import BELL_CHSH, BELL_I3322
 
@@ -114,7 +115,8 @@ def test_response_enccode_decode_round_trip(data):
     outputs = [
         eval_response(spec, level, cfg)
         for cfg in sorted(
-            enumerate_configs(spec.parent_order, spec.parent_cards),
+            (Configuration.make(spec.parent_order, values)
+             for values in product(*map(range, spec.parent_cards))),
             key=spec.config_index,
         )
     ]
@@ -252,8 +254,7 @@ def test_build_matches_the_reference_encoding():
             got = (fs.row_labels, fs.col_labels, fs.col_outcomes)
             assert got == reference_system(dag, district), dag.to_text()
             compared += 1
-            names = district.members + fs.w2_order
-            ternary += fs.n_cols > 2 and any(dag.cardinality(n) == 3 for n in names)
+            ternary += fs.n_cols > 2 and any(dag.cardinality(n) == 3 for n in fs.names)
     assert compared > 300 and ternary > 100
 
 
@@ -354,31 +355,31 @@ def test_push_through_matches_star(graphs):
     rng = random.Random(17)
     for name in ("iv", "frontdoor", "nested_pair_right", "iv_sequential"):
         dag = graphs[name]
-        systems = [build_functional_system(dag, d) for d in dag.districts()]
+        districts = dag.districts()
+        systems = [build_functional_system(dag, d) for d in districts]
         rs = {
-            fs.district.members: positive_simplex_point(rng, fs.n_cols)
+            fs.members: positive_simplex_point(rng, fs.n_cols)
             for fs in systems
         }
-        pushed = {fs.district.members: multiply(fs, rs[fs.district.members]) for fs in systems}
+        pushed = {fs.members: multiply(fs, rs[fs.members]) for fs in systems}
 
         observed = dag.observed_names()
         probs = {}
-        for config in enumerate_configs(observed, [dag.cardinality(w) for w in observed]):
+        for config in product(*[range(dag.cardinality(w)) for w in observed]):
             weight = Fraction(1)
-            values = config.as_dict()
+            values = dict(zip(observed, config))
             for fs in systems:
-                members = fs.district.members
+                members = fs.members
+                parents = fs.names[len(members):]
                 w1 = Configuration.make(members, tuple(values[m] for m in members))
-                w2 = Configuration.make(
-                    fs.w2_order, tuple(values[p] for p in fs.w2_order)
-                )
+                w2 = Configuration.make(parents, tuple(values[p] for p in parents))
                 row = fs.row_labels.index((w1, w2))
-                weight *= pushed[fs.district.members][row]
-            probs[config.values()] = weight
+                weight *= pushed[fs.members][row]
+            probs[config] = weight
         table = table_from_dict(dag, probs)
 
-        for fs in systems:
-            expected = pushed[fs.district.members]
+        for district, fs in zip(districts, systems):
+            expected = pushed[fs.members]
             for row, (w1, w2) in enumerate(fs.row_labels):
-                got = star_probability(table, dag, fs.district, w1, w2)
+                got = star_probability(table, dag, district, w1, w2)
                 assert got == expected[row]

@@ -23,12 +23,12 @@ from test_bench_spans import BENCH_DIR
 
 
 def derived_systems(text):
-    """(dag, system) of every district a derivation builds a system for,
-    merging latents first where a district has c-degree above 1."""
+    """The system of every district a derivation builds one for, merging
+    latents first where a district has c-degree above 1."""
     dag = parse_graph(text)
     if any(d.c_degree > 1 for d in dag.districts()):
         dag, _ = merge_district_latents(dag)
-    return [(dag, build_functional_system(dag, d)) for d in dag.districts()
+    return [build_functional_system(dag, d) for d in dag.districts()
             if len(d.members) > 1 or dag.observed_parents(d.members)]
 
 
@@ -76,9 +76,9 @@ def group_order(generators):
     return len(elements)
 
 
-def verified(dag, system):
+def verified(system):
     points = distinct(system.columns_as_points())
-    return points, polyhedra.point_symmetries(points, row_symmetries(dag, system))
+    return points, polyhedra.point_symmetries(points, row_symmetries(system))
 
 
 DIFFERENTIAL = {name: text for name, text in FIXTURE_GRAPHS.items()
@@ -88,10 +88,10 @@ DIFFERENTIAL.update(chsh=BELL_CHSH, i3322=BELL_I3322)
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_forced_orbit_path_matches_plain_dd(monkeypatch, name):
-    for dag, system in derived_systems(DIFFERENTIAL[name]):
+    for system in derived_systems(DIFFERENTIAL[name]):
         points = system.columns_as_points()
-        hrep, sizes = orbit_v_to_h(monkeypatch, points, row_symmetries(dag, system))
-        assert hrep == v_to_h(VRep(tuple(points))), (name, system.district.members)
+        hrep, sizes = orbit_v_to_h(monkeypatch, points, row_symmetries(system))
+        assert hrep == v_to_h(VRep(tuple(points))), (name, system.members)
         assert sum(sizes) == len(hrep.ineq)
 
 
@@ -144,11 +144,11 @@ def test_forced_orbit_path_on_symmetric_point_sets(monkeypatch):
 
 
 def test_a_proposal_that_is_no_symmetry_is_dropped():
-    (dag, system), = derived_systems(BELL_I3322)
-    points, generators = verified(dag, system)
+    system, = derived_systems(BELL_I3322)
+    points, generators = verified(system)
     bogus = list(range(system.n_rows))
     bogus[0], bogus[1] = 1, 0
-    proposals = [tuple(bogus)] + list(row_symmetries(dag, system))
+    proposals = [tuple(bogus)] + list(row_symmetries(system))
     assert polyhedra.point_symmetries(points, proposals) == generators
     assert polyhedra._orbit_generators(points, proposals) == generators
     assert v_to_h(VRep(tuple(points)), symmetries=proposals) == v_to_h(VRep(tuple(points)))
@@ -157,10 +157,10 @@ def test_a_proposal_that_is_no_symmetry_is_dropped():
 def paths(text):
     """Per district with a system: members -> the path v_to_h takes."""
     out = {}
-    for dag, system in derived_systems(text):
+    for system in derived_systems(text):
         points = distinct(system.columns_as_points())
-        chosen = polyhedra._orbit_generators(points, row_symmetries(dag, system))
-        out[",".join(system.district.members)] = "plain" if chosen is None else "orbit"
+        chosen = polyhedra._orbit_generators(points, row_symmetries(system))
+        out[",".join(system.members)] = "plain" if chosen is None else "orbit"
     return out
 
 
@@ -191,8 +191,8 @@ def test_path_of_each_bench_district(monkeypatch):
 
 
 def test_pruned_generators_drop_identity_and_repeats():
-    (dag, system), = derived_systems(BELL_I3322)
-    _, generators = verified(dag, system)
+    system, = derived_systems(BELL_I3322)
+    _, generators = verified(system)
     identity = tuple(range(len(generators[0])))
     pruned = polyhedra._pruned_generators(generators)
     padded = [identity] + generators[::-1] + [identity] + generators
@@ -229,16 +229,15 @@ def test_group_orders():
             (FIXTURE_GRAPHS["mixed_cdegree"], ("V2", "V4", "V5"), 64, (6, 5)),
             (FIXTURE_GRAPHS["bell_tripartite"], ("V1", "V2", "V3"), 3_072, (12, 4)),
             (FIXTURE_GRAPHS["nested_pair_left"], ("V2", "V4"), 256, (8, 4))):
-        (dag, system), = [(d, s) for d, s in derived_systems(text)
-                          if s.district.members == members]
-        _, generators = verified(dag, system)
+        system, = [s for s in derived_systems(text) if s.members == members]
+        _, generators = verified(system)
         pruned = polyhedra._pruned_generators(generators)
         assert set(pruned) <= set(generators), members
         assert (len(generators), len(pruned)) == sizes, members
         assert group_order(generators) == group_order(pruned) == order, members
 
 
-# SHA-256 of repr(list(row_symmetries(dag, system))): the proposals and
+# SHA-256 of repr(list(row_symmetries(system))): the proposals and
 # their order, which test_group_orders does not see
 @pytest.mark.parametrize("text, members, count, digest", [
     (BELL_CHSH, ("A", "B"), 7,
@@ -253,9 +252,8 @@ def test_group_orders():
      "201137f17a06849030b6ba18eb08f7d2d82321f8607724884370b274e2f01f98"),
 ], ids=["chsh", "i3322", "bell_tripartite", "nested_pair_left", "mixed_cdegree"])
 def test_proposal_lists(text, members, count, digest):
-    (dag, system), = [(d, s) for d, s in derived_systems(text)
-                      if s.district.members == members]
-    proposals = list(row_symmetries(dag, system))
+    system, = [s for s in derived_systems(text) if s.members == members]
+    proposals = list(row_symmetries(system))
     assert len(proposals) == count
     assert sha256(repr(proposals).encode()).hexdigest() == digest
 
@@ -266,9 +264,9 @@ def test_proposal_lists(text, members, count, digest):
     (BELL_I3322, [36, 72, 576]),
 ], ids=["chsh", "i3322"])
 def test_facet_orbit_sizes(monkeypatch, text, sizes):
-    (dag, system), = derived_systems(text)
+    system, = derived_systems(text)
     points = system.columns_as_points()
-    _, got = orbit_v_to_h(monkeypatch, points, row_symmetries(dag, system))
+    _, got = orbit_v_to_h(monkeypatch, points, row_symmetries(system))
     assert got == sizes
 
 
