@@ -84,27 +84,24 @@ class HiddenDag:
 
     def __init__(self, variables: Sequence[Variable], edges: Iterable[tuple[str, str]]):
         self.variables: tuple[Variable, ...] = tuple(variables)
-        self._by_name = {}
-        for v in self.variables:
-            if v.name in self._by_name:
+        self._index: dict[str, int] = {}
+        for i, v in enumerate(self.variables):
+            if self._index.setdefault(v.name, i) != i:
                 raise GraphStructureError(f"duplicate variable name {v.name!r}")
-            self._by_name[v.name] = v
-        self._index = {v.name: i for i, v in enumerate(self.variables)}
 
-        edge_list = []
         edge_set = set()
         for parent, child in edges:
             for end in (parent, child):
-                if end not in self._by_name:
+                if end not in self._index:
                     raise GraphStructureError(f"edge endpoint {end!r} is not declared")
             if parent == child:
                 raise GraphStructureError(f"self-loop on {parent!r}")
             if (parent, child) in edge_set:
                 raise GraphStructureError(f"duplicate edge {parent!r} -> {child!r}")
             edge_set.add((parent, child))
-            edge_list.append((parent, child))
+        # sorted by index, so the order of the input does not matter
         self.edges: tuple[tuple[str, str], ...] = tuple(
-            sorted(edge_list, key=lambda e: (self._index[e[0]], self._index[e[1]]))
+            sorted(edge_set, key=lambda e: (self._index[e[0]], self._index[e[1]]))
         )
 
         self._parents = {v.name: [] for v in self.variables}
@@ -121,25 +118,24 @@ class HiddenDag:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HiddenDag):
             return NotImplemented
-        return self.variables == other.variables and set(self.edges) == set(other.edges)
+        return self.variables == other.variables and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.edges)))
+        return hash((self.variables, self.edges))
 
     def __repr__(self):
         obs = len(self.observed_names())
         lat = len(self.latent_names())
         return f"HiddenDag({obs} observed, {lat} latent, {len(self.edges)} edges)"
 
-    def variable(self, name: str) -> Variable:
+    def index(self, name: str) -> int:
         try:
-            return self._by_name[name]
+            return self._index[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def index(self, name: str) -> int:
-        self.variable(name)
-        return self._index[name]
+    def variable(self, name: str) -> Variable:
+        return self.variables[self.index(name)]
 
     def is_observed(self, name: str) -> bool:
         return self.variable(name).observed
@@ -196,38 +192,29 @@ class HiddenDag:
         return frozenset(seen)
 
     def districts(self) -> list[District]:
-        """Partition of the observed variables by latent-origin connectivity.
+        """Partition of the observed variables by shared latent parents.
 
-        Drop every edge that does not leave a latent variable; the connected
-        components of the observed set are the districts, listed by smallest
-        member index, with members sorted canonically.
+        Each latent joins the districts of its observed children into one;
+        an edge between two latents joins nothing. On a graph that fails C1
+        these are the districts of the graph as drawn, which ``normalize``
+        may merge. Districts are listed by smallest member index, with
+        members sorted canonically, and each latent goes with its observed
+        children.
         """
         observed = self.observed_names()
-        dsu = {v.name: v.name for v in self.variables}
-
-        def find(x):
-            while dsu[x] != x:
-                dsu[x] = dsu[dsu[x]]
-                x = dsu[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                dsu[ra] = rb
-
-        # each latent joins the component of its observed children
+        home = {w: frozenset((w,)) for w in observed}
         for u in self.latent_names():
-            for child in self.observed_children(u):
-                union(child, u)
+            joined = frozenset().union(*(home[c] for c in self.observed_children(u)))
+            home.update(dict.fromkeys(joined, joined))
         # observed names come in canonical order, so each group's members do,
         # and the groups come ordered by their first member
-        groups: dict[str, tuple[list[str], list[str]]] = {}
-        for name in observed:
-            groups.setdefault(find(name), ([], []))[0].append(name)
+        groups: dict[frozenset[str], tuple[list[str], list[str]]] = {}
+        for w in observed:
+            groups.setdefault(home[w], ([], []))[0].append(w)
         for u in self.latent_names():
-            if find(u) in groups:  # a latent without observed children is in none
-                groups[find(u)][1].append(u)
+            children = self.observed_children(u)
+            if children:  # a latent without observed children is in none
+                groups[home[children[0]]][1].append(u)
         return [District(tuple(members), tuple(latents))
                 for members, latents in groups.values()]
 
@@ -344,39 +331,36 @@ def parse_graph(text: str) -> HiddenDag:
             continue
         fields = line.split()
         keyword = fields[0]
-        try:
-            if keyword == "var":
-                if len(fields) != 3:
-                    raise GraphParseError("expected 'var <name> <cardinality>'", lineno)
-                name, card = fields[1], fields[2]
-                # isdigit alone admits digits such as '²' that int() rejects,
-                # and int() refuses more digits than the interpreter's limit
-                digits = card.isascii() and card.isdigit()
-                limit = sys.get_int_max_str_digits()
-                if digits and limit and len(card) > limit:
-                    raise GraphParseError(
-                        f"cardinality of {name!r} has more than {limit} digits", lineno
-                    )
-                if not digits or int(card) < 2:
-                    raise GraphParseError(
-                        f"observed variable {name!r} needs an integer cardinality >= 2",
-                        lineno,
-                    )
-                variables.append(Variable(name, "observed", int(card)))
-            elif keyword == "latent":
-                if len(fields) != 2:
-                    raise GraphParseError(
-                        "expected 'latent <name>' (latents carry no cardinality)", lineno
-                    )
-                variables.append(Variable(fields[1], "latent"))
-            elif keyword == "edge":
-                if len(fields) != 3:
-                    raise GraphParseError("expected 'edge <parent> <child>'", lineno)
-                edges.append((fields[1], fields[2]))
-            else:
-                raise GraphParseError(f"unknown directive {keyword!r}", lineno)
-        except GraphStructureError as exc:
-            raise GraphParseError(str(exc), lineno) from exc
+        if keyword == "var":
+            if len(fields) != 3:
+                raise GraphParseError("expected 'var <name> <cardinality>'", lineno)
+            name, card = fields[1], fields[2]
+            # isdigit alone admits digits such as '²' that int() rejects,
+            # and int() refuses more digits than the interpreter's limit
+            digits = card.isascii() and card.isdigit()
+            limit = sys.get_int_max_str_digits()
+            if digits and limit and len(card) > limit:
+                raise GraphParseError(
+                    f"cardinality of {name!r} has more than {limit} digits", lineno
+                )
+            if not digits or int(card) < 2:
+                raise GraphParseError(
+                    f"observed variable {name!r} needs an integer cardinality >= 2",
+                    lineno,
+                )
+            variables.append(Variable(name, "observed", int(card)))
+        elif keyword == "latent":
+            if len(fields) != 2:
+                raise GraphParseError(
+                    "expected 'latent <name>' (latents carry no cardinality)", lineno
+                )
+            variables.append(Variable(fields[1], "latent"))
+        elif keyword == "edge":
+            if len(fields) != 3:
+                raise GraphParseError("expected 'edge <parent> <child>'", lineno)
+            edges.append((fields[1], fields[2]))
+        else:
+            raise GraphParseError(f"unknown directive {keyword!r}", lineno)
         if keyword in ("var", "latent"):
             name = fields[1]
             if name in names:

@@ -222,10 +222,6 @@ def hlp_add_edge(dag: HiddenDag, w1: str, w2: str) -> HiddenDag:
         raise RewriteError(
             f"parent {sorted(missing)[0]} of {w1} is not a parent of {w2}"
         )
-    for u in dag.latent_names():
-        ch = set(dag.observed_children(u))
-        if w1 in ch and w2 not in ch:
-            raise RewriteError(f"latent {u} points at {w1} but not at {w2}")
     if (w1, w2) in dag.edges:
         return dag
     try:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles, not by calling
 the code under test: a dictionary simplex over exact rationals, double
-description with the full-scan adjacency test, a path-enumeration
-d-separation checker, a CI enumeration that tries every subset of the other
-observed variables and writes its statements and their pairs by names
+description with the full-scan adjacency test, districts by breadth-first
+search over the observed variables, a path-enumeration d-separation
+checker, a CI enumeration that tries every subset of the other observed
+variables and writes its statements and their pairs by names
 (``make_statement``, ``statement_pairs``), a per-pair scan for minimal
 separators over the subsets of the pair's observed ancestors, a
 structural-model sampler that marginalizes finite latent variables
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -39,7 +41,7 @@ from obscon.constraints import (
     ViolationReport,
     render,
 )
-from obscon.graph import HiddenDag, Variable, parse_graph
+from obscon.graph import District, HiddenDag, Variable, parse_graph
 from obscon.independence import CIStatement, d_separated
 from obscon.polyhedra import (
     HRep,
@@ -323,6 +325,39 @@ def extreme_rays_full_scan(rows, progress=None):
         rays = ([(rays[j][0], rays[j][1] | {position}) for j in zero]
                 + [rays[j] for j in minus] + new_rays)
     return [vec for vec, _ in rays]
+
+
+# -- districts by breadth-first search --------------------------------------
+
+
+def districts_by_search(dag: HiddenDag) -> list[District]:
+    """Connected components of the observed variables, found breadth first.
+
+    Two observed variables are adjacent when one latent has both as observed
+    children. Components are listed by their first variable in declaration
+    order, each with its members in that order and the latents that have an
+    observed child in it; a latent without observed children is in none.
+    """
+    observed = [v.name for v in dag.variables if v.observed]
+    kids = {v.name: {c for p, c in dag.edges if p == v.name and c in observed}
+            for v in dag.variables if not v.observed}
+    adjacent = {w: set() for w in observed}
+    for children in kids.values():
+        for w in children:
+            adjacent[w] |= children
+    found, seen = [], set()
+    for start in observed:
+        if start in seen:
+            continue
+        component, queue = {start}, deque([start])
+        while queue:
+            for w in adjacent[queue.popleft()] - component:
+                component.add(w)
+                queue.append(w)
+        seen |= component
+        found.append(District(tuple(w for w in observed if w in component),
+                              tuple(u for u, children in kids.items() if children & component)))
+    return found
 
 
 # -- d-separation by path enumeration ---------------------------------------

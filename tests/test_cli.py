@@ -249,8 +249,8 @@ def test_readme_library_example_runs(examples):
     with open(readme, encoding="utf-8") as fh:
         code = re.search(r"\n## Library\n+```python\n(.*?)```", fh.read(), re.S).group(1)
     for name, emitted in (("iv.graph", "iv.graph"), ("table.csv", "iv_violator.csv")):
-        assert f'open("{name}")' in code
-        code = code.replace(f'open("{name}")', f"open({path_of(examples, emitted)!r})")
+        assert f'"{name}"' in code
+        code = code.replace(f'"{name}"', repr(path_of(examples, emitted)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, readme, "exec"), {})
@@ -374,7 +374,11 @@ def test_check_bad_table_exits_5(examples, tmp_path, capsys):
     (None, "", 5, "empty distribution file"),
     (None, "  \n\n", 5, "empty distribution file"),
     (None, "Z,X,Y,prob\n0,x,0,1\n", 5, "non-integer value in row ['0', 'x', '0', '1']"),
-], ids=["no-variables", "short-edge", "empty-table", "blank-table", "non-integer-cell"])
+    # a ratio above 2**60 is written by its exponent
+    (None, "Z,X,Y,prob\n0,0,1,1e999\n", 5,
+     "probabilities sum to about 1.00000e999, expected 1"),
+], ids=["no-variables", "short-edge", "empty-table", "blank-table", "non-integer-cell",
+        "huge-sum"])
 def test_input_error_exit_code_and_message(examples, tmp_path, capsys, graph, table, code,
                                            message):
     capsys.readouterr()
@@ -493,6 +497,26 @@ def test_rewrite_hlp_self_edge_exits_3(examples, capsys):
     code = main(["rewrite", path_of(examples, "iv.graph"), "--hlp", "X", "X"])
     assert code == 3
     assert capsys.readouterr().err == "error: adding X -> X creates a cycle\n"
+
+
+@pytest.mark.parametrize("graph, args, message", [
+    ("var C 2\nvar D 2\nvar E 2\nlatent U\nlatent V\n"
+     "edge U C\nedge U D\nedge V C\nedge V E\n",
+     ["--replace", "U", "--c-set", "C", "--d-set", "D"],
+     "bullet 2: C in c_set is also a child of latent V"),
+    ("".join(f"var W{i} 2\n" for i in range(5)) + "latent U0\nlatent U1\n" + "".join(
+        f"edge {p} {c}\n" for p, c in (
+            ("W0", "W2"), ("W0", "W3"), ("W0", "W4"), ("W1", "W4"), ("W2", "W4"),
+            ("W3", "W4"), ("U0", "W2"), ("U0", "W3"), ("U0", "W4"), ("U1", "W0"),
+            ("U1", "W3"), ("U1", "W4"))),
+     ["--face-split", "U0", "U1"],
+     "bullet 1: listed latents disagree on the splittable subset (witness W3)"),
+], ids=["replace-child-of-other-latent", "face-split-disagreement"])
+def test_rewrite_precondition_message(tmp_path, capsys, graph, args, message):
+    path = tmp_path / "input.graph"
+    path.write_text(graph)
+    assert main(["rewrite", str(path), *args]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("args", [

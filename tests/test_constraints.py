@@ -13,8 +13,12 @@ import obscon.independence
 from obscon import (
     ConditionsError,
     DeriveOptions,
+    GraphStructureError,
+    HiddenDag,
     HRep,
+    Variable,
     VRep,
+    d_separated,
     derive_all,
     evaluate,
     flag_nontrivial,
@@ -28,7 +32,7 @@ from obscon.constraints import (
     report_to_json,
     result_to_json,
 )
-from obscon.polyhedra import simplex_product_hrep
+from obscon.polyhedra import extreme_rays, simplex_product_hrep
 from obscon.response import (
     ColumnLimitError,
     Configuration,
@@ -947,3 +951,41 @@ def test_star_probability_matches_push_through(graphs):
     table = table_from_dict(dag, probs)
     for row, (w1, w2) in enumerate(fs.row_labels):
         assert star_probability(table, dag, district, w1, w2) == pushed[row]
+
+
+IV = parse_graph(FIXTURE_GRAPHS["iv"])
+# fails C1: the latent U2 has the latent parent U1
+NESTED = parse_graph("var A 2\nvar B 2\nlatent U1\nlatent U2\nedge U1 U2\nedge U2 A\nedge U1 B\n")
+
+
+def _iv_row():
+    record = derive_all(IV).districts[1]
+    return record.constraints[0], record.system
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: HiddenDag([Variable("A", "observed", 2), Variable("A", "latent")], []),
+     GraphStructureError("duplicate variable name 'A'")),
+    (lambda: IV == "x", False),
+    (lambda: IV.cardinality("U"), ValueError("latent variable 'U' has no cardinality")),
+    (lambda: IV.observed_ancestors(["U"]), ValueError("'U' is not an observed variable")),
+    (lambda: d_separated(IV, [], ["Y"], ["X"]), True),
+    (lambda: render(*_iv_row(), None, "latex"), ValueError("unknown mode 'latex'")),
+    (lambda: render(*_iv_row(), None, "observable"),
+     ValueError("observable mode needs the graph")),
+    (lambda: evaluate(derive_all(IV), IV, parse_table("A,B,prob\n0,0,1\n", NESTED)),
+     ValueError("table variables do not match the graph")),
+    (lambda: extreme_rays([]), ValueError("no constraint rows")),
+    (lambda: build_functional_system(NESTED, NESTED.districts()[0]),
+     ValueError("graph violates the structural conditions; normalize it first")),
+], ids=["duplicate-name", "eq-other-type", "latent-cardinality", "latent-ancestors",
+        "empty-side-separated", "unknown-render-mode", "observable-without-graph",
+        "table-of-other-variables", "no-rows", "build-failing-conditions"])
+def test_library_checks(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            call()
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+    else:
+        assert call() is expected

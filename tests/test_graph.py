@@ -10,7 +10,7 @@ from obscon import (
 )
 from obscon.transform import normalize
 
-from oracles import random_dag
+from oracles import districts_by_search, random_dag
 
 
 IV_TEXT = """\
@@ -175,6 +175,20 @@ def test_districts_carry_the_latents_over_their_members():
                     if set(dag.observed_children(u)) & set(d.members)
                 )
     assert failing
+
+
+def test_districts_match_a_breadth_first_search():
+    # graphs that fail the conditions too; a districts() that merges two
+    # components, or lists a latent under the wrong one, fails here
+    rng = random.Random(28)
+    merged = 0
+    for exogenous in (False, True):
+        for _ in range(120):
+            dag = random_dag(rng, exogenous_latents=exogenous)
+            expected = districts_by_search(dag)
+            assert dag.districts() == expected
+            merged += any(len(d.members) > 1 for d in expected) and len(expected) > 1
+    assert merged
 
 
 def test_c_degree_examples(graphs):

@@ -186,9 +186,10 @@ def test_hlp_add_edge_iv_family(graphs):
 
 
 def test_hlp_add_edge_rejects_unshared_latent(graphs):
-    # U2 points at Y but not at Z
-    with pytest.raises(RewriteError):
+    # U2 points at Y but not at Z, so it is a parent of Y that Z lacks
+    with pytest.raises(RewriteError) as info:
         hlp_add_edge(graphs["iv_family_center"], "Y", "Z")
+    assert str(info.value) == "parent U2 of Y is not a parent of Z"
 
 
 def test_hlp_add_edge_vacuous():
