@@ -18,13 +18,17 @@ does less (see ``extreme_rays``). The rays it returns do not depend on the
 order of the input rows, nor does ``v_to_h`` on the order of its points. Its
 combinatorial work runs on Python-int bitsets: every ray keeps the mask of
 constraint rows it is tight at, and every insertion step transposes those
-masks into one bitset per row marking the rays tight at it (the tight sets
-of Terzer & Stelling, "Large-scale computation of elementary flux modes
-with bit pattern trees", Bioinformatics 24, 2008). The adjacency test of a
-plus/minus pair is then an AND of row bitsets, and a bit-sliced counter over
-the same bitsets picks each plus ray's candidate partners without looking
-at pairs one by one. Most candidate pairs are not adjacent: the AND leaves
-a third ray, tight wherever both are, and a step remembers these witnesses.
+masks, by strided slices of one string, into one bitset per row marking
+the rays tight at it (the tight sets of Terzer & Stelling, "Large-scale
+computation of elementary flux modes with bit pattern trees",
+Bioinformatics 24, 2008). The adjacency test of a plus/minus pair is then
+an AND of row bitsets, and a bit-sliced counter over bitsets as wide as
+the minus rays picks each plus ray's candidate partners without looking at
+pairs one by one. A mask's rows are selected and ANDed by
+``itertools.compress`` and ``functools.reduce``, so no Python loop runs
+over rows or bits there. Most candidate pairs are not adjacent: the AND
+leaves a third ray, tight wherever both are, and a step remembers these
+witnesses.
 A remembered witness that is neither ray of a later pair and is tight at all
 of that pair's common rows settles it with one check on small masks, before
 any AND. No mask changes during a step's pair loop, so every such answer is
@@ -61,8 +65,10 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import and_, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -265,20 +271,24 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
 
     Each step splits the rays into plus (cut off), zero and minus rays and
     builds, for every row, the bitset of the current rays tight at it
-    (bit j is ray j of the current list). A plus ray p and a minus ray n
-    are adjacent iff no third ray is tight at every row where both are;
-    that is, iff ANDing the row bitsets over the rows in
-    ``mask_p & mask_n`` leaves only the bits of p and n. The AND stops as
-    soon as only those two remain. Adjacency also needs at least
-    ``dim - 2`` common rows, so n may miss at most
+    (bit j is ray j of the current list; ``_tight_sets``). A plus ray p and
+    a minus ray n are adjacent iff no third ray is tight at every row where
+    both are; that is, iff ANDing the row bitsets over the rows in
+    ``mask_p & mask_n`` leaves only the bits of p and n. A selector of
+    those rows (``_selector``) feeds them to ``compress`` and ``reduce``;
+    starting from the set of all rays keeps the test right when the pair
+    has no common row, as on a 2-dimensional cone. Adjacency also needs
+    at least ``dim - 2`` common rows, so n may miss at most
     ``slack = popcount(mask_p) - (dim - 2)`` of p's rows. Every ray in the
     list is tight at ``dim - 1`` rows or more (an initial ray at every basis
     row but one; a new ray at its pair's common rows, at least ``dim - 2``,
     plus the inserted row; a zero ray gains the inserted row), so slack is
-    at least 1. A bit-sliced counter over the minus rays' "missed" bitsets,
-    walking p's rows, finds all such n at once, and only they are tested,
-    in list order. New rays come out plus-major, minus-minor, after the
-    zero and minus rays.
+    at least 1. The minus rays' masks alone are transposed once more into
+    "missed" bitsets, bit j for the j-th minus ray, and a bit-sliced
+    counter over p's rows of them finds all such n at once. Only they are
+    tested, in list order: the counter's bits map back through the
+    ascending list of minus indices. New rays come out plus-major,
+    minus-minor, after the zero and minus rays.
 
     Witness memo: when a pair (p, n) fails, the highest-indexed third ray
     r left by the AND is tight at every row of ``common = mask_p & mask_n``.
@@ -312,43 +322,50 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
         rays.append([_integerize([-v for v in column]), full_basis_mask & ~(1 << i)])
 
     remaining = [i for i in range(n) if not full_basis_mask >> i & 1]
+    width = f"0{n}b"
     for done, k in enumerate(remaining, dim):
         bit = 1 << k
-        terms = [(i, v) for i, v in enumerate(rows[k]) if v]
-        products = [sum(v * ray[0][i] for i, v in terms) for ray in rays]
+        row = rows[k]
+        support = [i for i, v in enumerate(row) if v]
+        coefficients = [row[i] for i in support]
+        # two spare indices keep pick's result a tuple for any support;
+        # map stops at the last coefficient
+        pick = itemgetter(*support, 0, 0)
+        products = [sum(map(mul, coefficients, pick(ray[0]))) for ray in rays]
         plus, zero, minus = [], [], []
-        minus_set = 0
         for index, (ray, s) in enumerate(zip(rays, products)):
             if s > 0:
                 plus.append((index, ray, s))
             elif s < 0:
-                minus.append(ray)
-                minus_set |= 1 << index
+                minus.append(index)
             else:
                 ray[1] |= bit
                 zero.append(ray)
         if progress is not None:
             progress(done, n, len(rays), len(plus))
-        if not plus:
-            rays = zero + minus
+        kept = zero + [rays[i] for i in minus]
+        if not plus or not minus:
+            rays = kept
             continue
 
-        tight = _tight_sets(rays, n)
-        all_rays = (1 << len(rays)) - 1
         masks = [ray[1] for ray in rays]
-        missed = [minus_set ^ (minus_set & t) for t in tight]
+        tight = _tight_sets(masks, n)
+        all_rays = (1 << len(rays)) - 1
+        all_minus = (1 << len(minus)) - 1
+        missed = [all_minus ^ t for t in _tight_sets([masks[i] for i in minus], n)]
         # witness memo: the third ray that showed a pair non-adjacent, kept
         # by its minus ray for the whole step and by its plus ray in a list
         n_witness = {}
         new_rays = []
         for p_index, p_ray, sp in plus:
             mask_p = p_ray[1]
-            p_rows = _bit_indices(mask_p)
-            slack = len(p_rows) - (dim - 2)
+            slack = mask_p.bit_count() - (dim - 2)
             witnesses = []
             last = None  # the witness that last answered for p
-            candidates = _within_slack([missed[i] for i in p_rows], minus_set, slack)
-            for n_index in _bit_indices(candidates):
+            candidates = _within_slack(list(compress(missed, _selector(mask_p, width))),
+                                       all_minus, slack)
+            for j in _bit_indices(candidates):
+                n_index = minus[j]
                 common = mask_p & masks[n_index]
                 r = n_witness.get(n_index)
                 if r is not None and r != p_index and not common & ~masks[r]:
@@ -361,12 +378,8 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
                         break
                 else:
                     pair = (1 << p_index) | (1 << n_index)
-                    survivors = all_rays
-                    for i in p_rows:
-                        if common >> i & 1:
-                            survivors &= tight[i]
-                            if survivors == pair:
-                                break
+                    survivors = reduce(and_, compress(tight, _selector(common, width)),
+                                       all_rays)
                     if survivors == pair:
                         n_ray, sn = rays[n_index], products[n_index]
                         vec = [sp * nv - sn * pv for pv, nv in zip(p_ray[0], n_ray[0])]
@@ -375,16 +388,30 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
                         last = (survivors ^ pair).bit_length() - 1
                         n_witness[n_index] = last
                         witnesses.append(last)
-        rays = zero + minus + new_rays
+        rays = kept + new_rays
 
     return [ray[0] for ray in rays]
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selector(mask: int, width: str) -> bytes:
+    """Bit i of ``mask`` as byte i, 0 or 1, for ``itertools.compress``.
+
+    ``width`` is the format spec ``f"0{n}b"`` of n rows. ``format`` writes
+    the highest row first, so the translated bytes are reversed to put
+    row 0 first, as in a list indexed by row.
+    """
+    return format(mask, width).encode().translate(_BITS)[::-1]
 
 
 def _bit_indices(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending.
 
-    Walks down from the top bit, so a ray-wide mask shrinks at every step
-    and is never negated (``mask & -mask`` copies all of it per bit).
+    Walks a plus ray's candidate set, a bitset over the minus rays. It
+    goes down from the top bit, so the set shrinks at every step and is
+    never negated (``mask & -mask`` copies all of it per bit).
     """
     out = []
     while mask:
@@ -395,17 +422,20 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _tight_sets(rays, n_rows: int) -> list[int]:
-    """Per constraint row, the bitset of the rays (by list index) tight at it.
+def _tight_sets(masks: Sequence[int], n_rows: int) -> list[int]:
+    """Per row, the bitset of the masks set at it: bit j of entry i is bit
+    i of ``masks[j]``.
 
-    Transposes the rays' row masks: each mask is written as a fixed-width
-    binary string, the strings are zipped column by column, and each column
-    is read back as an integer, all at C speed. The rays go in reversed so
-    that ray 0 lands on bit 0, and the columns come out highest row first.
+    A transpose at C speed: the masks are written as ``n_rows``-digit
+    binary strings and joined, last mask first, so row i of every mask is
+    the strided slice ``text[n_rows - 1 - i::n_rows]``, read back as one
+    integer whose lowest bit is mask 0's.
     """
+    if not masks:
+        return [0] * n_rows
     width = f"0{n_rows}b"
-    columns = zip(*[format(ray[1], width) for ray in reversed(rays)])
-    return [int("".join(column), 2) for column in columns][::-1]
+    text = "".join([format(mask, width) for mask in reversed(masks)])
+    return [int(text[n_rows - 1 - i::n_rows], 2) for i in range(n_rows)]
 
 
 def _within_slack(missed_rows: Sequence[int], candidates: int, slack: int) -> int:
@@ -427,7 +457,7 @@ def _within_slack(missed_rows: Sequence[int], candidates: int, slack: int) -> in
                 break
         over |= carry
     # x ^ (x & y) clears y's bits from x without ~y, a negative number that
-    # Python would build as a copy of the whole ray-wide bitset
+    # Python would build as a copy of the whole bitset
     equal = candidates ^ (candidates & over)
     for j in reversed(range(len(planes))):
         if slack >> j & 1:

@@ -1,7 +1,8 @@
 """The bench harness's calls into obscon keep working.
 
 The tracer's wrapped names stay bound in the modules that call them, and the
-bench's derive and check ops pass its own output gate on a small workload.
+bench's derive and check ops pass its own output gate on a small workload
+and on each benchmark workload.
 """
 
 import importlib.util
@@ -51,6 +52,30 @@ def test_bench_ops_pass_the_gate(monkeypatch):
     expected = gate.expected_statuses(result, workload.graph, table.probs, tolerance)
     doc = runner.check(runner.untraced, dag, result, table.csv)
     assert gate.check_report(doc, expected, table.kind, tolerance) == []
+
+
+@pytest.mark.parametrize("name", ["i3322", "sparse14", "mixed_check"])
+def test_benchmark_workload_ops_pass_the_gate(monkeypatch, name):
+    # one derive op against the workload's pinned counts and digest, then
+    # one check op per table kind against the gate's status oracle
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    run = load_bench("run")
+    import gate
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[name]
+    runner = run.Runner(workload, tracer=None)
+    dag, result, payload = runner.derive(runner.untraced)
+    assert gate.check_derivation(result, payload, workload.expected) == []
+
+    tables = {table.kind: table for table in reversed(workload.tables(seed=0))}
+    assert sorted(tables) == sorted(workload.table_kinds)
+    for table in tables.values():
+        tolerance = gate.tolerance_for(table.decimal)
+        expected = gate.expected_statuses(result, workload.graph, table.probs, tolerance)
+        doc = runner.check(runner.untraced, dag, result, table.csv)
+        assert gate.check_report(doc, expected, table.kind, tolerance) == [], table.kind
 
 
 def test_bench_selftest_passes(monkeypatch, tmp_path):

@@ -17,6 +17,7 @@ from obscon import (
 from obscon import polyhedra
 from obscon.fixtures import FIXTURE_GRAPHS
 from obscon.response import build_functional_system
+from obscon.transform import merge_district_latents
 
 from oracles import (
     _rank,
@@ -272,18 +273,19 @@ def test_cdd_format_smoke():
     assert "H-representation" in text and "begin" in text and "end" in text
 
 
-def degenerate_cone_rows(rng):
+def degenerate_cone_rows(rng, dims=(1, 5), grid_points=(1, 20)):
     """Homogenized integer points with many on each facet, some repeated.
 
-    Points come from the grid {0, 2, 4}^d, so many share each facet; the
-    origin and 4 e_i make the hull full-dimensional, so the cone is pointed.
-    Midpoints of point pairs add points on faces and in the interior, and
-    a few points appear twice.
+    Points come from the grid {0, 2, 4}^d, d drawn from ``dims``, and their
+    number from ``grid_points``, so many share each facet; the origin and
+    4 e_i make the hull full-dimensional, so the cone is pointed. Midpoints
+    of point pairs add points on faces and in the interior, and a few
+    points appear twice.
     """
-    dim = rng.randint(1, 5)
+    dim = rng.randint(*dims)
     points = [(0,) * dim] + [tuple(4 * (j == i) for j in range(dim)) for i in range(dim)]
     grid = list(product((0, 2, 4), repeat=dim))
-    points += rng.sample(grid, min(len(grid), rng.randint(1, 20)))
+    points += rng.sample(grid, min(len(grid), rng.randint(*grid_points)))
     for _ in range(3):
         a, b = rng.sample(points, 2)
         points.append(tuple((x + y) // 2 for x, y in zip(a, b)))
@@ -311,6 +313,9 @@ def test_extreme_rays_matches_full_scan_reference():
     rng = random.Random(7321)
     cones = [degenerate_cone_rows(rng) for _ in range(150)]
     cones += [zero_one_cone_rows(rng) for _ in range(60)]
+    # over 64 rows: every row mask is wider than a machine word
+    cones += [degenerate_cone_rows(rng, dims=(4, 5), grid_points=(64, 130))
+              for _ in range(8)]
     for rep, rows in enumerate(cones):
         got_calls, want_calls = [], []
         got = polyhedra.extreme_rays(rows, progress=lambda *a: got_calls.append(a))
@@ -331,6 +336,30 @@ def test_extreme_rays_ignore_row_order():
         points = [row[1:] for row in rows]
         want_h = v_to_h(VRep.make(points))
         assert v_to_h(VRep.make(rng.sample(points, len(points)))) == want_h
+
+
+def test_tight_sets_match_bitwise_reference():
+    # the transpose of all rays' masks and of the minus rays' alone (bit j
+    # for the j-th of them) against reading every bit on its own, with no
+    # rays, a single ray, zero masks and masks over several words
+    rng = random.Random(4141)
+    shapes = [(0, 1), (0, 130), (1, 1), (1, 130), (300, 1), (300, 130)]
+    shapes += [(rng.randint(0, 300), rng.randint(1, 130)) for _ in range(60)]
+    for n_rays, n_rows in shapes:
+        masks = [rng.choice([0, rng.getrandbits(n_rows)]) for _ in range(n_rays)]
+        minus = sorted(rng.sample(range(n_rays), rng.randint(0, n_rays)))
+        for chosen in (masks, [masks[i] for i in minus]):
+            want = [sum((m >> i & 1) << j for j, m in enumerate(chosen))
+                    for i in range(n_rows)]
+            assert polyhedra._tight_sets(chosen, n_rows) == want, (n_rays, n_rows)
+
+
+def test_selector_matches_bits():
+    rng = random.Random(4242)
+    for n_rows in [1, 2, 63, 64, 65, 130] + [rng.randint(1, 130) for _ in range(50)]:
+        for mask in (0, (1 << n_rows) - 1, 1 << (n_rows - 1), rng.getrandbits(n_rows)):
+            want = [mask >> i & 1 for i in range(n_rows)]
+            assert list(polyhedra._selector(mask, f"0{n_rows}b")) == want, (n_rows, mask)
 
 
 def test_within_slack_matches_counting():
@@ -396,10 +425,9 @@ def test_bell_chsh_facets():
     assert len(record.hrep.ineq) == 24
 
 
-def dd_of_district(monkeypatch, text):
-    """Plain v_to_h (one DD over all columns) of a graph's one derived
-    district, with every progress call and the ray list of its one DD."""
-    points = district_columns(text)
+def dd_of_district(monkeypatch, points):
+    """Plain v_to_h (one DD over all the points) of a district's columns,
+    with every progress call and the ray list of its one DD."""
     calls, finals = [], []
     original = polyhedra.extreme_rays
 
@@ -415,13 +443,29 @@ def dd_of_district(monkeypatch, text):
 
 def test_bell_i3322_facets_and_dd_counts(monkeypatch):
     # 684 facets: Collins & Gisin, J. Phys. A 37, 1775 (2004)
-    hrep, steps, rays = dd_of_district(monkeypatch, BELL_I3322)
+    hrep, steps, rays = dd_of_district(monkeypatch, district_columns(BELL_I3322))
     assert (len(hrep.ineq), len(hrep.eq)) == (684, 21)
     assert len(steps) == 48
     assert max([n_rays for _, _, n_rays, _ in steps] + [len(rays)]) == 1223
     # SHA-256 of the exact ray list, order and duplicates included
     assert sha256(repr(rays).encode()).hexdigest() == (
         "8d81076cc59b2beaeb465b6458835a58d7ed9926a0266d4bc12cf36d69345cfb")
+
+
+def test_mixed_cdegree_dd_counts(monkeypatch):
+    # the plain DD of merged mixed_cdegree's (V2, V4, V5) district, the
+    # largest conversion of the mixed_check benchmark workload
+    dag, _ = merge_district_latents(parse_graph(FIXTURE_GRAPHS["mixed_cdegree"]))
+    (district,) = [d for d in dag.districts() if d.members == ("V2", "V4", "V5")]
+    columns = tuple(build_functional_system(dag, district).columns_as_points())
+    assert (len(columns), len(set(columns))) == (64, 48)
+    hrep, calls, rays = dd_of_district(monkeypatch, columns)
+    assert (len(hrep.ineq), len(hrep.eq)) == (1_128, 12)
+    assert len(calls) == 27
+    assert max(n_rays for _, _, n_rays, _ in calls) == 1_072
+    # SHA-256 of the exact ray list, order and duplicates included
+    assert sha256(repr(rays).encode()).hexdigest() == (
+        "4c80a9734dbf1fa03fab624ac639c827621b721ae21a5a89b04dc037df01aaa9")
 
 
 def test_bell_i3322_derived_hrep_is_plain_dd():
@@ -449,7 +493,7 @@ def test_bell_cone_rays_ignore_row_order(monkeypatch, text):
 
 
 def test_v_to_h_passes_progress_to_dd(monkeypatch):
-    hrep, calls, _ = dd_of_district(monkeypatch, BELL_I3322)
+    hrep, calls, _ = dd_of_district(monkeypatch, district_columns(BELL_I3322))
     assert (len(hrep.ineq), len(hrep.eq)) == (684, 21)
     # one call per inserted row of the 64-row, dimension-16 cone
     assert [(done, total) for done, total, _, _ in calls] == [(d, 64) for d in range(16, 64)]
@@ -459,7 +503,8 @@ def test_v_to_h_passes_progress_to_dd(monkeypatch):
 @pytest.mark.long
 def test_bell_tripartite_dd_counts(monkeypatch):
     # the DD part of criterion 8, pinned apart from its flag counts
-    hrep, calls, rays = dd_of_district(monkeypatch, FIXTURE_GRAPHS["bell_tripartite"])
+    hrep, calls, rays = dd_of_district(
+        monkeypatch, district_columns(FIXTURE_GRAPHS["bell_tripartite"]))
     assert (len(hrep.ineq), len(hrep.eq)) == (53_856, 38)
     assert max(n_rays for _, _, n_rays, _ in calls) == 51_576
     # SHA-256 of the exact ray list, order and duplicates included
