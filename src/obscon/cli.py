@@ -7,7 +7,9 @@ tolerance error, 70 internal
 error (a bug: one ``error:`` line, no traceback), 74 output error (``derive
 -o``, ``check --json``, ``--emit-examples`` or stdout could not be written:
 one ``error:`` line naming the path, or none if stderr fails too; a failing
-stderr alone exits 74 with no message).
+stderr alone exits 74 with no message). ``check`` reads its inputs before
+it derives, so the first failing step sets the code: graph (2), tolerance
+(5), table (5), derivation (3 or 4).
 
 With fd 1 closed at startup, ``derive`` (to stdout) and ``rewrite``, whose
 result goes there, exit 74 with ``error: cannot write stdout``, ``derive``
@@ -269,8 +271,7 @@ def cmd_rewrite(args) -> int:
     return EXIT_OK
 
 
-def _derive(args):
-    dag = _read(args.graph, load_graph, EXIT_PARSE)
+def _derive(args, dag):
     options = DeriveOptions(
         merge=args.merge,
         max_ci_size=args.max_ci_size,
@@ -278,14 +279,13 @@ def _derive(args):
         timings=getattr(args, "timings", False),
     )
     try:
-        result = derive_all(dag, options)
+        return derive_all(dag, options)
     except ConditionsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONDITIONS)
     except ColumnLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_COST)
-    return dag, result
 
 
 def _write_derivation(fh: TextIO, args, dag, result) -> None:
@@ -306,7 +306,8 @@ def cmd_derive(args) -> int:
     if args.output == "-":
         stdout = _stdout()
         stdout.flush()  # with fd 1 closed at startup, exit before deriving
-    dag, result = _derive(args)
+    dag = _read(args.graph, load_graph, EXIT_PARSE)
+    result = _derive(args, dag)
     if args.output == "-":
         print(result.summary(), file=sys.stderr)
         _write_derivation(stdout, args, dag, result)
@@ -334,9 +335,11 @@ def _tolerance(text: str | None) -> Fraction | None:
 
 
 def cmd_check(args) -> int:
+    # every input is read before the derivation, which takes the time
+    dag = _read(args.graph, load_graph, EXIT_PARSE)
     tolerance = _tolerance(args.tolerance)
-    dag, result = _derive(args)
     table = _read(args.table, load_table, EXIT_TABLE, dag)
+    result = _derive(args, dag)
     report = evaluate(result, dag, table, tolerance)
     for line in report.lines():
         print(line)

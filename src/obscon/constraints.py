@@ -17,7 +17,7 @@ import hashlib
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter, mul
+from operator import attrgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
 from ._record import Record
@@ -36,7 +36,7 @@ from .response import (
     star_probability,  # noqa: F401  (bound here so a tracer can wrap it)
     star_scaled,
 )
-from .tables import JointTable, _approximate
+from .tables import JointTable, _approximate, _items_getter
 from .transform import merge_district_latents
 
 FLAG_CAVEAT = (
@@ -428,14 +428,6 @@ class CheckPlan(NamedTuple):
     rows: tuple
 
 
-def _row_getter(rows: tuple[int, ...]):
-    """``itemgetter(*rows)``, returning a sequence for a single row too."""
-    if len(rows) > 1:
-        return itemgetter(*rows)
-    start = rows[0] if rows else 0
-    return itemgetter(slice(start, start + len(rows)))
-
-
 def _check_plan(index: int, record: DistrictResult, dag: HiddenDag) -> CheckPlan:
     """The plan of the district ``result.districts[index]`` of a derivation on ``dag``."""
     scale_row = record.system.n_rows  # the denominator's index in the scaled stars
@@ -447,12 +439,12 @@ def _check_plan(index: int, record: DistrictResult, dag: HiddenDag) -> CheckPlan
     rows = []
     for constraint, text, pairs in zip(record.constraints, record.texts(None, "star"), terms):
         slots = tuple(map(slot.__getitem__, pairs))
-        rows.append((_row_getter(slots), constraint.relation == "=",
+        rows.append((_items_getter(slots), constraint.relation == "=",
                      sum(map(bits.__getitem__, slots)),
                      ConstraintStatus(index, constraint, text, "satisfied", _ZERO),
                      ConstraintStatus(index, constraint, text, "not_evaluable", None)))
     stars = star_keys(dag, record.members, record.system.row_labels)
-    return CheckPlan(index, stars, _row_getter(picked), coeffs, tuple(rows))
+    return CheckPlan(index, stars, _items_getter(picked), coeffs, tuple(rows))
 
 
 class CIStatus(NamedTuple):
@@ -468,9 +460,9 @@ class ViolationReport(NamedTuple):
 
     @property
     def falsified(self) -> bool:
-        return any(s.status == "violated" for s in self.constraint_statuses) or any(
-            s.status == "violated" for s in self.ci_statuses
-        )
+        status = attrgetter("status")
+        return ("violated" in map(status, self.constraint_statuses)
+                or "violated" in map(status, self.ci_statuses))
 
     def lines(self) -> list[str]:
         out = []
@@ -661,20 +653,20 @@ def report_to_json(report: ViolationReport) -> dict:
         "falsified": report.falsified,
         "ci": [
             {
-                "statement": s.statement.render(),
-                "status": s.status,
-                "margin": _margin_str(s.margin, _frac_str),
+                "statement": statement.render(),
+                "status": status,
+                "margin": _margin_str(margin, _frac_str),
             }
-            for s in report.ci_statuses
+            for statement, status, margin in report.ci_statuses
         ],
         "constraints": [
             {
-                "district": s.district_index,
-                "text": s.text,
-                "status": s.status,
-                "margin": (None if s.margin is None else zero if s.margin is _ZERO
-                           else _margin_str(s.margin, _frac_str)),
+                "district": index,
+                "text": text,
+                "status": status,
+                "margin": (None if margin is None else zero if margin is _ZERO
+                           else _margin_str(margin, _frac_str)),
             }
-            for s in report.constraint_statuses
+            for index, _, text, status, margin in report.constraint_statuses
         ],
     }

@@ -375,5 +375,5 @@ def parse_graph(text: str) -> HiddenDag:
 
 
 def load_graph(path) -> HiddenDag:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         return parse_graph(fh.read())

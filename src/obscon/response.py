@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import compress, count, product, repeat
+from operator import floordiv, mul, not_
 from typing import NamedTuple, Sequence
 
 from .graph import District, HiddenDag, validate_conditions
@@ -330,25 +330,23 @@ def star_scaled(table: JointTable, keys: tuple) -> tuple[int, list[int | None]]:
     for cond, joint, given_keys, joint_keys in keys:
         joint_mass = table.marginal(joint).get
         given_mass = table.marginal(cond).get
-        given = [given_mass(key, 0) for key in given_keys]
-        joint = [joint_mass(key, 0) for key in joint_keys]
+        given = list(map(given_mass, given_keys, repeat(0)))
+        joint = list(map(joint_mass, joint_keys, repeat(0)))
         if nums is None:
             nums, dens = joint, given
         else:
             nums, dens = list(map(mul, nums, joint)), list(map(mul, dens, given))
-    scaled, reduced = [], []
-    for num, den in zip(nums, dens):
-        if den:
-            g = math.gcd(num, den)
-            scaled.append(num // g)
-            reduced.append(den // g)
-        else:
-            scaled.append(None)
-            reduced.append(1)
+    missing = ()
+    if 0 in dens:  # such a row reduces over 1 (masses are >= 0), then reads None
+        missing = list(compress(count(), map(not_, dens)))
+        dens = list(map(max, dens, repeat(1)))
+    common = list(map(math.gcd, nums, dens))
+    reduced = list(map(floordiv, dens, common))
     scale = math.lcm(*reduced)
-    return scale, [
-        None if num is None else num * (scale // den) for num, den in zip(scaled, reduced)
-    ]
+    scaled = list(map(mul, map(floordiv, nums, common), map(floordiv, repeat(scale), reduced)))
+    for row in missing:
+        scaled[row] = None
+    return scale, scaled
 
 
 def star_probability(table: JointTable, dag: HiddenDag, district: District,

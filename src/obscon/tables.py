@@ -2,7 +2,14 @@
 
 Probabilities are exact rationals. The CSV format has one column per observed
 variable in canonical order plus a final ``prob`` column holding ``a/b`` or a
-decimal literal; omitted rows mean probability zero.
+decimal literal; omitted rows mean probability zero. A file may start with
+a UTF-8 byte-order mark, as spreadsheets write one.
+
+The work per row runs in C-level passes wherever it can: a configuration
+is read with one ``map(int, ...)`` and range-checked with one ``map`` over
+``range`` objects, an ASCII ``a/b`` or ``d.d`` probability is built from
+two ints instead of parsed by ``Fraction``, and a marginal pass takes each
+row's key with one ``itemgetter``.
 
 A table keeps its masses as integer numerators over one common denominator
 and caches every marginal it is asked for, so a query over a variable tuple
@@ -17,6 +24,7 @@ import csv
 import io
 from fractions import Fraction
 from math import floor, lcm, log10
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from ._record import Record
@@ -38,9 +46,22 @@ def parse_fraction(text: str) -> Fraction:
 
     Raises ValueError for any other text, a zero denominator, or a decimal
     literal with more than ``MAX_DECIMAL_DIGITS`` digits or an exponent
-    beyond that in size; the size check reads only the text.
+    beyond that in size; the size check reads only the text. The common
+    spellings, ASCII digits as ``a/b`` or ``d.d``, are built from ints
+    directly; every other text goes to ``Fraction(text)``.
     """
-    if "/" not in text:
+    num, slash, den = text.partition("/")
+    if slash:
+        if num.isdigit() and den.isdigit() and text.isascii():
+            try:
+                return Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError):
+                pass  # past the int-digit limit, or 0 below: Fraction(text) says so
+    else:
+        whole, _, part = text.partition(".")
+        if (whole.isdigit() and part.isdigit() and text.isascii()
+                and len(whole) + len(part) <= MAX_DECIMAL_DIGITS):
+            return Fraction(int(whole + part), 10 ** len(part))
         mantissa, _, exponent = text.lower().partition("e")
         exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
         if (sum(ch.isdigit() for ch in mantissa) > MAX_DECIMAL_DIGITS
@@ -77,6 +98,15 @@ def _approximate(numerator: int, denominator: int) -> str:
     return f"about {mantissa:.5f}e{power}"
 
 
+def _items_getter(indices: Sequence[int]):
+    """``itemgetter(*indices)``, returning a sequence for one index or none
+    too: a slice then, so a tuple's items come back as a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
+
+
 def _check_range(config: tuple[int, ...], cardinalities: Sequence[int]) -> None:
     for value, card in zip(config, cardinalities):
         if not 0 <= value < card:
@@ -99,14 +129,17 @@ class JointTable(Record):
 
     def __init__(self, variables: tuple[str, ...], cardinalities: tuple[int, ...],
                  probs: Mapping[tuple[int, ...], Fraction], decimal_source: bool = False):
+        arity = len(variables)
+        ranges = [range(card) for card in cardinalities]
         for config, p in probs.items():
-            if len(config) != len(variables):
+            if len(config) != arity:
                 raise TableError("configuration arity mismatch")
-            _check_range(config, cardinalities)
+            if not all(map(range.__contains__, ranges, config)):
+                _check_range(config, cardinalities)  # raises with the value
             if not isinstance(p, (int, Fraction)):
                 raise TableError(
                     f"probability for {config} is a {type(p).__name__}, not an int or Fraction")
-            if p < 0:
+            if p.numerator < 0:
                 raise TableError(f"negative probability for {config}")
         exact = [(config, p) for config, p in probs.items() if p]
         denominator = lcm(*(p.denominator for _, p in exact))
@@ -153,9 +186,10 @@ class JointTable(Record):
                     if len(cached) < len(rows) and wanted.issubset(finer):
                         rows = cached.items()
                         cols = [finer.index(name) for name in key]
+            values_of = _items_getter(cols)
             masses = {}
             for config, n in rows:
-                values = tuple([config[i] for i in cols])
+                values = values_of(config)
                 masses[values] = masses.get(values, 0) + n
             self._marginals[key] = masses
         return masses
@@ -167,20 +201,11 @@ class JointTable(Record):
         return Fraction(mass, self.denominator)
 
 
-def _parse_prob(text: str) -> tuple[Fraction, bool]:
-    text = text.strip()
-    try:
-        value = parse_fraction(text)  # exact for decimal literals
-    except ValueError as exc:
-        raise TableError(f"cannot parse probability {text!r}: {exc}") from None
-    return value, "/" not in text and ("." in text or "e" in text.lower())
-
-
 def parse_table(text: str, dag: HiddenDag) -> JointTable:
     names = dag.observed_names()
     cards = tuple(dag.cardinality(n) for n in names)
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [row for row in reader if "".join(row).strip()]
     if not rows:
         raise TableError("empty distribution file")
     header = [h.strip() for h in rows[0]]
@@ -191,19 +216,25 @@ def parse_table(text: str, dag: HiddenDag) -> JointTable:
     probs: dict[tuple[int, ...], Fraction] = {}
     seen = set()  # every parsed configuration, zero-probability rows too
     decimal_source = False
+    width = len(names) + 1
     for row in rows[1:]:
-        if len(row) != len(names) + 1:
-            raise TableError(f"row {row!r} has {len(row)} fields, expected {len(names) + 1}")
+        if len(row) != width:
+            raise TableError(f"row {row!r} has {len(row)} fields, expected {width}")
         try:
-            config = tuple(int(cell) for cell in row[:-1])
+            config = tuple(map(int, row[:-1]))
         except ValueError as exc:
             raise TableError(f"non-integer value in row {row!r}") from exc
         if config in seen:
             raise TableError(f"duplicate configuration {config}")
         seen.add(config)
-        p, was_decimal = _parse_prob(row[-1])
-        decimal_source = decimal_source or was_decimal
-        if p != 0:
+        cell = row[-1].strip()
+        try:
+            p = parse_fraction(cell)  # exact for decimal literals
+        except ValueError as exc:
+            raise TableError(f"cannot parse probability {cell!r}: {exc}") from None
+        if not decimal_source and "/" not in cell:
+            decimal_source = "." in cell or "e" in cell.lower()
+        if p.numerator:
             probs[config] = p
         else:  # JointTable range-checks the rows it keeps, so check the others
             _check_range(config, cards)
@@ -211,5 +242,5 @@ def parse_table(text: str, dag: HiddenDag) -> JointTable:
 
 
 def load_table(path, dag: HiddenDag) -> JointTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         return parse_table(fh.read(), dag)

@@ -590,6 +590,47 @@ def test_check_duplicate_configuration_exits_5(examples, tmp_path, capsys, rows)
     assert captured.out == ""
 
 
+def test_malformed_table_exits_5_before_the_derivation(tmp_path, capsys, monkeypatch):
+    # bell_tripartite takes seconds to derive: the table is read first
+    def never(*args, **kwargs):
+        raise AssertionError("derive_all called")
+
+    monkeypatch.setattr(obscon.cli, "derive_all", never)
+    graph = tmp_path / "bell_tripartite.graph"
+    graph.write_text(FIXTURE_GRAPHS["bell_tripartite"])
+    table = tmp_path / "bad.csv"
+    table.write_text("X,Y,Z,V1,V2,V3,prob\n0,0,0,0,0,0\n")
+    code = main(["check", str(graph), str(table)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err.splitlines() == [
+        "error: row ['0', '0', '0', '0', '0', '0'] has 6 fields, expected 7"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "{graph}"],
+    ["derive", "{graph}"],
+    ["check", "{graph}", "{table}"],
+])
+def test_byte_order_mark_is_skipped(examples, tmp_path, capsys, argv):
+    # spreadsheets write "CSV UTF-8" with a leading BOM
+    capsys.readouterr()  # the paths that --emit-examples printed
+    outcomes = []
+    for directory in (examples, tmp_path):
+        for name in ("iv.graph", "iv_model.csv"):
+            if directory is tmp_path:
+                (tmp_path / name).write_text(
+                    "\ufeff" + (examples / name).read_text(encoding="utf-8"), encoding="utf-8")
+        code = main([arg.format(graph=directory / "iv.graph", table=directory / "iv_model.csv")
+                     for arg in argv])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out))
+    assert (tmp_path / "iv.graph").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][1]
+
+
 def test_check_oversized_decimal_cell_exits_5(examples, tmp_path, capsys):
     table = tmp_path / "tiny.csv"
     table.write_text("Z,X,Y,prob\n0,0,0,1e-300000\n1,1,1,1\n")

@@ -201,6 +201,14 @@ def test_vrep_rejects_bad_input(points, message):
     ({(0,): Fraction(-1, 2), (1,): Fraction(3, 2)}, "negative probability for (0,)"),
     ({(0,): Fraction(1, 2)}, "probabilities sum to 1/2, expected 1"),
     ({(0,): 0.5, (1,): Fraction(1, 2)}, "probability for (0,) is a float, not an int or Fraction"),
+    # a row that fails several checks gets the first one's message, and a
+    # row's message comes before any later row's
+    ({(0, 1): -0.5, (0,): 1}, "configuration arity mismatch"),
+    ({(2,): -0.5, (0,): 1}, "value 2 out of range in (2,)"),
+    ({(-1,): -0.5, (0,): 1}, "value -1 out of range in (-1,)"),
+    ({(0,): -0.5, (2,): 1}, "probability for (0,) is a float, not an int or Fraction"),
+    ({(0,): Fraction(-1, 2), (1,): 0.5}, "negative probability for (0,)"),
+    ({(1,): -1, (0,): 2}, "negative probability for (1,)"),
 ])
 def test_joint_table_rejects_bad_input(probs, message):
     with pytest.raises(TableError) as exc:

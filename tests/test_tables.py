@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from obscon import JointTable, TableError, parse_graph, parse_table
-from obscon.tables import MAX_DECIMAL_DIGITS
+from obscon.tables import MAX_DECIMAL_DIGITS, parse_fraction
 
 from oracles import scan_prob
 
@@ -158,3 +159,63 @@ def test_wrong_sum_message_stays_short():
     assert len(str(exc.value)) < 100
     with pytest.raises(TableError, match="sum to 3/4, expected 1"):
         parse_table(pair_table("1/4", "1/2"), PAIR)
+
+
+def fraction_by_text(text: str) -> Fraction:
+    """``parse_fraction`` as it read every text before its int fast paths:
+    the size check on the text alone, then ``Fraction(text)``."""
+    if "/" not in text:
+        mantissa, _, exponent = text.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if (sum(ch.isdigit() for ch in mantissa) > MAX_DECIMAL_DIGITS
+                or len(exponent) > len(str(MAX_DECIMAL_DIGITS))
+                or (exponent.isdigit() and int(exponent) > MAX_DECIMAL_DIGITS)):
+            raise ValueError(
+                f"decimal literal longer than {MAX_DECIMAL_DIGITS} digits "
+                f"or with an exponent beyond {MAX_DECIMAL_DIGITS}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("not a ratio a/b or a decimal literal") from None
+
+
+# runs of digits: short ones with leading zeros and underscores, non-ASCII
+# digits, zeros (for zero denominators), and long ones at the decimal bound
+# (1,000 digits) and past the int-digit limit (4,300)
+DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=20),
+    st.text("00123_", max_size=8),
+    st.sampled_from(["0", "00", "\u0663", "\u00b2", "1\u0660"]),
+    st.builds(str.__mul__, st.sampled_from("0159"),
+              st.sampled_from([999, 1000, 1001, 4300, 4301, 5000])),
+)
+SIGNS = st.sampled_from(["", "+", "-"])
+SPACES = st.sampled_from(["", " ", "\t ", "\n"])
+SPELLINGS = st.one_of(
+    st.builds("{}{}/{}".format, SIGNS, DIGITS, DIGITS),
+    st.builds("{}{}.{}".format, SIGNS, DIGITS, DIGITS),  # .5 and 5. too
+    st.builds("{}{}".format, SIGNS, DIGITS),
+    st.builds("{}{}.{}{}{}{}".format, SIGNS, DIGITS, DIGITS,
+              st.sampled_from("eE"), SIGNS, DIGITS),
+)
+
+
+@given(text=st.builds("{}{}{}".format, SPACES, SPELLINGS, SPACES))
+@settings(max_examples=400, deadline=None)
+@example("0." + "1" * 999)  # 1,000 digits, the most a decimal may have
+@example("0." + "1" * 1000)
+@example("1" * 4301 + "/3")  # past the int-digit limit
+@example("1/0")
+@example("\u00b2.5")  # a digit that int() refuses
+@example("1.\u0663")  # a decimal digit that is not ASCII
+def test_parse_fraction_reads_every_text_as_fraction_of_it(text):
+    try:
+        expected = fraction_by_text(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_fraction(text)
+        assert str(got.value) == str(exc)
+    else:
+        value = parse_fraction(text)
+        assert type(value) is Fraction and value == expected
+
