@@ -220,40 +220,40 @@ def _derive_district(dag: HiddenDag, district, column_limit, derived: dict) -> D
     positivity rows. A lone variable without observed parents (its
     ``district_shape`` has one name) is skipped: no system and no
     constraints. A system whose columns realize every combination of block
-    outcomes (as many distinct ``col_outcomes`` as ``block_sizes[0]`` to the
-    number of blocks) spans the whole product of simplices: its HRep is
+    outcomes spans the whole product of simplices: its HRep is
     ``simplex_product_hrep``'s closed form, which is ``v_to_h``'s HRep of
-    its columns, and it is flagged and reused as a converted one. Every
-    other system is converted by ``v_to_h``.
+    its columns, and it is flagged and reused as a converted one. A
+    one-member shape is such a system (its member's functions realize every
+    output on each configuration of its parents, the external parents), so
+    its columns are never enumerated; any other new shape enumerates them
+    once and is a full product when it has as many distinct columns as the
+    product has vertices. Every other system is converted by ``v_to_h``.
 
-    ``derived`` maps each ``district_shape`` met so far to its system and
-    constraints. ``build_functional_system`` reads the graph only through
-    the names and shape, which it stores, ``row_symmetries`` reads the
+    Every district gets the system ``FunctionalSystem(names, shape)``, which
+    labels its rows with its own names. ``derived`` maps each
+    ``district_shape`` met so far to its constraints: the build reads the
+    graph only through the names and shape, ``row_symmetries`` reads the
     shape alone, and the facets, flags and terms are functions of the
-    columns and blocks that the build gives, so a district of a known shape
-    is neither built nor converted again. It takes the earlier system with
-    its own ``names`` (``system._replace(names=names)``), which label its
-    rows, and the earlier constraints. ``derive_all`` makes the dict, which
-    lives for that one call.
+    columns and blocks that the shape fixes, so a district of a known shape
+    is neither built nor converted again. ``derive_all`` makes the dict,
+    which lives for that one call.
     """
     names, shape = district_shape(dag, district)
     if len(names) == 1:
         return DistrictResult(district.members, district.c_degree, None, ())
-    earlier = derived.get(shape)
-    if earlier is None:
+    constraints = derived.get(shape)
+    if constraints is None:
         system = build_functional_system(dag, district, column_limit)
         blocks = system.block_sizes
-        if len(set(system.col_outcomes)) == blocks[0] ** len(blocks):
+        # a one-member shape is a full product: its columns are not enumerated
+        points = () if shape[0] == 1 else tuple(system.columns_as_points())
+        if not points or len(set(points)) == blocks[0] ** len(blocks):
             hrep = simplex_product_hrep(blocks)
         else:
-            points = tuple(system.columns_as_points())
             hrep = v_to_h(VRep(points), symmetries=row_symmetries(system))
-        constraints = _to_constraints(hrep, blocks)
-        derived[shape] = system, constraints
-    else:
-        system, constraints = earlier
-        system = system._replace(names=names)
-    return DistrictResult(district.members, district.c_degree, system, constraints)
+        constraints = derived[shape] = _to_constraints(hrep, blocks)
+    return DistrictResult(district.members, district.c_degree,
+                          FunctionalSystem(names, shape), constraints)
 
 
 def _to_constraints(hrep: HRep, block_sizes: Sequence[int]) -> tuple[Constraint, ...]:
@@ -518,7 +518,8 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
     slack or not evaluable gets the plan's prebuilt record, and only a
     positive margin is a new Fraction. ``tolerance`` defaults to 1e-9 for
     a table read from decimals and 0 otherwise; a negative one raises
-    ``ValueError``.
+    ``ValueError``, and so does a table whose variables or cardinalities
+    differ from the graph's observed ones.
 
     Known gap (ROADMAP item 1): the star terms use ``star_factors``, which
     conditions each member on its observed ancestors among the district's
@@ -530,6 +531,8 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
     """
     if table.variables != dag.observed_names():
         raise ValueError("table variables do not match the graph")
+    if tuple(table.cardinalities) != tuple(map(dag.cardinality, table.variables)):
+        raise ValueError("table cardinalities do not match the graph")
     if tolerance is None:
         tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
     elif tolerance < 0:
@@ -600,11 +603,13 @@ def constraint_to_json(constraint: Constraint) -> dict:
 
 
 def result_to_json(result: DerivationResult, dag: HiddenDag, texts: bool = False) -> dict:
-    """The derivation record as a JSON document, schema 2.
+    """The derivation record as a JSON document, schema 3.
 
-    Each district's ``system`` gives ``row_labels`` (the (w1, w2) of each row
-    of B) and ``col_outcomes``: each column's w1-row index in each w2 block,
-    so B has a 1 in row ``block * block_size + outcome``. A constraint reads
+    Each district's ``system`` gives its ``members``, ``external_parents``
+    and ``row_labels`` (the (w1, w2) of each row of B). B itself is not
+    written: it is fixed by the ``district_shape`` of the district's
+    members in ``derived_graph``, and ``FunctionalSystem.columns`` rebuilds
+    it from that. A constraint reads
     ``sum(coeffs[k] * p[rows[k]]) relation rhs``, with ``flagged`` and
     ``witness``; ``texts`` adds its ``text_star`` and ``text_observable``, as
     ``render`` writes them. A skipped district has a null ``system`` and no
@@ -629,7 +634,7 @@ def result_to_json(result: DerivationResult, dag: HiddenDag, texts: bool = False
                 doc.update(text_star=star, text_observable=obs)
         districts_json.append(entry)
     return {
-        "schema": 2,
+        "schema": 3,
         "graph": result.graph_text,
         "derived_graph": result.derived_graph_text,
         "fingerprint": result.fingerprint,

@@ -11,11 +11,13 @@ variable order):
   order of ``product(range(|W|), repeat=D)``, D the number of parent
   configurations: a base-|W| numeral read most-significant digit first.
 * Rows of B are (w1, w2) pairs, grouped by w2 configuration (w2 outermost).
-  They are fixed by the district's ``district_shape`` names and shape,
-  which is all a ``FunctionalSystem`` stores of them.
 * Columns of B are joint response assignments, grouped by the row of the
   first w2 block they are compatible with (in row order) and ordered within a
   group by joint response level with the first member's level fastest.
+
+The district's ``district_shape`` names and shape fix both, and they are all
+a ``FunctionalSystem`` stores: ``FunctionalSystem.columns`` enumerates the
+columns when a conversion needs them.
 
 The column convention reproduces the ordering used in published derivations
 for the binary instrumental-variable system.
@@ -76,18 +78,17 @@ def _value_tuples(cards: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 class FunctionalSystem(NamedTuple):
-    """The labeled 0/1 system p = B r for one district, stored sparsely.
+    """The labeled 0/1 system p = B r for one district, stored as its shape.
 
-    ``names`` and ``shape`` are the district's ``district_shape``: they fix
-    the rows, which are read off them. Column c of B has a single 1 in each
-    w2 block, in the block's row ``col_outcomes[c][block]`` (an index into
-    the block's w1 configurations).
+    ``names`` and ``shape`` are the district's ``district_shape``, and they
+    fix B: its rows and its columns are read off them. ``columns()``
+    enumerates the columns, on each call; column c of B has a single 1 in
+    each w2 block, in the block's row ``col_outcomes[c][block]`` (an index
+    into the block's w1 configurations).
     """
 
     names: tuple[str, ...]  # the members, then the external parents
     shape: tuple
-    col_labels: tuple[tuple[int, ...], ...]  # one response level per member
-    col_outcomes: tuple[tuple[int, ...], ...]  # one w1-row index per w2 block
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -99,7 +100,7 @@ class FunctionalSystem(NamedTuple):
 
     @property
     def n_cols(self) -> int:
-        return len(self.col_labels)
+        return _column_count(self.shape)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -118,12 +119,44 @@ class FunctionalSystem(NamedTuple):
                                             for v in _value_tuples(cards[n:]))
                      for w1c in w1_configs)
 
+    def columns(self) -> tuple[tuple, tuple]:
+        """(col_labels, col_outcomes): each column's response level per
+        member, and its w1-row index in each w2 block; enumerated on each call.
+        """
+        n, cards, parents, order = self.shape
+        # a member's functions in level order, each the tuple of its outputs by
+        # parent configuration; both orders are product's, last place fastest
+        tables = [list(product(range(card), repeat=math.prod(cards[p] for p in ps)))
+                  for card, ps in zip(cards, parents)]
+        ranks = [{config: j for j, config in enumerate(product(*[range(cards[p]) for p in ps]))}
+                 for ps in parents]
+        w2_values = _value_tuples(cards[n:])  # one per w2 block
+        # a w1 configuration's row in its block, the first member fastest
+        strides = [math.prod(cards[:i]) for i in range(n)]
+
+        columns = []
+        # joint response levels with the first member fastest
+        for reversed_levels in product(*[range(len(table)) for table in reversed(tables)]):
+            levels = reversed_levels[::-1]
+            outcomes = []
+            for w2 in w2_values:
+                values = [0] * n + list(w2)
+                # members in topological order, so each one's parents are set before it
+                for i in order:
+                    config = tuple([values[p] for p in parents[i]])
+                    values[i] = tables[i][levels[i]][ranks[i][config]]
+                outcomes.append(sum(map(mul, values, strides)))
+            columns.append((levels, tuple(outcomes)))
+        # group by the first w2 block's row; the stable sort keeps level order within
+        columns.sort(key=lambda column: column[1][0])
+        return tuple(zip(*columns))
+
     def columns_as_points(self) -> list[tuple[int, ...]]:
         """Columns of B as 0/1 vectors; the V-representation generators."""
-        n1 = self.block_sizes[0]
+        n1, n_rows = self.block_sizes[0], self.n_rows
         points = []
-        for outcomes in self.col_outcomes:
-            point = [0] * self.n_rows
+        for outcomes in self.columns()[1]:
+            point = [0] * n_rows
             for block, outcome in enumerate(outcomes):
                 point[block * n1 + outcome] = 1
             points.append(tuple(point))
@@ -136,9 +169,27 @@ class FunctionalSystem(NamedTuple):
             "row_labels": [
                 {"w1": a.as_dict(), "w2": b.as_dict()} for a, b in self.row_labels
             ],
-            "col_labels": [list(levels) for levels in self.col_labels],
-            "col_outcomes": [list(outcomes) for outcomes in self.col_outcomes],
         }
+
+
+def _column_count(shape: tuple, limit: int | None = None) -> int:
+    """The number of columns of B, the product of each member's |W| ** domain.
+
+    Under a ``limit`` it raises ``ColumnLimitError`` past it. Each factor
+    has |W| >= 2, so an exponent past the limit's bit length is over the
+    limit alone: it stops before computing a huge power, and names the
+    count exactly only up to the limit squared.
+    """
+    _, cards, parents, _ = shape
+    count = 1
+    for card, ps in zip(cards, parents):
+        domain = math.prod(cards[p] for p in ps)
+        if limit is not None and (domain > limit.bit_length() or count > limit ** 2):
+            raise ColumnLimitError(None, limit)
+        count *= card ** domain
+    if limit is not None and count > limit:
+        raise ColumnLimitError(count if count <= limit ** 2 else None, limit)
+    return count
 
 
 def district_shape(dag: HiddenDag, district: District) -> tuple[tuple[str, ...], tuple]:
@@ -164,10 +215,12 @@ def district_shape(dag: HiddenDag, district: District) -> tuple[tuple[str, ...],
 
 def build_functional_system(dag: HiddenDag, district: District,
                             column_limit: int = DEFAULT_COLUMN_LIMIT) -> FunctionalSystem:
-    """Construct the labeled system p = B r for a c-degree-1 district.
+    """The labeled system p = B r of a c-degree-1 district, as its names and shape.
 
     The graph is read for its structural conditions and the district's
-    ``district_shape``; positions and cardinalities come from the shape.
+    ``district_shape``. The column guard counts the columns off the shape
+    and raises ``ColumnLimitError`` past ``column_limit``; no column is
+    enumerated here (``FunctionalSystem.columns`` does that).
     """
     report = validate_conditions(dag)
     if not report.ok:
@@ -178,46 +231,8 @@ def build_functional_system(dag: HiddenDag, district: District,
             f"{district.c_degree}; merge its latents first"
         )
     names, shape = district_shape(dag, district)
-    n, cards, parents, order = shape
-    domains = [math.prod(cards[p] for p in ps) for ps in parents]
-    # each factor |W| ** e has |W| >= 2, so an exponent past the limit's bit
-    # length is over the limit alone: stop before computing a huge power,
-    # and name the count exactly only up to the limit squared
-    n_cols = 1
-    for card, domain in zip(cards[:n], domains):
-        if domain > column_limit.bit_length() or n_cols > column_limit ** 2:
-            raise ColumnLimitError(None, column_limit)
-        n_cols *= card ** domain
-    if n_cols > column_limit:
-        raise ColumnLimitError(n_cols if n_cols <= column_limit ** 2 else None, column_limit)
-
-    # a member's functions in level order, each the tuple of its outputs by
-    # parent configuration; both orders are product's, last place fastest
-    tables = [list(product(range(card), repeat=domain))
-              for card, domain in zip(cards[:n], domains)]
-    ranks = [{config: j for j, config in enumerate(product(*[range(cards[p]) for p in ps]))}
-             for ps in parents]
-    w2_values = _value_tuples(cards[n:])  # one per w2 block
-    # a w1 configuration's row in its block, the first member fastest
-    strides = [math.prod(cards[:i]) for i in range(n)]
-
-    columns = []
-    # joint response levels with the first member fastest
-    for reversed_levels in product(*[range(len(table)) for table in reversed(tables)]):
-        levels = reversed_levels[::-1]
-        outcomes = []
-        for w2 in w2_values:
-            values = [0] * n + list(w2)
-            # members in topological order, so each one's parents are set before it
-            for i in order:
-                config = tuple([values[p] for p in parents[i]])
-                values[i] = tables[i][levels[i]][ranks[i][config]]
-            outcomes.append(sum(map(mul, values, strides)))
-        columns.append((levels, tuple(outcomes)))
-    # group by the first w2 block's row; the stable sort keeps level order within
-    columns.sort(key=lambda column: column[1][0])
-    col_labels, col_outcomes = zip(*columns)
-    return FunctionalSystem(names, shape, col_labels, col_outcomes)
+    _column_count(shape, column_limit)
+    return FunctionalSystem(names, shape)
 
 
 def row_symmetries(system: FunctionalSystem):

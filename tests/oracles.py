@@ -759,7 +759,7 @@ def compatible_responses(dag, district, w1, w2) -> set[int]:
     """Column indices of the district's system whose joint response gives (w1, w2)."""
     system = build_functional_system(dag, district)
     block, outcome = divmod(system.row_labels.index((w1, w2)), system.block_sizes[0])
-    return {c for c, outcomes in enumerate(system.col_outcomes) if outcomes[block] == outcome}
+    return {c for c, outcomes in enumerate(system.columns()[1]) if outcomes[block] == outcome}
 
 
 def multiply(system, r) -> list[Fraction]:

@@ -231,33 +231,84 @@ def test_derive_cost_guard_exits_4(examples, capsys):
         assert f"needs {columns} response columns, over the limit" in capsys.readouterr().err
 
 
+def parents_graph(k: int) -> str:
+    """A binary W with the k binary parents P0 .. P(k-1), and no latents."""
+    lines = [f"var P{i} 2" for i in range(k)] + ["var W 2"]
+    return "\n".join(lines + [f"edge P{i} W" for i in range(k)]) + "\n"
+
+
 def test_derive_cost_guard_exits_4_on_a_huge_response_space(tmp_path, capsys):
     # 3 ** 1,000,000 columns: the guard must refuse them without writing out
-    # a 477,000-digit count
+    # a 477,000-digit count; and 2 ** 32 for W with five binary parents,
+    # although such a district's columns are never listed
     path = tmp_path / "wide.graph"
-    path.write_text("var X 1000000\nvar A 3\nedge X A\n")
-    assert main(["derive", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert "needs more than 10000000 response columns, over the limit" in err
+    for text in ("var X 1000000\nvar A 3\nedge X A\n", parents_graph(5)):
+        path.write_text(text)
+        assert main(["derive", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "error: district needs more than 10000000 response columns, "
+            "over the limit of 10000000\n")
+
+
+def test_a_one_member_district_never_lists_its_columns(monkeypatch, tmp_path, capsys):
+    # W's 2 ** 16 response functions realize every outcome on each of its 16
+    # parent configurations, so its facets are the positivity rows
+    def refuse(system):
+        raise AssertionError("a one-member district listed its columns")
+
+    monkeypatch.setattr(obscon.response.FunctionalSystem, "columns", refuse)
+    text = parents_graph(4)
+    result = obscon.derive_all(obscon.parse_graph(text))
+    assert (result.inequality_count, result.equality_count, result.flagged_count) == (32, 16, 0)
+    graph, out = tmp_path / "four.graph", tmp_path / "four.json"
+    graph.write_text(text)
+    assert main(["derive", str(graph), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert out.stat().st_size < 2 ** 20
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def read_readme() -> str:
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_readme_library_example_runs(examples):
     # README's "Library" code block, run on the emitted IV example and its
     # violating table, prints what its comment says
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        code = re.search(r"\n## Library\n+```python\n(.*?)```", fh.read(), re.S).group(1)
+    code = re.search(r"\n## Library\n+```python\n(.*?)```", read_readme(), re.S).group(1)
     for name, emitted in (("iv.graph", "iv.graph"), ("table.csv", "iv_violator.csv")):
         assert f'"{name}"' in code
         code = code.replace(f'"{name}"', repr(path_of(examples, emitted)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(code, readme, "exec"), {})
+        exec(compile(code, README, "exec"), {})
     summary, *flagged, falsified = out.getvalue().splitlines()
     assert summary == re.search(r"print\(result\.summary\(\)\) +# (.*)", code).group(1)
     assert len(flagged) == 4 and all(line.startswith(("P*(", "-P*(")) for line in flagged)
     assert falsified == "True"
+
+
+def test_readme_documents_every_derive_json_key():
+    # README's "Derive JSON (schema N)" section names the schema that
+    # result_to_json writes, and puts in backticks every key of the
+    # document, of a district, of its system, of a constraint (under
+    # --texts) and of meta (under --timings)
+    from obscon.constraints import result_to_json
+
+    section = re.search(r"\n### Derive JSON \(schema (\d+)\)\n(.*?)\n#", read_readme(), re.S)
+    quoted = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", section.group(2)))))
+    dag = obscon.parse_graph(FIXTURE_GRAPHS["iv"])
+    result = obscon.derive_all(dag, obscon.DeriveOptions(timings=True))
+    doc = result_to_json(result, dag, texts=True)
+    assert int(section.group(1)) == doc["schema"]
+    skipped, derived = doc["districts"]
+    assert skipped["skipped"] and not derived["skipped"]
+    keys = {*doc, *skipped, *derived, *derived["system"], *derived["constraints"][0],
+            *doc["meta"], *doc["meta"]["options"], *doc["meta"]["timings"]}
+    assert keys - quoted == set()
 
 
 def test_derive_cdd_format(examples, tmp_path):
@@ -913,48 +964,49 @@ def sparse_support_csv(dag, rng, size=200):
 
 # 18-variable sparse DAGs whose 14 district systems have only 5 (seed 1) and
 # 4 (seed 2) distinct column sets: SHA-256 of `derive -o`, `derive --texts
-# -o` and `check --json` (with the check's exit code), as written before
-# districts of one shape shared a conversion
+# -o` and `check --json` (with the check's exit code); the check digest is
+# as written before districts of one shape shared a conversion, and the
+# derive digests are of that output in schema 3, without the systems' columns
 REPEATED_SHAPE_DIGESTS = {
-    1: ("160cfdfdc0ae310730e602f427347c9884d533c98b6fd02d5ec73c4ddcc198dd",
-        "c20e720624c07dad6eb6fa3bd416cc979ded9e4c4416d910156d589f88cf9239",
+    1: ("e2645fa6711a1ab24df0c4e3047a602b36dcdec857aef47f544abbc040a58e0e",
+        "99791fa71de67c15840e52f4ca9394c90d91a79e03d1b9924842049e53de1a7a",
         "8d546ebe4bfbe6abf99c68d33eac34a5b4acc692de439bb7f6353753e624507f", 1),
-    2: ("cf013ee6704d564778866b7e5402109c15973788a2f223d106716779816e65b5",
-        "f3e169c6faf99797a46508584129babb01da7790bc536ba58367ead28122e181",
+    2: ("583ecdcc453a969d3e1b0a94258231267e93bdba74dd26a037b1868219df37a8",
+        "fea493842a89bb23a054d4a494c8f09d01f7c45618da4b277348517dc0753a0e",
         "f875d923f13300b85094471e5f0dfaef992fa85d4b6ced69a08a8c168525ecbf", 1),
 }
 
 
-# SHA-256 of `derive -o`, `derive --texts -o` and `derive --format cdd -o` on
-# every bundled graph but Bell (with --merge where a district has c-degree 2)
-# and on the inline CHSH and I3322 Bell graphs
+# SHA-256 of `derive -o`, `derive --texts -o` (both schema 3) and `derive
+# --format cdd -o` on every bundled graph but Bell (with --merge where a
+# district has c-degree 2) and on the inline CHSH and I3322 Bell graphs
 DERIVE_DIGESTS = {
-    "iv": ("eb3adb7046a5550656c744fe6411c9c28093fffbdcc75dd6c93302005001c94b",
-           "a1da5ba02b97d1e9503ca3ebe060e5e23483c8d18cbd06b45193baee693629d8",
+    "iv": ("9acfc1eb53fd4bf9e6fe83ca1c6be99a81d141e43c55b60570a0a308a520e197",
+           "796235ea42d26b6a91cbd96a34ac4a051133c69038387d2907cceaab5b0cf7f1",
            "0bc05426b3fe944d1e4b1879b2b35feb571bfd747f587c59cfe73bd317542eda"),
-    "iv_sequential": ("cd360700096e39d807dcb74390067857fd0503d041e86740a8a3705ad8d098b1",
-                      "0700eaf95881b203849caab7e61b1439df2079d9b7f6fc6334f7e9216e32d04a",
+    "iv_sequential": ("fc6394f8b2d2a1750ec5c4e5039e11cb25b790b4287eef93e2fe95958125380d",
+                      "dcce5ff48a3caff354b713e4a83118615b9494775bac8abab8748fc374089559",
                       "cb75798074b04cbbd790dff776f453cf67848a196e2219237fe6928e315220c4"),
-    "nested_pair_left": ("631cfadfdec53368b7b7f0c5bb00b63747b7df05e7af6c898439a604cbcdc9a0",
-                         "9e697fc6ba345ae9ff04bd2128628ea14944f8c5ae56fb5c296eacdac282c460",
+    "nested_pair_left": ("53083ee17615b496c84abee212e8353f4e084c85fa0752b5075c712ebddc8a5d",
+                         "a636c0b6ecf32665a706341f1648cae5a402c8e31669c788ad76188bb54549cb",
                          "2d6a9c795db98729a3818a6e192538f6ca4fda2f9d0814ac69da9f068a13fa74"),
-    "nested_pair_right": ("fb64aad185249e5d6a542bb9c77f9e65611785c6f7ed1239bae9d3ec2dbce76d",
-                          "bad76195ceb22bd9b67e349b3ca63567d1263412f06f863f2f99bd375dca1c1d",
+    "nested_pair_right": ("8b089c05595e671b3fc0e4e477754a40213a05824cefd66cb0b62ffa2019c797",
+                          "0c16489738973b239579a5eba2c0f99d0d8d7cb645ab25e8c7049e2ba872a45b",
                           "9b3d8628578a6d0a469d4b152234e2dc9845b9d0a66d3b2978b4f725aa48fd9f"),
-    "frontdoor": ("21fbcff59e4ff5535501cb92efac21c6c9de3021c1e10ae083776d1f5604929a",
-                  "4e3928a2cd40ebc893d6cf0a50a0970600691327b282139bc11bcdea4d4e25ae",
+    "frontdoor": ("2f238a3cfd28c84e2dfb76469e51689fd411251b6a764a2739f44bde3fcecaa5",
+                  "269372f4b5e39ebaa8da9a32e13c98512b8d184916a4047b70ca0763fcb322f0",
                   "463af17bc7a3df535fe6a919ba04eae4d736a51451de21633b912a41a93530a4"),
-    "mixed_cdegree": ("4a376ba0f094b35899095c791bc1fb882f2e204aa6d57875278ab3f2dba6035c",
-                      "22003cdcc806e9eb565e46615ef84ef26e535b27f1c87be5ab96933d8c64d27f",
+    "mixed_cdegree": ("f919f779e9f7ccef7b43d208ef9e00d70a1013505ee05c8ead2faa048eeeb67f",
+                      "ac90ddda42e1b259611d4e7eb3a4f79520c5d02f6297db2e57d347377fb0ec55",
                       "d1f0830a459d468d8db8b2ec748e203858cb1928bdb0c3cf5d232c4006502e9c"),
-    "triangle": ("7f1346254a2eab35e09776dc4db8e7d3cdac290b1eed4e74486800509339d094",
-                 "426450168275584cf52cf8650efeaf89900aa3c9145861920e80b29ca17b2bf6",
+    "triangle": ("2e97f7d040a2c12808805296b24557cefc3da362ce261072ea3006989d755d82",
+                 "34117a90e638bfd30cf991f4738faaf1c1e50e51ff82c2183a42fd2995182474",
                  "edd3409c6c6d3f256e873718e08aeabac11067fdc9c88448164b7b6d928198c1"),
-    "BELL_CHSH": ("a52a884100e597440b393c5be9166f610874759ac06dca2e6915bd6c058f12f7",
-                  "4dbb6d41c229fe0485d249dfbf22713e10529d73cc9a0caa27ed553706d0e12f",
+    "BELL_CHSH": ("7d7e7e887610f932e91fac043a1ee928dc0fd7180cd850402e85053f9baae56b",
+                  "402ec02311b5bac39f6ccdbd59cf8dcee817562db892fa28a3c2a4aa301238e9",
                   "75df74e386a56de402db05e1acf53125a8ca508464eb94e85fba211d59097808"),
-    "BELL_I3322": ("1f1bb3c1a9ae69b83b0756c17731b11cf0b760b788e9450fbdba3d56d32346aa",
-                   "92d4f8cf33e038426674ca47b5062a062c282a4b8f5cc62399cb45d7856219cc",
+    "BELL_I3322": ("ee23d6e1416bf1bb686086e01da1377ffad7e07b7170da993a76d458fce8ffba",
+                   "1129ed7f0d79e9315f4e79957f5079b89b79b2ac1a9133debd91fc0352c00d0e",
                    "c1444e1b124f836aa4f285613f47b279688a36a79f618e8e6be8c572748cb3ff"),
 }
 

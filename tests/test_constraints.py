@@ -575,43 +575,49 @@ def test_json_outputs_are_stable(graphs):
     assert first == second
     payload = json.loads(first)
     assert payload["summary"]["total"] == 14
-    # the first four columns of B realize row 0 of block 0
-    outcomes = payload["districts"][1]["system"]["col_outcomes"]
-    assert [column[0] for column in outcomes[:4]] == [0, 0, 0, 0]
+    # B is not written: the graph and the members fix it
+    assert list(payload["districts"][1]["system"]) == ["members", "external_parents",
+                                                       "row_labels"]
 
 
-def dense_from_json(entry):
-    """A district's dense HRep and B, rebuilt from its schema-2 JSON entry."""
-    system = entry["system"]
-    n_rows, n_cols = len(system["row_labels"]), len(system["col_outcomes"])
+def dense_from_json(payload, entry):
+    """A district's dense HRep and B, rebuilt from its schema-3 JSON entry:
+    B from the document's ``derived_graph`` and the entry's ``members`` alone."""
+    dag = parse_graph(payload["derived_graph"])
+    (district,) = [d for d in dag.districts() if list(d.members) == entry["members"]]
+    names, shape = district_shape(dag, district)
+    assert list(names) == entry["system"]["members"] + entry["system"]["external_parents"]
+    _, col_outcomes = FunctionalSystem(names, shape).columns()
+    n_rows, n1 = len(entry["system"]["row_labels"]), entry["block_sizes"][0]
     ineq, eq = [], []
     for c in entry["constraints"]:
         vec = [0] * n_rows
         for row, coeff in zip(c["rows"], c["coeffs"], strict=True):
             vec[row] = coeff
         (ineq if c["relation"] == "<=" else eq).append((tuple(vec), c["rhs"]))
-    n1 = n_rows // len(system["col_outcomes"][0])
-    matrix = [[0] * n_cols for _ in range(n_rows)]
-    for col, outcomes in enumerate(system["col_outcomes"]):
+    matrix = [[0] * len(col_outcomes) for _ in range(n_rows)]
+    for col, outcomes in enumerate(col_outcomes):
         for block, outcome in enumerate(outcomes):
             matrix[block * n1 + outcome][col] = 1
     return HRep(tuple(ineq), tuple(eq)), tuple(tuple(row) for row in matrix)
 
 
-SCHEMA2_GRAPHS = {
+SCHEMA_GRAPHS = {
     **{name: text for name, text in FIXTURE_GRAPHS.items() if name != "bell_tripartite"},
     "chsh": BELL_CHSH,
     "i3322": BELL_I3322,
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCHEMA2_GRAPHS))
+@pytest.mark.parametrize("name", sorted(SCHEMA_GRAPHS))
 def test_schema2_json_loses_nothing(name):
-    dag = parse_graph(SCHEMA2_GRAPHS[name])
+    # schema 3 drops schema 2's col_labels and col_outcomes; B and the HRep
+    # are rebuilt from the document alone
+    dag = parse_graph(SCHEMA_GRAPHS[name])
     merge = any(d.c_degree > 1 for d in dag.districts())
     result = derive_all(dag, DeriveOptions(merge=merge))
     payload = json.loads(json.dumps(result_to_json(result, dag), indent=2))
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert len(payload["districts"]) == len(result.districts)
     for record, entry in zip(result.districts, payload["districts"]):
         assert "hrep" not in entry
@@ -621,16 +627,15 @@ def test_schema2_json_loses_nothing(name):
             continue
         fs = record.system
         assert not record.skipped
-        assert record.hrep == v_to_h(VRep(tuple(fs.columns_as_points())))
-        assert "matrix" not in entry["system"]
         assert entry["system"]["row_labels"] == [
             {"w1": w1.as_dict(), "w2": w2.as_dict()} for w1, w2 in fs.row_labels
         ]
-        assert entry["system"]["col_labels"] == [list(c) for c in fs.col_labels]
+        assert not {"matrix", "col_labels", "col_outcomes"} & set(entry["system"])
         assert all(not key.startswith("text_") for c in entry["constraints"] for key in c)
-        hrep, matrix = dense_from_json(entry)
+        hrep, matrix = dense_from_json(payload, entry)
         assert hrep == record.hrep
         assert matrix == system_matrix(fs)
+        assert v_to_h(VRep(tuple(zip(*matrix)))) == hrep
         flags = [(c.flagged, c.witness) for c in record.constraints]
         assert [(c["flagged"], c["witness"]) for c in entry["constraints"]] == flags
 
@@ -956,6 +961,8 @@ def test_star_probability_matches_push_through(graphs):
 IV = parse_graph(FIXTURE_GRAPHS["iv"])
 # fails C1: the latent U2 has the latent parent U1
 NESTED = parse_graph("var A 2\nvar B 2\nlatent U1\nlatent U2\nedge U1 U2\nedge U2 A\nedge U1 B\n")
+# IV's variables, but X takes three values
+IV_X3 = parse_graph(FIXTURE_GRAPHS["iv"].replace("var X 2", "var X 3"))
 
 
 def _iv_row():
@@ -975,12 +982,16 @@ def _iv_row():
      ValueError("observable mode needs the graph")),
     (lambda: evaluate(derive_all(IV), IV, parse_table("A,B,prob\n0,0,1\n", NESTED)),
      ValueError("table variables do not match the graph")),
+    (lambda: evaluate(derive_all(IV), IV,
+                      parse_table("Z,X,Y,prob\n0,0,0,1/2\n0,2,0,1/2\n", IV_X3)),
+     ValueError("table cardinalities do not match the graph")),
     (lambda: extreme_rays([]), ValueError("no constraint rows")),
     (lambda: build_functional_system(NESTED, NESTED.districts()[0]),
      ValueError("graph violates the structural conditions; normalize it first")),
 ], ids=["duplicate-name", "eq-other-type", "latent-cardinality", "latent-ancestors",
         "empty-side-separated", "unknown-render-mode", "observable-without-graph",
-        "table-of-other-variables", "no-rows", "build-failing-conditions"])
+        "table-of-other-variables", "table-of-other-cardinalities", "no-rows",
+        "build-failing-conditions"])
 def test_library_checks(call, expected):
     if isinstance(expected, Exception):
         with pytest.raises(type(expected)) as info:

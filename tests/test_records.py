@@ -66,9 +66,8 @@ RECORDS = {
     VRep: ((("points", REQUIRED),), (((0, 1), (1, Fraction(1, 2))),)),
     HRep: ((("ineq", REQUIRED), ("eq", REQUIRED)), ((((1, 0), 1),), (((0, 1), 0),))),
     Configuration: ((("items", REQUIRED),), ((("A", 0), ("B", 1)),)),
-    FunctionalSystem: ((("names", REQUIRED), ("shape", REQUIRED),
-                        ("col_labels", REQUIRED), ("col_outcomes", REQUIRED)),
-                       (("A", "B"), (2, (2, 2), ((), ()), (0, 1)), ((0, 0),), ((0,),))),
+    FunctionalSystem: ((("names", REQUIRED), ("shape", REQUIRED)),
+                       (("A", "B"), (2, (2, 2), ((), ()), (0, 1)))),
     RewriteStep: ((("rule", REQUIRED), ("description", REQUIRED), ("edits", REQUIRED)),
                   ("exogenize", "made U exogenous", (("add_edge", "Z", "X"),))),
     RewriteLog: ((("steps", ()),), ((STEP,),)),

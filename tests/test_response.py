@@ -212,7 +212,8 @@ def test_cost_guard_refuses_a_huge_response_space_at_once():
     assert info.value.estimate is None
 
 
-# pinned SHA-256 of repr((col_labels, col_outcomes)) of the district system
+# pinned SHA-256 of repr(columns()), the (col_labels, col_outcomes) of the
+# district system
 @pytest.mark.parametrize("text, n_blocks, digest", [
     pytest.param(FIXTURE_GRAPHS["bell_tripartite"], 8,
                  "78894e8786f7917cd7d012e03d8dc562b9c07cde8188e68e5f6732494b2a4b8b",
@@ -225,8 +226,9 @@ def test_build_functional_system_wide_column_order(text, n_blocks, digest):
     dag = parse_graph(text)
     (district,) = [d for d in dag.districts() if len(d.members) > 1]
     fs = build_functional_system(dag, district)
-    assert fs.n_cols == 64 and len(fs.col_outcomes[0]) == n_blocks
-    blob = repr((fs.col_labels, fs.col_outcomes)).encode()
+    col_labels, col_outcomes = fs.columns()
+    assert fs.n_cols == len(col_labels) == 64 and len(col_outcomes[0]) == n_blocks
+    blob = repr((col_labels, col_outcomes)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -251,8 +253,9 @@ def test_build_matches_the_reference_encoding():
                 fs = build_functional_system(dag, district, column_limit=2048)
             except ColumnLimitError:
                 continue
-            got = (fs.row_labels, fs.col_labels, fs.col_outcomes)
+            got = (fs.row_labels, *fs.columns())
             assert got == reference_system(dag, district), dag.to_text()
+            assert fs.n_cols == len(got[1])  # the count read off the shape
             compared += 1
             ternary += fs.n_cols > 2 and any(dag.cardinality(n) == 3 for n in fs.names)
     assert compared > 300 and ternary > 100
