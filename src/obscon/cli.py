@@ -1,7 +1,8 @@
 """Command-line interface: info, rewrite, derive and check workflows.
 
 Exit codes are a stable contract: 0 success (check: no violation), 1 check
-found a violation, 2 graph parse or read error, 3 structural-condition or
+found a violation, 2 graph parse or read error or usage error (such as
+``--emit-examples`` with a command), 3 structural-condition or
 c-degree error, 4 cost guard tripped, 5 distribution (parse or read) or
 tolerance error, 70 internal
 error (a bug: one ``error:`` line, no traceback), 74 output error (``derive
@@ -85,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--emit-examples",
         metavar="DIR",
-        help="write the bundled example graphs and distributions to DIR and exit",
+        help="write the bundled example graphs and distributions to DIR and exit; "
+             "takes no command",
     )
     sub = parser.add_subparsers(dest="command")
     derive_flags = argparse.ArgumentParser(add_help=False)
@@ -367,6 +369,8 @@ def main(argv=None) -> int:
         parser.error("--texts and --timings apply to --format json only")
     if args.command == "rewrite" and (args.c_set or args.d_set) and not args.replace:
         parser.error("--c-set and --d-set apply to --replace only")
+    if args.emit_examples and args.command:
+        parser.error(f"--emit-examples takes no command, got {args.command!r}")
     if args.emit_examples:
         handler = cmd_emit_examples
     elif not args.command:

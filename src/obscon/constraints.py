@@ -216,18 +216,14 @@ def flag_nontrivial(h: HRep, block_sizes: Sequence[int]):
 def _derive_district(dag: HiddenDag, district, column_limit, derived: dict) -> DistrictResult:
     """Build a district's system, convert its columns to facets, flag the rows.
 
-    Two cases need no conversion, since their facets are the simplex
-    positivity rows. A lone variable without observed parents (its
-    ``district_shape`` has one name) is skipped: no system and no
-    constraints. A system whose columns realize every combination of block
-    outcomes spans the whole product of simplices: its HRep is
-    ``simplex_product_hrep``'s closed form, which is ``v_to_h``'s HRep of
-    its columns, and it is flagged and reused as a converted one. A
-    one-member shape is such a system (its member's functions realize every
-    output on each configuration of its parents, the external parents), so
-    its columns are never enumerated; any other new shape enumerates them
-    once and is a full product when it has as many distinct columns as the
-    product has vertices. Every other system is converted by ``v_to_h``.
+    The route is read off the names and shape. A lone variable without
+    observed parents (its ``district_shape`` has one name) is skipped: no
+    system and no constraints. A ``full_product`` system (every member reads
+    every external parent) spans the whole product of simplices: its HRep is
+    ``simplex_product_hrep``'s closed form of the block sizes, which is
+    ``v_to_h``'s HRep of its columns, and it is flagged and reused as a
+    converted one. Every other system is converted by ``v_to_h``, the only
+    route that enumerates columns.
 
     Every district gets the system ``FunctionalSystem(names, shape)``, which
     labels its rows with its own names. ``derived`` maps each
@@ -245,12 +241,11 @@ def _derive_district(dag: HiddenDag, district, column_limit, derived: dict) -> D
     if constraints is None:
         system = build_functional_system(dag, district, column_limit)
         blocks = system.block_sizes
-        # a one-member shape is a full product: its columns are not enumerated
-        points = () if shape[0] == 1 else tuple(system.columns_as_points())
-        if not points or len(set(points)) == blocks[0] ** len(blocks):
+        if system.full_product:
             hrep = simplex_product_hrep(blocks)
         else:
-            hrep = v_to_h(VRep(points), symmetries=row_symmetries(system))
+            hrep = v_to_h(VRep(tuple(system.columns_as_points())),
+                          symmetries=row_symmetries(system))
         constraints = derived[shape] = _to_constraints(hrep, blocks)
     return DistrictResult(district.members, district.c_degree,
                           FunctionalSystem(names, shape), constraints)

@@ -16,8 +16,10 @@ variable order):
   group by joint response level with the first member's level fastest.
 
 The district's ``district_shape`` names and shape fix both, and they are all
-a ``FunctionalSystem`` stores: ``FunctionalSystem.columns`` enumerates the
-columns when a conversion needs them.
+a ``FunctionalSystem`` stores. The shape also tells whether the columns are
+every vertex of the product of the block simplices
+(``FunctionalSystem.full_product``); ``FunctionalSystem.columns`` enumerates
+the columns only for a conversion of a system that is not.
 
 The column convention reproduces the ordering used in published derivations
 for the binary instrumental-variable system.
@@ -93,6 +95,26 @@ class FunctionalSystem(NamedTuple):
     @property
     def members(self) -> tuple[str, ...]:
         return self.names[:self.shape[0]]
+
+    @property
+    def full_product(self) -> bool:
+        """Whether the columns realize every combination of block outcomes.
+
+        That holds iff every member's observed parents include every
+        external parent; the shape says it, so no column is enumerated.
+
+        * If: any two w2 blocks differ on some external parent, which every
+          member reads. Taking the members in topological order, each one
+          therefore sees different inputs in different blocks, and can
+          output any target value in each block.
+        * Only if: say member m does not read external parent P. Take two
+          blocks that differ only in P (every cardinality is at least 2).
+          Where the other members agree on both blocks, m gets the same
+          input in both, so a target in which the others agree and m
+          differs is never realized.
+        """
+        n, _, parents, _ = self.shape
+        return all(set(range(n, len(self.names))).issubset(ps) for ps in parents)
 
     @property
     def n_rows(self) -> int:

@@ -147,6 +147,23 @@ def test_derive_cdd_refuses_json_only_flags(examples, tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["info", "g.graph"],
+    ["rewrite", "g.graph", "--normalize"],
+    ["derive", "g.graph"],
+    ["check", "g.graph", "missing.csv"],
+])
+def test_emit_examples_refuses_a_command(tmp_path, capsys, argv):
+    # the command would never run, so exit 0 would claim a check that was not made
+    target = tmp_path / "examples"
+    with pytest.raises(SystemExit) as exc:
+        main(["--emit-examples", str(target), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--emit-examples" in captured.err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("mode", [["--normalize"], ["--merge-latents"], ["--hlp", "Z", "Y"],
                                   ["--face-split", "U"]])
 @pytest.mark.parametrize("sets", [["--c-set", "X"], ["--d-set", "Y"],
@@ -250,21 +267,32 @@ def test_derive_cost_guard_exits_4_on_a_huge_response_space(tmp_path, capsys):
             "over the limit of 10000000\n")
 
 
+# A and B, confounded by U, each read all three binary parents: 2 ** 16
+# functions each, 65,536 columns over 8 blocks of 4 rows
+CONFOUNDED_PAIR_OF_THREE_PARENTS = (
+    "var P0 2\nvar P1 2\nvar P2 2\nvar A 2\nvar B 2\nlatent U\n"
+    "edge P0 A\nedge P1 A\nedge P2 A\nedge P0 B\nedge P1 B\nedge P2 B\n"
+    "edge U A\nedge U B\n")
+
+
 def test_a_one_member_district_never_lists_its_columns(monkeypatch, tmp_path, capsys):
-    # W's 2 ** 16 response functions realize every outcome on each of its 16
-    # parent configurations, so its facets are the positivity rows
+    # each member reads every external parent, so the functions realize every
+    # outcome in each block, and the facets are the positivity rows: W's 2 ** 16
+    # on its 16 parent configurations, and A and B's on their 8
     def refuse(system):
-        raise AssertionError("a one-member district listed its columns")
+        raise AssertionError("a full-product district listed its columns")
 
     monkeypatch.setattr(obscon.response.FunctionalSystem, "columns", refuse)
-    text = parents_graph(4)
-    result = obscon.derive_all(obscon.parse_graph(text))
-    assert (result.inequality_count, result.equality_count, result.flagged_count) == (32, 16, 0)
-    graph, out = tmp_path / "four.graph", tmp_path / "four.json"
-    graph.write_text(text)
-    assert main(["derive", str(graph), "-o", str(out)]) == 0
-    capsys.readouterr()
-    assert out.stat().st_size < 2 ** 20
+    graph, out = tmp_path / "g.graph", tmp_path / "g.json"
+    for text, counts in ((parents_graph(4), (32, 16, 0)),
+                         (CONFOUNDED_PAIR_OF_THREE_PARENTS, (32, 8, 0))):
+        result = obscon.derive_all(obscon.parse_graph(text))
+        assert (result.inequality_count, result.equality_count,
+                result.flagged_count) == counts
+        graph.write_text(text)
+        assert main(["derive", str(graph), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert out.stat().st_size < 2 ** 20
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

@@ -43,7 +43,7 @@ from obscon.response import (
     star_scaled,
 )
 from obscon.tables import TableError, parse_table
-from obscon.transform import normalize
+from obscon.transform import merge_district_latents, normalize
 
 from obscon.fixtures import FIXTURE_GRAPHS
 
@@ -724,6 +724,39 @@ def test_a_full_product_district_never_reaches_double_description(monkeypatch):
     assert (relations.count("<="), relations.count("=")) == (16, 8)
     assert not any(c.flagged for c in record.constraints)
     assert record.hrep == v_to_h(VRep(tuple(record.system.columns_as_points())))
+
+
+def test_the_full_product_rule_agrees_with_column_enumeration(monkeypatch):
+    # the shape rule against the listed columns, on every multi-member
+    # district that a derive would build: each fixture and bench graph,
+    # merged where needed, and normalized random DAGs up to 4,096 columns
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import WORKLOADS
+
+    graphs = {name: parse_graph(text) for name, text in FIXTURE_GRAPHS.items()}
+    graphs.update((name, parse_graph(w.graph.text())) for name, w in WORKLOADS.items())
+    rng = random.Random(7)
+    graphs.update((f"random {k}", normalize(random_dag(rng))[0]) for k in range(400))
+    verdicts = {}
+    for name, dag in graphs.items():
+        if any(d.c_degree > 1 for d in dag.districts()):
+            dag, _ = merge_district_latents(dag)
+        for district in dag.districts():
+            if len(district.members) < 2:
+                continue
+            try:
+                system = build_functional_system(dag, district, column_limit=4096)
+            except ColumnLimitError:
+                continue
+            assert system.full_product == is_full_product(system), (name, district.members)
+            verdicts[name, district.members] = system.full_product
+    assert verdicts["triangle", ("V1", "V2", "V3")]
+    # i3322 (A,B); sparse14 (V02,V05), (V03,V07), (V10,V14); mixed_check two
+    workload = [full for (name, _), full in verdicts.items() if name in WORKLOADS]
+    assert len(workload) == 6 and not any(workload)
+    assert set(verdicts.values()) == {True, False}
+    assert sum(name.startswith("random") for name, _ in verdicts) > 30
 
 
 def test_timings_count_the_conversions_of_each_bench_workload(monkeypatch):
