@@ -22,9 +22,12 @@ masks, by strided slices of one string, into one bitset per row marking
 the rays tight at it (the tight sets of Terzer & Stelling, "Large-scale
 computation of elementary flux modes with bit pattern trees",
 Bioinformatics 24, 2008). The adjacency test of a plus/minus pair is then
-an AND of row bitsets, and a bit-sliced counter over bitsets as wide as
-the minus rays picks each plus ray's candidate partners without looking at
-pairs one by one. A mask's rows are selected and ANDed by
+an AND of row bitsets. A plus ray's candidate partners, the minus rays
+that share enough of its rows, come from one of two exact filters, chosen
+per plus ray by the number of minus rays per row of the plus ray: a direct
+pass that ANDs and counts every minus mask in C, or a bit-sliced counter
+over bitsets as wide as the minus rays, which loops over the plus ray's
+rows in Python. A mask's rows are selected and ANDed by
 ``itertools.compress`` and ``functools.reduce``, so no Python loop runs
 over rows or bits there. Most candidate pairs are not adjacent: the AND
 leaves a third ray, tight wherever both are, and a step remembers these
@@ -66,9 +69,9 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import and_, itemgetter, mul
+from operator import and_, ge, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -283,12 +286,16 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     list is tight at ``dim - 1`` rows or more (an initial ray at every basis
     row but one; a new ray at its pair's common rows, at least ``dim - 2``,
     plus the inserted row; a zero ray gains the inserted row), so slack is
-    at least 1. The minus rays' masks alone are transposed once more into
-    "missed" bitsets, bit j for the j-th minus ray, and a bit-sliced
-    counter over p's rows of them finds all such n at once. Only they are
-    tested, in list order: the counter's bits map back through the
-    ascending list of minus indices. New rays come out plus-major,
-    minus-minor, after the zero and minus rays.
+    at least 1. ``_candidate_filter`` finds all such n for p, ascending,
+    by one of two exact formulations: a direct pass that counts
+    ``popcount(mask_p & mask_n)`` for every minus ray in one C-level map,
+    taken while the step has at most ``DIRECT_MINUS_PER_ROW`` minus rays
+    per row of p; otherwise a bit-sliced counter over p's rows of the
+    "missed" bitsets, the minus rays' masks transposed (bit j for the j-th
+    minus ray), built once per step and only if some plus ray needs them.
+    Both give the same list, so the choice changes no ray, order or hook
+    call. Only these n are tested, in list order. New rays come out
+    plus-major, minus-minor, after the zero and minus rays.
 
     Witness memo: when a pair (p, n) fails, the highest-indexed third ray
     r left by the AND is tight at every row of ``common = mask_p & mask_n``.
@@ -351,21 +358,16 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
         masks = [ray[1] for ray in rays]
         tight = _tight_sets(masks, n)
         all_rays = (1 << len(rays)) - 1
-        all_minus = (1 << len(minus)) - 1
-        missed = [all_minus ^ t for t in _tight_sets([masks[i] for i in minus], n)]
+        partners = _candidate_filter(minus, [masks[i] for i in minus], n, dim - 2)
         # witness memo: the third ray that showed a pair non-adjacent, kept
         # by its minus ray for the whole step and by its plus ray in a list
         n_witness = {}
         new_rays = []
         for p_index, p_ray, sp in plus:
             mask_p = p_ray[1]
-            slack = mask_p.bit_count() - (dim - 2)
             witnesses = []
             last = None  # the witness that last answered for p
-            candidates = _within_slack(list(compress(missed, _selector(mask_p, width))),
-                                       all_minus, slack)
-            for j in _bit_indices(candidates):
-                n_index = minus[j]
+            for n_index in partners(mask_p):
                 common = mask_p & masks[n_index]
                 r = n_witness.get(n_index)
                 if r is not None and r != p_index and not common & ~masks[r]:
@@ -436,6 +438,45 @@ def _tight_sets(masks: Sequence[int], n_rows: int) -> list[int]:
     width = f"0{n_rows}b"
     text = "".join([format(mask, width) for mask in reversed(masks)])
     return [int(text[n_rows - 1 - i::n_rows], 2) for i in range(n_rows)]
+
+
+# at most this many minus rays per tight row of the plus ray: the direct
+# candidate pass, else the bit-sliced counter (README "Performance notes")
+DIRECT_MINUS_PER_ROW = 6
+
+
+def _candidate_filter(minus: Sequence[int], minus_masks: Sequence[int], n_rows: int,
+                      least: int):
+    """The map from a plus ray's tight mask to its candidate partners: the
+    ray indices of ``minus``, ascending, whose masks ``minus_masks`` share
+    at least ``least`` rows with it.
+
+    Two exact formulations, chosen per plus ray. The direct pass ANDs the
+    mask with every minus mask and counts the common rows, all in C, so
+    its cost grows with the number of minus rays. The bit-sliced counter
+    (``_within_slack``) runs a Python loop over the plus ray's rows of the
+    "missed" bitsets, bit j set where the j-th minus ray is not tight,
+    so its cost grows with the plus ray's row count. The direct pass is
+    taken while there are at most ``DIRECT_MINUS_PER_ROW`` minus rays per
+    row of the plus ray; the missed bitsets are built on the first plus
+    ray that takes the counter, and never on a step where none does.
+    """
+    width = f"0{n_rows}b"
+    all_minus = (1 << len(minus)) - 1
+    missed = []
+
+    def partners(mask: int) -> Iterable[int]:
+        rows = mask.bit_count()
+        if len(minus) <= DIRECT_MINUS_PER_ROW * rows:
+            shared = map(int.bit_count, map(and_, minus_masks, repeat(mask)))
+            return compress(minus, map(ge, shared, repeat(least)))
+        if not missed:
+            missed.extend(all_minus ^ t for t in _tight_sets(minus_masks, n_rows))
+        within = _within_slack(list(compress(missed, _selector(mask, width))),
+                               all_minus, rows - least)
+        return map(minus.__getitem__, _bit_indices(within))
+
+    return partners
 
 
 def _within_slack(missed_rows: Sequence[int], candidates: int, slack: int) -> int:

@@ -40,15 +40,17 @@ DEFAULT_COLUMN_LIMIT = 10_000_000
 
 
 class ColumnLimitError(RuntimeError):
-    """The joint response space is larger than the configured column limit;
-    ``estimate`` is its size, or None when that is over the limit squared."""
+    """A district's work is larger than the configured column limit:
+    ``estimate`` ``unit`` (its response columns, or a full product's
+    closed-form inequality coefficients), or None when that is over the
+    limit squared."""
 
-    def __init__(self, estimate: int | None, limit: int):
+    def __init__(self, estimate: int | None, limit: int, unit: str = "response columns"):
         self.estimate = estimate
         self.limit = limit
         needs = f"more than {limit}" if estimate is None else estimate
         super().__init__(
-            f"district needs {needs} response columns, over the limit of {limit}"
+            f"district needs {needs} {unit}, over the limit of {limit}"
         )
 
 
@@ -240,9 +242,12 @@ def build_functional_system(dag: HiddenDag, district: District,
     """The labeled system p = B r of a c-degree-1 district, as its names and shape.
 
     The graph is read for its structural conditions and the district's
-    ``district_shape``. The column guard counts the columns off the shape
-    and raises ``ColumnLimitError`` past ``column_limit``; no column is
-    enumerated here (``FunctionalSystem.columns`` does that).
+    ``district_shape``. No column is enumerated here
+    (``FunctionalSystem.columns`` does that). The cost guard counts the
+    columns off the shape and raises ``ColumnLimitError`` past
+    ``column_limit``, except for a full product, whose columns are never
+    listed, when the coefficients of its closed-form inequalities
+    (``polyhedra.simplex_product_hrep``) are within the limit.
     """
     report = validate_conditions(dag)
     if not report.ok:
@@ -252,9 +257,21 @@ def build_functional_system(dag: HiddenDag, district: District,
             f"district {{{', '.join(district.members)}}} has c-degree "
             f"{district.c_degree}; merge its latents first"
         )
-    names, shape = district_shape(dag, district)
-    _column_count(shape, column_limit)
-    return FunctionalSystem(names, shape)
+    system = FunctionalSystem(*district_shape(dag, district))
+    try:
+        _column_count(system.shape, column_limit)
+    except ColumnLimitError:
+        if not system.full_product:
+            raise
+        # never listed, a full product's columns are refused only when its
+        # closed form, one inequality per row of B with a coefficient per
+        # row of B, is over the limit too
+        coefficients = system.n_rows ** 2
+        if coefficients > column_limit:
+            raise ColumnLimitError(coefficients if coefficients <= column_limit ** 2 else None,
+                                   column_limit, "closed-form inequality coefficients"
+                                   ) from None
+    return system
 
 
 def row_symmetries(system: FunctionalSystem):

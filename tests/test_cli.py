@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -255,16 +256,14 @@ def parents_graph(k: int) -> str:
 
 
 def test_derive_cost_guard_exits_4_on_a_huge_response_space(tmp_path, capsys):
-    # 3 ** 1,000,000 columns: the guard must refuse them without writing out
-    # a 477,000-digit count; and 2 ** 32 for W with five binary parents,
-    # although such a district's columns are never listed
+    # 3 ** 1,000,000 columns, never listed for this full product: the guard
+    # counts its closed form's 3,000,000 inequalities of 3,000,000 coefficients
     path = tmp_path / "wide.graph"
-    for text in ("var X 1000000\nvar A 3\nedge X A\n", parents_graph(5)):
-        path.write_text(text)
-        assert main(["derive", str(path)]) == 4
-        assert capsys.readouterr().err == (
-            "error: district needs more than 10000000 response columns, "
-            "over the limit of 10000000\n")
+    path.write_text("var X 1000000\nvar A 3\nedge X A\n")
+    assert main(["derive", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: district needs 9000000000000 closed-form inequality coefficients, "
+        "over the limit of 10000000\n")
 
 
 # A and B, confounded by U, each read all three binary parents: 2 ** 16
@@ -278,15 +277,20 @@ CONFOUNDED_PAIR_OF_THREE_PARENTS = (
 def test_a_one_member_district_never_lists_its_columns(monkeypatch, tmp_path, capsys):
     # each member reads every external parent, so the functions realize every
     # outcome in each block, and the facets are the positivity rows: W's 2 ** 16
-    # on its 16 parent configurations, and A and B's on their 8
+    # on its 16 parent configurations, and A and B's on their 8; with five
+    # parents, W's 2 ** 32 functions are over the column limit, but the
+    # closed form's 64 rows of 64 coefficients are not
     def refuse(system):
         raise AssertionError("a full-product district listed its columns")
 
     monkeypatch.setattr(obscon.response.FunctionalSystem, "columns", refuse)
     graph, out = tmp_path / "g.graph", tmp_path / "g.json"
     for text, counts in ((parents_graph(4), (32, 16, 0)),
+                         (parents_graph(5), (64, 32, 0)),
                          (CONFOUNDED_PAIR_OF_THREE_PARENTS, (32, 8, 0))):
+        start = time.perf_counter()
         result = obscon.derive_all(obscon.parse_graph(text))
+        assert time.perf_counter() - start < 1
         assert (result.inequality_count, result.equality_count,
                 result.flagged_count) == counts
         graph.write_text(text)

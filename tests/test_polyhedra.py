@@ -322,6 +322,11 @@ def test_extreme_rays_matches_full_scan_reference():
         want = extreme_rays_full_scan(rows, progress=lambda *a: want_calls.append(a))
         assert got == want, (rep, rows)
         assert got_calls == want_calls, (rep, rows)
+        # every plus ray on the bit-sliced counter, then on the direct pass
+        for minus_per_row in (0, 10 ** 9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(polyhedra, "DIRECT_MINUS_PER_ROW", minus_per_row)
+                assert polyhedra.extreme_rays(rows) == want, (rep, minus_per_row)
 
 
 def test_extreme_rays_ignore_row_order():
@@ -362,9 +367,13 @@ def test_selector_matches_bits():
             assert list(polyhedra._selector(mask, f"0{n_rows}b")) == want, (n_rows, mask)
 
 
-def test_within_slack_matches_counting():
+def test_within_slack_matches_counting(monkeypatch):
     # the candidate filter is exact: it keeps a ray iff the ray is set in
-    # at most `slack` of the rows, the count overflowing the planes included
+    # at most `slack` of the rows, the count overflowing the planes included;
+    # so are the direct pass and the per-ray choice between the two, which
+    # read the same counts off the rays' own masks: ray j is tight at row i
+    # unless missed[i] has bit j, and at random rows past those, which the
+    # plus ray's mask leaves out
     rng = random.Random(88)
     for _ in range(300):
         n_rays = rng.randint(1, 40)
@@ -376,6 +385,18 @@ def test_within_slack_matches_counting():
             if candidates >> j & 1 and sum(m >> j & 1 for m in missed) <= slack
         )
         assert polyhedra._within_slack(missed, candidates, slack) == want
+
+        n_rows = len(missed) + rng.randint(0, 10)
+        masks = [sum((~m >> j & 1) << i for i, m in enumerate(missed))
+                 | rng.getrandbits(n_rows) >> len(missed) << len(missed)
+                 for j in range(n_rays)]
+        minus = [j for j in range(n_rays) if candidates >> j & 1]
+        for minus_per_row in (0, polyhedra.DIRECT_MINUS_PER_ROW, 10 ** 9):
+            monkeypatch.setattr(polyhedra, "DIRECT_MINUS_PER_ROW", minus_per_row)
+            partners = polyhedra._candidate_filter(
+                minus, [masks[j] for j in minus], n_rows, len(missed) - slack)
+            assert list(partners((1 << len(missed)) - 1)) == [
+                j for j in minus if want >> j & 1], minus_per_row
 
 
 def test_columns_product_matches_row_sums():
@@ -459,13 +480,33 @@ def test_mixed_cdegree_dd_counts(monkeypatch):
     (district,) = [d for d in dag.districts() if d.members == ("V2", "V4", "V5")]
     columns = tuple(build_functional_system(dag, district).columns_as_points())
     assert (len(columns), len(set(columns))) == (64, 48)
-    hrep, calls, rays = dd_of_district(monkeypatch, columns)
+    # record which candidate filter each plus ray takes
+    sides = set()
+    original = polyhedra._candidate_filter
+
+    def recording(minus, minus_masks, n_rows, least):
+        partners = original(minus, minus_masks, n_rows, least)
+
+        def record(mask):
+            sides.add(len(minus) <= polyhedra.DIRECT_MINUS_PER_ROW * mask.bit_count())
+            return partners(mask)
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyhedra, "_candidate_filter", recording)
+        hrep, calls, rays = dd_of_district(patch, columns)
+    assert sides == {True, False}  # both filters run on this cone
     assert (len(hrep.ineq), len(hrep.eq)) == (1_128, 12)
     assert len(calls) == 27
     assert max(n_rays for _, _, n_rays, _ in calls) == 1_072
     # SHA-256 of the exact ray list, order and duplicates included
     assert sha256(repr(rays).encode()).hexdigest() == (
         "4c80a9734dbf1fa03fab624ac639c827621b721ae21a5a89b04dc037df01aaa9")
+    # every plus ray on one filter: the same rays
+    for minus_per_row in (0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polyhedra, "DIRECT_MINUS_PER_ROW", minus_per_row)
+            assert dd_of_district(patch, columns)[2] == rays, minus_per_row
 
 
 def test_bell_i3322_derived_hrep_is_plain_dd():

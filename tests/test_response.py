@@ -202,14 +202,19 @@ def test_build_functional_system_cost_guard(graphs):
 def test_cost_guard_refuses_a_huge_response_space_at_once():
     from obscon import ColumnLimitError
 
-    # 3 ** (10 ** 8) columns: computing that power alone takes seconds
-    dag = parse_graph("var X 100000000\nvar A 3\nedge X A\n")
-    (district,) = [d for d in dag.districts() if d.members == ("A",)]
-    start = time.perf_counter()
-    with pytest.raises(ColumnLimitError) as info:
-        build_functional_system(dag, district)
-    assert time.perf_counter() - start < 1
-    assert info.value.estimate is None
+    # 3 ** (10 ** 8) columns: computing that power alone takes seconds; A
+    # alone is a full product, bounded by its closed form's coefficients, and
+    # with B, which does not read X, it is not, so its columns are counted
+    for text, members in (("var X 100000000\nvar A 3\nedge X A\n", ("A",)),
+                          ("var X 100000000\nvar A 3\nvar B 2\nlatent U\n"
+                           "edge X A\nedge U A\nedge U B\n", ("A", "B"))):
+        dag = parse_graph(text)
+        (district,) = [d for d in dag.districts() if d.members == members]
+        start = time.perf_counter()
+        with pytest.raises(ColumnLimitError) as info:
+            build_functional_system(dag, district)
+        assert time.perf_counter() - start < 1
+        assert info.value.estimate is None
 
 
 # pinned SHA-256 of repr(columns()), the (col_labels, col_outcomes) of the
