@@ -13,7 +13,6 @@ Testing them anyway is sound, since trivial rows restrict nothing.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -270,6 +269,7 @@ def derive_all(dag: HiddenDag, options: DeriveOptions | None = None) -> Derivati
     call only: two calls on one graph each build and convert every distinct
     shape.
     """
+    import hashlib
     import time
 
     options = options or DeriveOptions()
@@ -507,14 +507,17 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
 
     Reads each district's ``CheckPlan``, built on the derivation's first
     check and kept. The star terms come from the table's cached marginals
-    by the plan's keys, over one common denominator; each distinct
-    (star, coefficient) pair of the district is multiplied once, and a
-    constraint is the integer sum of its pairs' products. A row that is
-    slack or not evaluable gets the plan's prebuilt record, and only a
-    positive margin is a new Fraction. ``tolerance`` defaults to 1e-9 for
-    a table read from decimals and 0 otherwise; a negative one raises
-    ``ValueError``, and so does a table whose variables or cardinalities
-    differ from the graph's observed ones.
+    by the plan's keys, as integers over one common denominator, with the
+    bitmask of the rows that are not evaluable (``star_scaled``). Each
+    distinct (star, coefficient) pair of the district is multiplied once,
+    and a constraint is the integer sum of its pairs' products, unless its
+    star rows meet the mask. A row that is slack or not evaluable gets the
+    plan's prebuilt record, and only a positive margin is a new Fraction.
+    ``tolerance`` is an ``int`` or a ``Fraction`` and defaults to 1e-9 for
+    a table read from decimals and 0 otherwise. Any other type, ``bool``
+    and ``float`` included, raises ``TypeError``; a negative tolerance
+    raises ``ValueError``, and so does a table whose variables or
+    cardinalities differ from the graph's observed ones.
 
     Known gap (ROADMAP item 1): the star terms use ``star_factors``, which
     conditions each member on its observed ancestors among the district's
@@ -530,6 +533,8 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
         raise ValueError("table cardinalities do not match the graph")
     if tolerance is None:
         tolerance = Fraction(1, 10 ** 9) if table.decimal_source else Fraction(0)
+    elif isinstance(tolerance, bool) or not isinstance(tolerance, (int, Fraction)):
+        raise TypeError(f"tolerance must be an int or a Fraction, not {type(tolerance).__name__}")
     elif tolerance < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
@@ -537,14 +542,8 @@ def evaluate(result: DerivationResult, dag: HiddenDag, table: JointTable,
     add = statuses.append
     make = ConstraintStatus._make  # skips the keyword-capable __new__
     for index, stars, take, coeffs, rows in result.check_plans:
-        scale, scaled = star_scaled(table, stars)
+        scale, scaled, missing = star_scaled(table, stars)
         limit = tol_num * scale
-        missing = 0  # bitmask of the rows that are not evaluable
-        if None in scaled:
-            for row, value in enumerate(scaled):
-                if value is None:
-                    missing |= 1 << row
-                    scaled[row] = 0
         scaled.append(scale)
         products = list(map(mul, coeffs, take(scaled)))
         for get, is_eq, mask, satisfied, unevaluable in rows:

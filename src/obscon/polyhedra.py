@@ -1,9 +1,11 @@
 """Exact polyhedral computation: V/H representations and the vertex-to-facet conversion.
 
-Everything is exact and no floating point appears anywhere. Points may be
-rational (``fractions.Fraction``) or integer; each row is scaled to coprime
-integers as it enters the linear algebra, which then runs on Python ints
-only. One fraction-free Gauss-Jordan kernel (``_echelon``) does all of the
+Everything is exact and no floating point appears anywhere. Points have
+integer coordinates (a response system's columns are 0/1), so the linear
+algebra runs on Python ints only and builds no fraction. Rational points
+are scaled by their common denominator k first: a row ``c . y <= r`` of the
+scaled points' hull is the row ``c . x <= r / k`` of theirs. One
+fraction-free Gauss-Jordan kernel (``_echelon``) does all of the
 elimination: it finds the affine hull's pivot columns and equality rows,
 the null space of a point's tight rows, and, in ``_basis_inverse``, the
 independent rows and the inverse that start double description and turn
@@ -67,9 +69,8 @@ coefficients on the dependent columns.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import and_, ge, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -83,24 +84,29 @@ Row = tuple[int, ...]
 
 
 class _VRepFields(NamedTuple):
-    points: tuple[tuple[int | Fraction, ...], ...]
+    points: tuple[tuple[int, ...], ...]
 
 
 class VRep(_VRepFields):
     """Convex-hull generators (points only; rays are out of scope).
 
-    Coordinates are ``int`` or ``Fraction``; the points are checked on
-    construction.
+    Coordinates are ``int``s; a ``bool``, ``Fraction`` or ``float`` is
+    refused, as are no points and points of different lengths, all on
+    construction. Scale rational points by their common denominator.
     """
 
     __slots__ = ()
 
-    def __new__(cls, points: tuple[tuple[int | Fraction, ...], ...]):
+    def __new__(cls, points: tuple[tuple[int, ...], ...]):
         if not points:
             raise ValueError("VRep needs at least one point")
         dim = len(points[0])
         if any(len(p) != dim for p in points):
             raise ValueError("points have inconsistent dimensions")
+        kinds = set(map(type, chain.from_iterable(points)))
+        if not kinds <= {int}:
+            name = min(kind.__name__ for kind in kinds - {int})
+            raise ValueError(f"coordinates must be int, not {name}")
         return super().__new__(cls, points)
 
     @classmethod
@@ -110,10 +116,6 @@ class VRep(_VRepFields):
     @property
     def dim(self) -> int:
         return len(self.points[0])
-
-    @classmethod
-    def make(cls, points: Iterable[Sequence]) -> "VRep":
-        return cls(tuple(tuple(Fraction(x) for x in p) for p in points))
 
 
 class HRep(NamedTuple):
@@ -153,19 +155,12 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _integerize(vec) -> Row:
-    """Scale a rational vector by a positive rational to integers with gcd 1."""
-    vec = [x if isinstance(x, int) else Fraction(x) for x in vec]
-    denom = lcm(*(x.denominator for x in vec))
-    return tuple(_primitive([x.numerator * (denom // x.denominator) for x in vec]))
-
-
-def _canon_eq(coeffs, rhs) -> tuple[Row, int]:
-    row = _integerize(list(coeffs) + [rhs])
-    lead = next((v for v in row[:-1] if v != 0), 0)
-    if lead > 0:
-        row = tuple(-v for v in row)
-    return row[:-1], row[-1]
+def _canon_eq(coeffs: Sequence[int], rhs: int) -> tuple[Row, int]:
+    """The equality ``coeffs . x = rhs`` with its first nonzero coefficient
+    negative, as a hashable row. Its entries, rhs included, must have gcd 1."""
+    if next((v for v in coeffs if v), 0) > 0:
+        return tuple(-v for v in coeffs), -rhs
+    return tuple(coeffs), rhs
 
 
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -230,7 +225,7 @@ def affine_hull(points: Sequence[tuple]):
     by every point, one per non-pivot column.
     """
     base = points[0]
-    diffs = [_integerize([x - b for x, b in zip(p, base)]) for p in points[1:]]
+    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
     reduced, pivots = _echelon(diffs)
     eqs = [
         _canon_eq(vec, sum(c * x for c, x in zip(vec, base)))
@@ -326,7 +321,7 @@ def extreme_rays(rows: Sequence[Row], progress=None) -> list[Row]:
     for i in basis_idx:
         full_basis_mask |= 1 << i
     for i, column in zip(basis_idx, inverse):
-        rays.append([_integerize([-v for v in column]), full_basis_mask & ~(1 << i)])
+        rays.append([tuple(_primitive([-v for v in column])), full_basis_mask & ~(1 << i)])
 
     remaining = [i for i in range(n) if not full_basis_mask >> i & 1]
     width = f"0{n}b"
@@ -616,8 +611,7 @@ def _facet_orbits(chart: Sequence[tuple], rows: Sequence[Row],
     values = _columns_product(list(zip(*rows)))  # y -> row . y at every point
 
     # a coordinate bound q_1 <= top, tight at some point
-    top = max(Fraction(row[1], row[0]) for row in rows)
-    y = [-top.numerator, top.denominator] + [0] * (width - 2)
+    y = [-max(row[1] for row in rows), 1] + [0] * (width - 2)
     while True:
         vals = values(y)
         reduced, pivots = _echelon([row for row, v in zip(rows, vals) if v == 0])
@@ -629,10 +623,14 @@ def _facet_orbits(chart: Sequence[tuple], rows: Sequence[Row],
         z_vals = values(z)
         if max(z_vals) <= 0:
             z, z_vals = [-c for c in z], [-v for v in z_vals]
-        # the largest step keeping every point feasible; a point leaves
-        # the slack and joins the tight set, raising its rank
-        t = min(Fraction(-v, w) for v, w in zip(vals, z_vals) if w > 0)
-        y = _primitive([t.denominator * a + t.numerator * b for a, b in zip(y, z)])
+        # the largest step num / den keeping every point feasible; a point
+        # leaves the slack and joins the tight set, raising its rank
+        steps = [(-v, w) for v, w in zip(vals, z_vals) if w > 0]
+        num, den = steps[0]
+        for v, w in steps:
+            if v * den < num * w:
+                num, den = v, w
+        y = _primitive([den * a + num * b for a, b in zip(y, z)])
 
     seen: set[tuple[int, ...]] = set()
     actions = [itemgetter(*g) for g in _pruned_generators(generators)]
@@ -714,7 +712,7 @@ def simplex_product_hrep(block_sizes: Sequence[int]) -> HRep:
 
 
 def v_to_h(v: VRep, progress=None, symmetries=()) -> HRep:
-    """Facets and affine hull of the convex hull of the given points.
+    """Facets and affine hull of the convex hull of the given integer points.
 
     ``symmetries`` are proposed coordinate permutations (see
     ``point_symmetries``), read only for at least ``ORBIT_MIN_POINTS``
@@ -733,7 +731,7 @@ def v_to_h(v: VRep, progress=None, symmetries=()) -> HRep:
     dim = v.dim
     pivots, eq_rows = affine_hull(points)
     chart = [tuple(p[j] for j in pivots) for p in points]
-    cone_rows = [_integerize((1,) + q) for q in chart]
+    cone_rows = [(1,) + q for q in chart]
     generators = _orbit_generators(points, symmetries)
     if generators is None:
         rays = extreme_rays(cone_rows, progress=progress)

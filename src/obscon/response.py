@@ -370,15 +370,17 @@ def star_keys(dag: HiddenDag, members: tuple[str, ...],
     return tuple(keys)
 
 
-def star_scaled(table: JointTable, keys: tuple) -> tuple[int, list[int | None]]:
+def star_scaled(table: JointTable, keys: tuple) -> tuple[int, list[int], int]:
     """Each row's interventional probability times one common denominator.
 
-    Returns (denominator, numerators): the denominator is the lcm of the
-    rows' reduced denominators, and a numerator is ``None`` when some
-    conditioning event of its row has probability zero (not evaluable).
-    Each factor reads its two marginals once for all rows, the joint one
-    first, from which the table sums the conditioning one; both masses of a
-    conditional share the table's denominator, which cancels.
+    Returns (denominator, numerators, missing): the denominator is the lcm
+    of the rows' reduced denominators, and ``missing`` is the bitmask of
+    the rows that are not evaluable, where some conditioning event has
+    probability zero. Such a row's numerator is 0, since its joint mass
+    lies inside that event. Each factor reads its two marginals once for
+    all rows, the joint one first, from which the table sums the
+    conditioning one; both masses of a conditional share the table's
+    denominator, which cancels.
     """
     nums = dens = None  # every district has a member, so a factor
     for cond, joint, given_keys, joint_keys in keys:
@@ -390,17 +392,16 @@ def star_scaled(table: JointTable, keys: tuple) -> tuple[int, list[int | None]]:
             nums, dens = joint, given
         else:
             nums, dens = list(map(mul, nums, joint)), list(map(mul, dens, given))
-    missing = ()
-    if 0 in dens:  # such a row reduces over 1 (masses are >= 0), then reads None
-        missing = list(compress(count(), map(not_, dens)))
+    missing = 0
+    if 0 in dens:  # such a row reads 0 over 1 (masses are >= 0)
+        for row in compress(count(), map(not_, dens)):
+            missing |= 1 << row
         dens = list(map(max, dens, repeat(1)))
     common = list(map(math.gcd, nums, dens))
     reduced = list(map(floordiv, dens, common))
     scale = math.lcm(*reduced)
     scaled = list(map(mul, map(floordiv, nums, common), map(floordiv, repeat(scale), reduced)))
-    for row in missing:
-        scaled[row] = None
-    return scale, scaled
+    return scale, scaled, missing
 
 
 def star_probability(table: JointTable, dag: HiddenDag, district: District,
@@ -410,5 +411,5 @@ def star_probability(table: JointTable, dag: HiddenDag, district: District,
     Returns the product of identifying conditionals, or ``None`` when some
     conditioning event has probability zero (not evaluable).
     """
-    scale, (scaled,) = star_scaled(table, star_keys(dag, district.members, [(w1, w2)]))
-    return None if scaled is None else Fraction(scaled, scale)
+    scale, (scaled,), missing = star_scaled(table, star_keys(dag, district.members, [(w1, w2)]))
+    return None if missing else Fraction(scaled, scale)

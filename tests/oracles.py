@@ -50,7 +50,6 @@ from obscon.polyhedra import (
     VRep,
     _canon_eq,
     _echelon,
-    _integerize,
     _null_basis,
     extreme_rays,
 )
@@ -202,8 +201,8 @@ def facet_witness_beyond(h, index, vertices):
     if not on_facet or not off_facet:
         return None
     dim = len(coeffs)
-    center = tuple(sum(p[j] for p in on_facet) / len(on_facet) for j in range(dim))
-    inner = tuple(sum(p[j] for p in off_facet) / len(off_facet) for j in range(dim))
+    center = tuple(Fraction(sum(p[j] for p in on_facet), len(on_facet)) for j in range(dim))
+    inner = tuple(Fraction(sum(p[j] for p in off_facet), len(off_facet)) for j in range(dim))
     direction = tuple(c - i for c, i in zip(center, inner))
     gain = sum(c * d for c, d in zip(coeffs, direction))
     if gain <= 0:
@@ -637,7 +636,7 @@ def decimal_csv(dag, probs, places=12):
 # -- products of simplices ----------------------------------------------------
 
 
-def simplex_product_extreme_points(block_sizes) -> list[tuple[Fraction, ...]]:
+def simplex_product_extreme_points(block_sizes) -> list[tuple[int, ...]]:
     """Vertices of a product of probability simplices, first block fastest."""
     if any(size < 1 for size in block_sizes):
         raise ValueError("block sizes must be positive")
@@ -645,7 +644,7 @@ def simplex_product_extreme_points(block_sizes) -> list[tuple[Fraction, ...]]:
     for reversed_choices in product(*(range(size) for size in reversed(block_sizes))):
         vec = []
         for choice, size in zip(reversed(reversed_choices), block_sizes):
-            vec += [Fraction(int(k == choice)) for k in range(size)]
+            vec += [int(k == choice) for k in range(size)]
         points.append(tuple(vec))
     return points
 
@@ -855,11 +854,18 @@ def evaluate_by_scan(result: DerivationResult, dag: HiddenDag, table: JointTable
 # -- test helpers the program does not run ------------------------------------
 
 
+def _integer_vrep(points) -> VRep:
+    """The VRep of rational points that are all integer; ``VRep`` refuses
+    any other point."""
+    return VRep(tuple(sorted(tuple(int(x) if x.denominator == 1 else x for x in p)
+                             for p in points)))
+
+
 def h_to_v(h: HRep) -> VRep:
-    """Vertices of a bounded polytope given in H-representation.
+    """Integer vertices of a bounded polytope given in H-representation.
 
     Raises ``UnboundedPolytopeError`` when a ray or line is found and
-    ``ValueError`` when the polytope is empty.
+    ``ValueError`` when the polytope is empty or a vertex is not integer.
     """
     dim = h.dim
     reduced, pivots = _echelon([(*coeffs, rhs) for coeffs, rhs in h.eq])
@@ -881,9 +887,9 @@ def h_to_v(h: HRep) -> VRep:
             continue
         reduced_rows.append((proj, shift))
     if t == 0:
-        return VRep((tuple(x0),))
+        return _integer_vrep([x0])
 
-    cone_rows = [_integerize([-shift] + proj) for proj, shift in reduced_rows]
+    cone_rows = [_primitive([-shift] + proj) for proj, shift in reduced_rows]
     cone_rows.append(tuple([-1] + [0] * t))
     try:
         rays = extreme_rays(cone_rows)
@@ -907,18 +913,18 @@ def h_to_v(h: HRep) -> VRep:
         vertices.add(point)
     if not vertices:
         raise ValueError("empty polytope")
-    return VRep(tuple(sorted(vertices)))
+    return _integer_vrep(vertices)
 
 
 def _canon_ineq(coeffs, rhs) -> tuple[Row, int]:
-    row = _integerize(list(coeffs) + [rhs])
+    row = _primitive(list(coeffs) + [rhs])
     return row[:-1], row[-1]
 
 
 def hrep_from_rows(ineq, eq) -> HRep:
     """Canonicalize arbitrary rational rows into an HRep."""
     canon_ineq = sorted({_canon_ineq(c, r) for c, r in ineq})
-    canon_eq = sorted({_canon_eq(c, r) for c, r in eq})
+    canon_eq = sorted({_canon_eq(*_canon_ineq(c, r)) for c, r in eq})
     return HRep(tuple(canon_ineq), tuple(canon_eq))
 
 

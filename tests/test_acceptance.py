@@ -462,11 +462,12 @@ def random_vrep_for_suite(rng):
     cap = {1: 30, 2: 30, 3: 24, 4: 16, 5: 12, 6: 10}[dim]
     n = rng.randint(1, cap)
     denom = rng.choice([4, 7, 12])
+    # rational points in [-4, 4]^dim over denom, scaled by it
     points = [
-        tuple(Fraction(rng.randint(-4 * denom, 4 * denom), denom) for _ in range(dim))
+        tuple(rng.randint(-4 * denom, 4 * denom) for _ in range(dim))
         for _ in range(n)
     ]
-    return VRep.make(points)
+    return VRep(tuple(points))
 
 
 def extreme_points_oracle(points):

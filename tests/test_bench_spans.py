@@ -2,14 +2,18 @@
 
 The tracer's wrapped names stay bound in the modules that call them, and the
 bench's derive and check ops pass its own output gate on a small workload
-and on each benchmark workload.
+and on each benchmark workload. Deriving a benchmark workload's graph
+builds no ``Fraction``: the exact core runs on ints.
 """
 
 import importlib.util
 import os
 import sys
+from fractions import Fraction
 
 import pytest
+
+import obscon
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
@@ -76,6 +80,29 @@ def test_benchmark_workload_ops_pass_the_gate(monkeypatch, name):
         expected = gate.expected_statuses(result, workload.graph, table.probs, tolerance)
         doc = runner.check(runner.untraced, dag, result, table.csv)
         assert gate.check_report(doc, expected, table.kind, tolerance) == [], table.kind
+
+
+@pytest.mark.parametrize("name", ["i3322", "sparse14", "mixed_check"])
+def test_benchmark_workload_derive_builds_no_fraction(monkeypatch, name):
+    # the exact core runs on ints: deriving a workload's graph, merged where
+    # the workload merges, constructs no Fraction
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[name]
+    dag = obscon.parse_graph(workload.graph.text())
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    result = obscon.derive_all(dag, obscon.DeriveOptions(merge=workload.merge))
+    assert built == []
+    assert result.constraints_total == workload.expected.total
 
 
 def test_bench_selftest_passes(monkeypatch, tmp_path):

@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
@@ -13,6 +13,7 @@ import obscon.independence
 from obscon import (
     ConditionsError,
     DeriveOptions,
+    District,
     GraphStructureError,
     HiddenDag,
     HRep,
@@ -379,6 +380,17 @@ def test_evaluate_rejects_negative_tolerance(graphs):
         evaluate(result, dag, table, Fraction(-1, 100))
 
 
+@pytest.mark.parametrize("tolerance, kind", [(1e-9, "float"), ("1/10", "str"), (True, "bool")])
+def test_evaluate_rejects_a_tolerance_of_another_type(graphs, tolerance, kind):
+    # only None, an int or a Fraction: a float has no exact numerator, and
+    # True is no tolerance of 1
+    dag = graphs["iv"]
+    result = derive_all(dag)
+    table = parse_table(IV_VIOLATOR, dag)
+    with pytest.raises(TypeError, match=f"tolerance must be an int or a Fraction, not {kind}$"):
+        evaluate(result, dag, table, tolerance)
+
+
 # two roots feeding one child: the CI statement A _||_ B has an empty given
 TWO_ROOTS = "var A 2\nvar B 3\nvar Y 2\nedge A Y\nedge B Y\n"
 
@@ -433,6 +445,15 @@ def test_evaluate_matches_scan_reference(name):
             if kind == "wide":  # no fixed-width integer could hold these
                 assert max(max(star_scaled(table, plan.stars)[1])
                            for plan in result.check_plans) > 2 ** 64
+            if kind == "sparse":  # the mask marks the rows star_probability cannot read
+                for plan in result.check_plans:
+                    record = result.districts[plan.district_index]
+                    district = District(record.members, ())
+                    _, scaled, missing = star_scaled(table, plan.stars)
+                    unread = [star_probability(table, dag, district, w1, w2) is None
+                              for w1, w2 in record.system.row_labels]
+                    assert missing == sum(1 << row for row, none in enumerate(unread) if none)
+                    assert not any(compress(scaled, unread))
     assert set(statuses) == {"structural", "dense", "sparse", "decimal", "wide"}
     assert statuses["structural"] == {"satisfied"}
     if name != "triangle":  # its star terms are unconditional marginals

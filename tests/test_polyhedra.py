@@ -32,9 +32,11 @@ from oracles import (
 from conftest import BELL_CHSH, BELL_I3322
 
 
-def rational_points(rng, n, dim, denom=12, spread=6):
+def scaled_points(rng, n, dim, denom=12, spread=6):
+    """Random rational points in [-spread, spread]^dim over ``denom``, times
+    ``denom``: their integer numerators, as ``VRep`` takes them."""
     return [
-        tuple(Fraction(rng.randint(-spread * denom, spread * denom), denom) for _ in range(dim))
+        tuple(rng.randint(-spread * denom, spread * denom) for _ in range(dim))
         for _ in range(n)
     ]
 
@@ -43,7 +45,7 @@ def random_vrep(rng, max_dim=6, max_points=30):
     dim = rng.randint(1, max_dim)
     cap = {1: max_points, 2: max_points, 3: max_points, 4: 18, 5: 12, 6: 10}[dim]
     n = rng.randint(1, min(cap, max_points))
-    return VRep.make(rational_points(rng, n, dim))
+    return VRep(tuple(scaled_points(rng, n, dim)))
 
 
 def extreme_points_oracle(points):
@@ -68,17 +70,18 @@ def satisfies(h, point, strict_rows=()):
 
 
 def test_unit_segment():
-    h = v_to_h(VRep.make([(0,), (1,)]))
+    h = v_to_h(VRep(((0,), (1,))))
     assert h.eq == ()
     assert set(h.ineq) == {((-1,), 0), ((1,), 1)}
 
 
 def test_single_point():
-    h = v_to_h(VRep.make([(Fraction(1, 2), Fraction(-3))]))
+    # the point (1/2, -3), scaled by its denominator 2
+    h = v_to_h(VRep(((1, -6),)))
     assert h.ineq == ()
-    assert set(h.eq) == {((-2,), -1), ((0, -1), 3)} or len(h.eq) == 2
+    assert h.eq == (((-1, 0), -1), ((0, -1), 6))
     v = h_to_v(h)
-    assert v.points == ((Fraction(1, 2), Fraction(-3)),)
+    assert v.points == ((1, -6),)
 
 
 def test_cube_h_to_v():
@@ -101,7 +104,7 @@ def test_simplex_h_to_v():
     eq = [((1, 1, 1, 1), 1)]
     v = h_to_v(hrep_from_rows(ineq, eq))
     assert sorted(v.points) == sorted(
-        tuple(Fraction(1 if j == i else 0) for j in range(4)) for i in range(4)
+        tuple(int(j == i) for j in range(4)) for i in range(4)
     )
 
 
@@ -134,14 +137,11 @@ def test_simplex_product_4_4():
         (1, 0, 0, 0, 0, 1, 0, 0),
     ]
     for got, want in zip(points, expected_first_rows):
-        assert got == tuple(Fraction(v) for v in want)
+        assert got == want
 
 
 def test_simplex_product_single_block():
-    assert simplex_product_extreme_points([2]) == [
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    ]
+    assert simplex_product_extreme_points([2]) == [(1, 0), (0, 1)]
 
 
 def test_simplex_product_counts():
@@ -175,12 +175,27 @@ def test_v_to_h_rejects_outside_points():
         v = random_vrep(rng, max_dim=3, max_points=8)
         h = v_to_h(v)
         for _ in range(10):
+            # a point over 7 in the points' scale, 12
             candidate = tuple(
-                Fraction(rng.randint(-100, 100), 7) for _ in range(v.dim)
+                Fraction(12 * rng.randint(-100, 100), 7) for _ in range(v.dim)
             )
             inside_h = satisfies(h, candidate)
             inside_hull = in_hull(candidate, list(v.points))
             assert inside_h == inside_hull
+
+
+def test_scaled_points_scale_every_rhs():
+    # rational points enter v_to_h scaled by a common denominator k: the
+    # hull of integer points scaled by k has the same coefficient rows, each
+    # rhs times k, since every coefficient row of such a hull has gcd 1
+    rng = random.Random(34)
+    for _ in range(40):
+        v = random_vrep(rng, max_dim=4, max_points=12)
+        k = rng.randint(2, 9)
+        h = v_to_h(v)
+        scaled = v_to_h(VRep(tuple(tuple(k * x for x in p) for p in v.points)))
+        assert scaled == HRep(*(tuple((coeffs, k * rhs) for coeffs, rhs in rows)
+                                for rows in (h.ineq, h.eq)))
 
 
 def test_round_trip_small():
@@ -199,15 +214,16 @@ def test_embedded_lower_dimensional_hulls():
     for _ in range(30):
         dim = rng.randint(2, 5)
         k = rng.randint(1, dim - 1)
-        (base,) = rational_points(rng, 1, dim)
-        a = rational_points(rng, dim, k, denom=5, spread=2)
-        zs = rational_points(rng, rng.randint(dim + 1, dim + 6), k, denom=4, spread=2)
+        # base / 12 + (a / 5)(z / 4), times the common denominator 60
+        (base,) = scaled_points(rng, 1, dim)
+        a = scaled_points(rng, dim, k, denom=5, spread=2)
+        zs = scaled_points(rng, rng.randint(dim + 1, dim + 6), k, denom=4, spread=2)
         points = [
-            tuple(b + sum(x * y for x, y in zip(row, z)) for b, row in zip(base, a))
+            tuple(5 * b + 3 * sum(x * y for x, y in zip(row, z)) for b, row in zip(base, a))
             for z in zs
         ]
         h = v_to_h(VRep(tuple(points)))
-        rank = _rank([[x - b for x, b in zip(p, base)] for p in points])
+        rank = _rank([[x - 5 * b for x, b in zip(p, base)] for p in points])
         assert len(h.eq) == dim - rank
         for p in points:
             for coeffs, rhs in h.eq:
@@ -246,15 +262,16 @@ def test_canonicalization_permutation_insensitive(seed):
 
 
 def test_duplicate_points_ignored():
-    v1 = VRep.make([(0, 0), (1, 0), (0, 1)])
-    v2 = VRep.make([(0, 0), (1, 0), (0, 1), (1, 0), (0, 0)])
+    v1 = VRep(((0, 0), (1, 0), (0, 1)))
+    v2 = VRep(((0, 0), (1, 0), (0, 1), (1, 0), (0, 0)))
     assert v_to_h(v1) == v_to_h(v2)
 
 
 def test_interior_points_ignored():
-    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    with_interior = square + [(1, 1), (Fraction(1, 2), Fraction(1, 2))]
-    assert v_to_h(VRep.make(square)) == v_to_h(VRep.make(with_interior))
+    # the square [0, 2]^2 with (1, 1) and (1/2, 1/2) inside, times 2
+    square = ((0, 0), (4, 0), (0, 4), (4, 4))
+    with_interior = square + ((2, 2), (1, 1))
+    assert v_to_h(VRep(square)) == v_to_h(VRep(with_interior))
 
 
 def test_iv_round_trip(graphs):
@@ -268,7 +285,7 @@ def test_iv_round_trip(graphs):
 
 
 def test_cdd_format_smoke():
-    h = v_to_h(VRep.make([(0,), (1,)]))
+    h = v_to_h(VRep(((0,), (1,))))
     text = h.to_cdd()
     assert "H-representation" in text and "begin" in text and "end" in text
 
@@ -339,8 +356,8 @@ def test_extreme_rays_ignore_row_order():
         for order in (rows[::-1], rng.sample(rows, len(rows))):
             assert polyhedra.extreme_rays(order) == want, (rep, rows)
         points = [row[1:] for row in rows]
-        want_h = v_to_h(VRep.make(points))
-        assert v_to_h(VRep.make(rng.sample(points, len(points)))) == want_h
+        want_h = v_to_h(VRep(tuple(points)))
+        assert v_to_h(VRep(tuple(rng.sample(points, len(points))))) == want_h
 
 
 def test_tight_sets_match_bitwise_reference():
@@ -429,7 +446,7 @@ def cross_polytope(dim):
     ([(t, t ** 2, t ** 3, t ** 4) for t in range(1, 8)], 14),
 ], ids=["4-cube", "3-cross", "4-cross", "5-cross", "cyclic-7-4"])
 def test_known_facet_counts(points, facets):
-    h = v_to_h(VRep.make(points))
+    h = v_to_h(VRep(tuple(points)))
     assert h.eq == ()
     assert len(h.ineq) == facets
 

@@ -5,8 +5,8 @@ state (``JointTable``, ``DerivationResult``) are plain classes. Either way a
 record builds positionally or by keyword, refuses attribute assignment,
 compares by its field values, hashes as the tuple of them, prints as
 ``Name(field=value, ...)`` and copies and pickles. Importing the package
-loads neither ``dataclasses`` nor ``inspect``, and the package exports
-exactly the names pinned here.
+loads none of ``dataclasses``, ``hashlib`` and ``inspect``, and the package
+exports exactly the names pinned here.
 """
 
 import copy
@@ -63,7 +63,7 @@ RECORDS = {
     ConditionReport: ((("violations", ()),), ((("C1", "U", "latent has parents A"),),)),
     CIStatement: ((("lhs", REQUIRED), ("rhs", REQUIRED), ("given", REQUIRED)),
                   (("A",), ("B",), ("C",))),
-    VRep: ((("points", REQUIRED),), (((0, 1), (1, Fraction(1, 2))),)),
+    VRep: ((("points", REQUIRED),), (((0, 2), (2, 1)),)),
     HRep: ((("ineq", REQUIRED), ("eq", REQUIRED)), ((((1, 0), 1),), (((0, 1), 0),))),
     Configuration: ((("items", REQUIRED),), ((("A", 0), ("B", 1)),)),
     FunctionalSystem: ((("names", REQUIRED), ("shape", REQUIRED)),
@@ -184,6 +184,9 @@ def test_replace_checks_variables_too():
 @pytest.mark.parametrize("points, message", [
     ((), "VRep needs at least one point"),
     (((0, 1), (1,)), "points have inconsistent dimensions"),
+    (((0, 1), (1, Fraction(1, 2))), "coordinates must be int, not Fraction"),
+    (((0, 1), (1, 0.5)), "coordinates must be int, not float"),
+    (((0, 1), (True, 0)), "coordinates must be int, not bool"),
 ])
 def test_vrep_rejects_bad_input(points, message):
     with pytest.raises(ValueError) as exc:
@@ -218,10 +221,11 @@ def test_joint_table_rejects_bad_input(probs, message):
 def test_import_loads_neither_dataclasses_nor_inspect():
     # -I ignores PYTHON* variables, -S skips site-packages hooks, -B writes
     # no bytecode; the last line lists what the import loads from outside
-    # obscon and the standard library, which must be nothing
+    # obscon and the standard library, which must be nothing. hashlib, which
+    # loads OpenSSL, waits for derive_all's fingerprint
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import obscon; print(obscon.__file__); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+            "print(sorted({'dataclasses', 'hashlib', 'inspect'} & set(sys.modules))); "
             "print(sorted({name.partition('.')[0] for name in set(sys.modules) - before}"
             " - {'obscon'} - sys.stdlib_module_names))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, os.path.abspath(SRC)],
